@@ -6,29 +6,26 @@ from .errors import ConfigError, ConstructionError, DivergenceError, \
     ProtocolError, RangeError, RootshareError, TransportError, \
     UnsupportedValueError, UsageError
 from .ring import CLIENT, SERVER, PARTIES, BeaverTriple, DealerState, \
-    FixedPointCodec, MatrixTriple, RingShare, TripleStream, beaver_mul, \
+    FixedPointCodec, MatrixTriple, RingShare, TripleStream, \
     beaver_mul_batch, linear_combine, make_shares, matmul_shared, \
-    reconstruct, reconstruct_raw, truncate_local
+    reconstruct, reconstruct_raw, run_session, split_values, truncate_local
 from .floatbits import FloatBits, SignedBitsInteger, compose, decompose, \
     pack_integer, share_to_float, to_binary32, unpack_integer
 from .transport import CommStats, Endpoint, InprocEndpoint, SocketEndpoint, \
-    open_inproc, open_socket, open_socket_pair, recv_frame, run_pair, \
-    send_frame, stats_snapshot
+    open_inproc, open_socket, open_socket_pair, run_pair
 from .flood import ActivationSampler, FloodConfig, adversarial_split, \
-    draw_flood_mask, flood_mask, flood_reshare, flood_reshare_batch, \
-    flood_share, shares_from_floats
+    draw_flood_mask, flood_mask, flood_reshare_batch, flood_share, \
+    shares_from_floats
 from .rsqrt import MAGIC_K1, NewtonConfig, SeedParams, STRATEGIES, \
     STRATEGY_LOCAL_REINTERPRET, STRATEGY_MASKED_OPEN, SweepRow, \
-    bits_to_value_batch, bits_to_value_shares, closeness_sweep, \
-    newton_plain, newton_shared, newton_shared_batch, rsqrt_shared, \
+    bits_to_value_batch, closeness_sweep, newton_plain, newton_shared_batch, \
     rsqrt_shared_batch, run_shared_rsqrt, seed_local, seed_share_client, \
     seed_share_server, seed_shares
 from .config import DEFAULT_CONFIG, ProtocolConfig, config_from_mapping, \
     load_config_file
-from .nonlinear import GELU_PARAMS, RELU_PARAMS, SmuParams, TensorShares, \
-    gelu_plain, gelu_shared_batch, layernorm_plain, layernorm_shared, \
-    reconstruct_tensor, relu_plain, run_layernorm_shared, run_smu_shared, \
-    run_softmax_star_shared, share_tensor, smu_plain, smu_shared_batch, \
+from .nonlinear import GELU_PARAMS, RELU_PARAMS, SmuParams, gelu_plain, \
+    layernorm_plain, layernorm_shared, relu_plain, run_layernorm_shared, \
+    run_smu_shared, run_softmax_star_shared, smu_plain, smu_shared_batch, \
     softmax_plain, softmax_star_plain, softmax_star_shared
 from .bench import AblationRow, EncoderSites, LutCostModel, ReportRow, \
     ToyEncoderConfig, comm_report, count_rsqrt_element, \

@@ -16,12 +16,14 @@ from .errors import ConfigError, RangeError, UsageError
 from .config import DEFAULT_CONFIG, ProtocolConfig
 from .flood import ActivationSampler, adversarial_split, draw_flood_mask, \
     flood_mask, flood_share, shares_from_floats
-from .nonlinear import GELU_PARAMS, layernorm_plain, layernorm_shared, \
-    run_smu_shared, smu_plain, smu_shared_batch, softmax_star_plain, \
-    softmax_star_shared, scalar_mul_values, add_public_values
-from .ring import CLIENT, SERVER, DealerState, matmul_shared
-from .rsqrt import NewtonConfig, rsqrt_shared_batch, run_shared_rsqrt
-from .transport import run_pair
+from .nonlinear import GELU_PARAMS, LAYERNORM_ITERATIONS, \
+    SOFTMAX_ITERATIONS, add_public_values, layernorm_plain, layernorm_shared, \
+    run_layernorm_shared, run_smu_shared, run_softmax_star_shared, \
+    scalar_mul_values, smu_plain, smu_shared_batch, softmax_star_plain, \
+    softmax_star_shared
+from .ring import SERVER, DealerState, matmul_shared, run_session, \
+    split_values
+from .rsqrt import run_shared_rsqrt
 
 
 @dataclass(frozen=True)
@@ -159,14 +161,13 @@ def comm_report(scenario: str, cfg: ProtocolConfig = DEFAULT_CONFIG,
                               _beaver_bytes(c_muls, codec), c_muls, c_muls))
         return rows
     if scenario == "softmax":
-        from .nonlinear import run_softmax_star_shared
         rng = random.Random(seed)
         row = [rng.gauss(1.5, 0.8) for _ in range(row_len)]
         _, st_c, st_s = run_softmax_star_shared(row, cfg, seed=seed)
         counted = max(st_c.bytes_sent, st_s.bytes_sent)
         rounds = max(st_c.rounds, st_s.rounds)
-        n_soft = 16
-        muls = row_len * (3 + 3 * n_soft) + (2 + 3 * n_soft) + row_len
+        muls = (row_len * (3 + 3 * SOFTMAX_ITERATIONS)
+                + (2 + 3 * SOFTMAX_ITERATIONS) + row_len)
         rows.append(ReportRow(scenario, "rootshare", "counted", "row",
                               counted, rounds, muls))
         rows.append(ReportRow(scenario, "lut", "modeled", "row",
@@ -177,7 +178,6 @@ def comm_report(scenario: str, cfg: ProtocolConfig = DEFAULT_CONFIG,
                               _beaver_bytes(c_muls, codec), c_muls, c_muls))
         return rows
     if scenario == "layernorm":
-        from .nonlinear import run_layernorm_shared
         rng = random.Random(seed)
         row = [rng.gauss(0.0, 1.0) for _ in range(row_len)]
         ones = [1.0] * row_len
@@ -185,8 +185,7 @@ def comm_report(scenario: str, cfg: ProtocolConfig = DEFAULT_CONFIG,
         _, st_c, st_s = run_layernorm_shared(row, ones, zeros, cfg, seed=seed)
         counted = max(st_c.bytes_sent, st_s.bytes_sent)
         rounds = max(st_c.rounds, st_s.rounds)
-        n_ln = 8
-        muls = 2 * row_len + (2 + 3 * n_ln)
+        muls = 2 * row_len + (2 + 3 * LAYERNORM_ITERATIONS)
         rows.append(ReportRow(scenario, "rootshare", "counted", "row",
                               counted, rounds, muls))
         rows.append(ReportRow(scenario, "lut", "modeled", "row",
@@ -411,107 +410,87 @@ def _encoder_shared(cfg: ToyEncoderConfig, x_rows, weights,
     codec = protocol.codec
     rng = random.Random(cfg.seed + 101)
 
-    def split(flat):
-        c, sv = [], []
-        for value in flat:
-            mask = rng.randrange(codec.modulus)
-            c.append(mask)
-            sv.append((codec.encode(value) - mask) % codec.modulus)
-        return c, sv
-
     x = [v for row in x_rows for v in row]
     if len(x_rows) != s or any(len(row) != d for row in x_rows):
         raise UsageError(f"input must be {s} rows of {d} values")
-    halves = {"x": split(x)}
+    halves = {"x": split_values(x, codec, rng)}
     for name in ("wq", "wk", "wv", "wo", "w1", "w2"):
-        halves[name] = split(weights[name])
+        halves[name] = split_values(weights[name], codec, rng)
 
     dealer = DealerState(codec, seed=cfg.seed + 202, budget=dealer_budget)
-    stream_c, stream_s = dealer.pair_streams()
-    results = {}
+    buckets = {}
     n_iter = sites.iterations
     smu_cfg = protocol.with_site(E_m=sites.ffn_E_m, iterations=n_iter)
 
-    def party_fn(party, stream):
-        def fn(ep):
-            flood_rng = random.Random(cfg.seed + 303) if party == SERVER else None
-            idx = 0 if party == CLIENT else 1
-            w = {name: halves[name][idx] for name in halves}
-            buckets = {"matmul": 0, "nonlinear": 0}
-            mod = codec.modulus
+    def party_fn(party, w, ep, stream):
+        flood_rng = random.Random(cfg.seed + 303) if party == SERVER else None
+        counts = buckets[party] = {"matmul": 0, "nonlinear": 0}
+        mod = codec.modulus
 
-            def counted(bucket, fn_call):
-                before = ep.stats().bytes_sent
-                out = fn_call()
-                buckets[bucket] += ep.stats().bytes_sent - before
-                return out
-
-            def mm(a, b, m, kk, nn):
-                view = stream.take_matrix(m, kk, nn)
-                return counted("matmul", lambda: matmul_shared(
-                    party, a, b, view, m, kk, nn, ep, codec))
-
-            q = mm(w["x"], w["wq"], s, d, d)
-            k = mm(w["x"], w["wk"], s, d, d)
-            v = mm(w["x"], w["wv"], s, d, d)
-            ctx = [0] * (s * d)
-            for h in range(cfg.heads):
-                j0, j1 = h * dh, (h + 1) * dh
-                qh = _columns(q, s, d, j0, j1)
-                kh = _columns(k, s, d, j0, j1)
-                vh = _columns(v, s, d, j0, j1)
-                scores = mm(qh, _transpose(kh, s, dh), s, dh, s)
-                scores = scalar_mul_values(party, scores,
-                                           1.0 / math.sqrt(dh), codec)
-                att = []
-                for i in range(s):
-                    row = scores[i * s:(i + 1) * s]
-                    att.extend(counted("nonlinear", lambda r=row: softmax_star_shared(
-                        party, r, ep, protocol, stream, flood_rng,
-                        sites.softmax_num_E_m, sites.softmax_den_E_m, n_iter)))
-                ctx_h = mm(att, vh, s, s, dh)
-                for i in range(s):
-                    for j in range(dh):
-                        ctx[i * d + j0 + j] = ctx_h[i * dh + j]
-            attn = mm(ctx, w["wo"], s, d, d)
-            h0 = [(a + b) % mod for a, b in zip(w["x"], attn)]
-            h1 = []
-            for i in range(s):
-                row = h0[i * d:(i + 1) * d]
-                h1.extend(counted("nonlinear", lambda r=row: layernorm_shared(
-                    party, r, weights["ln1_gamma"], weights["ln1_beta"], ep,
-                    protocol, stream, flood_rng, sites.ln1_E_m, n_iter)))
-            pre = mm(h1, w["w1"], s, d, f)
-            b1 = weights["b1"] * s
-            pre = add_public_values(party, pre, b1, codec)
-            act = counted("nonlinear", lambda: smu_shared_batch(
-                party, pre, GELU_PARAMS, ep, smu_cfg, stream, flood_rng))
-            f2 = mm(act, w["w2"], s, f, d)
-            b2 = weights["b2"] * s
-            f2 = add_public_values(party, f2, b2, codec)
-            h2 = [(a + b) % mod for a, b in zip(h1, f2)]
-            out = []
-            for i in range(s):
-                row = h2[i * d:(i + 1) * d]
-                out.extend(counted("nonlinear", lambda r=row: layernorm_shared(
-                    party, r, weights["ln2_gamma"], weights["ln2_beta"], ep,
-                    protocol, stream, flood_rng, sites.ln2_E_m, n_iter)))
-            results[party] = {"buckets": buckets, "stats": ep.stats()}
+        def counted(bucket, fn_call):
+            before = ep.stats().bytes_sent
+            out = fn_call()
+            counts[bucket] += ep.stats().bytes_sent - before
             return out
 
-        return fn
+        def mm(a, b, m, kk, nn):
+            view = stream.take_matrix(m, kk, nn)
+            return counted("matmul", lambda: matmul_shared(
+                party, a, b, view, m, kk, nn, ep, codec))
 
-    out_c, out_s = run_pair(party_fn(CLIENT, stream_c),
-                            party_fn(SERVER, stream_s), transport=transport)
-    mod = codec.modulus
-    flat = [codec.decode((a + b) % mod) for a, b in zip(out_c, out_s)]
+        q = mm(w["x"], w["wq"], s, d, d)
+        k = mm(w["x"], w["wk"], s, d, d)
+        v = mm(w["x"], w["wv"], s, d, d)
+        ctx = [0] * (s * d)
+        for h in range(cfg.heads):
+            j0, j1 = h * dh, (h + 1) * dh
+            qh = _columns(q, s, d, j0, j1)
+            kh = _columns(k, s, d, j0, j1)
+            vh = _columns(v, s, d, j0, j1)
+            scores = mm(qh, _transpose(kh, s, dh), s, dh, s)
+            scores = scalar_mul_values(party, scores,
+                                       1.0 / math.sqrt(dh), codec)
+            att = []
+            for i in range(s):
+                row = scores[i * s:(i + 1) * s]
+                att.extend(counted("nonlinear", lambda r=row: softmax_star_shared(
+                    party, r, ep, protocol, stream, flood_rng,
+                    sites.softmax_num_E_m, sites.softmax_den_E_m, n_iter)))
+            ctx_h = mm(att, vh, s, s, dh)
+            for i in range(s):
+                for j in range(dh):
+                    ctx[i * d + j0 + j] = ctx_h[i * dh + j]
+        attn = mm(ctx, w["wo"], s, d, d)
+        h0 = [(a + b) % mod for a, b in zip(w["x"], attn)]
+        h1 = []
+        for i in range(s):
+            row = h0[i * d:(i + 1) * d]
+            h1.extend(counted("nonlinear", lambda r=row: layernorm_shared(
+                party, r, weights["ln1_gamma"], weights["ln1_beta"], ep,
+                protocol, stream, flood_rng, sites.ln1_E_m, n_iter)))
+        pre = mm(h1, w["w1"], s, d, f)
+        b1 = weights["b1"] * s
+        pre = add_public_values(party, pre, b1, codec)
+        act = counted("nonlinear", lambda: smu_shared_batch(
+            party, pre, GELU_PARAMS, ep, smu_cfg, stream, flood_rng))
+        f2 = mm(act, w["w2"], s, f, d)
+        b2 = weights["b2"] * s
+        f2 = add_public_values(party, f2, b2, codec)
+        h2 = [(a + b) % mod for a, b in zip(h1, f2)]
+        out = []
+        for i in range(s):
+            row = h2[i * d:(i + 1) * d]
+            out.extend(counted("nonlinear", lambda r=row: layernorm_shared(
+                party, r, weights["ln2_gamma"], weights["ln2_beta"], ep,
+                protocol, stream, flood_rng, sites.ln2_E_m, n_iter)))
+        return out
+
+    flat, stats_c, stats_s = run_session(
+        party_fn, {name: pair[0] for name, pair in halves.items()},
+        {name: pair[1] for name, pair in halves.items()}, dealer, transport)
     rows = [flat[i * d:(i + 1) * d] for i in range(s)]
-    bytes_by = {
-        name: results[CLIENT]["buckets"][name] + results[SERVER]["buckets"][name]
-        for name in ("matmul", "nonlinear")
-    }
-    stats_c = results[CLIENT]["stats"]
-    stats_s = results[SERVER]["stats"]
+    bytes_by = {name: sum(counts[name] for counts in buckets.values())
+                for name in ("matmul", "nonlinear")}
     bytes_by["total"] = stats_c.bytes_sent + stats_s.bytes_sent
     info = {
         "client": stats_c,

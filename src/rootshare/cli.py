@@ -12,8 +12,7 @@ import sys
 
 from .errors import RootshareError
 from .bench import LutCostModel, REPORT_SCENARIOS, ToyEncoderConfig, \
-    comm_report, flood_ablation, load_weights_csv, toy_encoder_infer, \
-    write_report_csv
+    comm_report, flood_ablation, toy_encoder_infer, write_report_csv
 from .config import DEFAULT_CONFIG, load_config_file
 from .flood import ActivationSampler, draw_flood_mask, flood_share
 from .rsqrt import STRATEGIES, closeness_sweep, run_shared_rsqrt

@@ -91,12 +91,6 @@ def flood_reshare_batch(party: str, values, channel, codec: FixedPointCodec,
     return [(v + d) % mod for v, d in zip(values, deltas)]
 
 
-def flood_reshare(share: RingShare, channel, codec: FixedPointCodec,
-                  cfg: FloodConfig, rng: random.Random | None = None) -> RingShare:
-    out = flood_reshare_batch(share.party, [share.value], channel, codec, cfg, rng)
-    return RingShare(share.party, out[0])
-
-
 def adversarial_split(x: float, gap: int, rng: random.Random | None = None,
                       max_tries: int = 500):
     """A float share pair (client, server) of x with exponent gap exactly gap.

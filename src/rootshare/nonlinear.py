@@ -16,10 +16,9 @@ from dataclasses import dataclass
 from .errors import ConfigError, UsageError
 from .config import ProtocolConfig
 from .flood import flood_reshare_batch
-from .ring import CLIENT, SERVER, DealerState, FixedPointCodec, PARTIES, \
-    RingShare, beaver_mul_batch, truncate_local
+from .ring import SERVER, DealerState, FixedPointCodec, beaver_mul_batch, \
+    run_session, split_values, truncate_local
 from .rsqrt import rsqrt_shared_batch
-from .transport import run_pair
 
 S_FLOOR = 2.0 ** -12
 SOFTMAX_EPS = 2.0 ** -12
@@ -90,47 +89,6 @@ def layernorm_plain(row, gamma, beta, eps: float = LAYERNORM_EPS):
     return [g * (v - mean) * inv + b for v, g, b in zip(row, gamma, beta)]
 
 
-@dataclass(frozen=True)
-class TensorShares:
-    """One party's flat additive shares of a row-major tensor."""
-
-    party: str
-    shape: tuple
-    values: tuple
-
-    def __post_init__(self):
-        if self.party not in PARTIES:
-            raise UsageError(f"unknown party {self.party!r}")
-        count = 1
-        for dim in self.shape:
-            count *= dim
-        if count != len(self.values):
-            raise UsageError(
-                f"shape {self.shape} needs {count} values, got {len(self.values)}")
-
-
-def share_tensor(values, shape, codec: FixedPointCodec, rng):
-    """Split plaintext reals into one TensorShares per party."""
-    client = []
-    server = []
-    for v in values:
-        mask = rng.randrange(codec.modulus)
-        client.append(mask)
-        server.append((codec.encode(v) - mask) % codec.modulus)
-    return (TensorShares(CLIENT, tuple(shape), tuple(client)),
-            TensorShares(SERVER, tuple(shape), tuple(server)))
-
-
-def reconstruct_tensor(client: TensorShares, server: TensorShares,
-                       codec: FixedPointCodec):
-    if client.party != CLIENT or server.party != SERVER:
-        raise UsageError("reconstruct_tensor expects (client, server) halves")
-    if client.shape != server.shape:
-        raise UsageError("tensor halves disagree on shape")
-    return [codec.decode((c + s) % codec.modulus)
-            for c, s in zip(client.values, server.values)]
-
-
 def scalar_mul_values(party: str, values, coef, codec: FixedPointCodec):
     """Multiply shares by public reals, one truncation per element.
 
@@ -141,12 +99,8 @@ def scalar_mul_values(party: str, values, coef, codec: FixedPointCodec):
         coef = [float(coef)] * len(values)
     if len(coef) != len(values):
         raise UsageError("coefficient list length mismatch")
-    mod = codec.modulus
-    out = []
-    for v, c in zip(values, coef):
-        raw = (v * codec.encode(c)) % mod
-        out.append(truncate_local(RingShare(party, raw), codec).value)
-    return out
+    return truncate_local(party, [v * codec.encode(c)
+                                  for v, c in zip(values, coef)], codec)
 
 
 def add_public_values(party: str, values, const, codec: FixedPointCodec):
@@ -187,12 +141,6 @@ def smu_shared_batch(party: str, values, params: SmuParams, channel,
     ax = scalar_mul_values(party, values, 0.5 * (1.0 + params.alpha), codec)
     mod = codec.modulus
     return [(a + b) % mod for a, b in zip(ax, half_w)]
-
-
-def gelu_shared_batch(party: str, values, channel, cfg: ProtocolConfig,
-                      triples, rng=None):
-    return smu_shared_batch(party, values, GELU_PARAMS, channel, cfg,
-                            triples, rng)
 
 
 def softmax_star_shared(party: str, row_values, channel,
@@ -264,49 +212,23 @@ def layernorm_shared(party: str, row_values, gamma, beta, channel,
     return add_public_values(party, scaled, list(beta), codec)
 
 
-def _run_layer(inputs, cfg: ProtocolConfig, layer_fn, seed: int = 0,
-               transport: str = "inproc"):
-    """Drive one shared layer over a fresh two-party session.
-
-    layer_fn(party, values, channel, triples, rng) -> output values. Returns
-    (decoded outputs, client stats, server stats).
-    """
-    codec = cfg.codec
-    rng = random.Random(seed)
-    client_vals = []
-    server_vals = []
-    for v in inputs:
-        mask = rng.randrange(codec.modulus)
-        client_vals.append(mask)
-        server_vals.append((codec.encode(v) - mask) % codec.modulus)
-    dealer = DealerState(codec, seed=seed + 1)
-    stream_c, stream_s = dealer.pair_streams()
-    stats = {}
-
-    def party_fn(party, values, stream):
-        def fn(ep):
-            flood_rng = random.Random(seed + 2) if party == SERVER else None
-            out = layer_fn(party, values, ep, stream, flood_rng)
-            stats[party] = ep.stats()
-            return out
-
-        return fn
-
-    out_c, out_s = run_pair(party_fn(CLIENT, client_vals, stream_c),
-                            party_fn(SERVER, server_vals, stream_s),
-                            transport=transport)
-    mod = codec.modulus
-    decoded = [codec.decode((c + s) % mod) for c, s in zip(out_c, out_s)]
-    return decoded, stats[CLIENT], stats[SERVER]
+def _flood_rng(party: str, seed: int):
+    """The server's reshare masks in a run_*_shared session."""
+    return random.Random(seed + 2) if party == SERVER else None
 
 
 def run_smu_shared(inputs, params: SmuParams, cfg: ProtocolConfig,
                    seed: int = 0, transport: str = "inproc"):
-    def layer(party, values, channel, triples, rng):
-        return smu_shared_batch(party, values, params, channel, cfg,
-                                triples, rng)
+    """smu_shared_batch over a fresh session: inputs split with
+    Random(seed), dealer at seed + 1, reshares at seed + 2. Returns
+    (decoded outputs, client stats, server stats)."""
+    def layer(party, values, channel, triples):
+        return smu_shared_batch(party, values, params, channel, cfg, triples,
+                                _flood_rng(party, seed))
 
-    return _run_layer(inputs, cfg, layer, seed, transport)
+    return run_session(layer, *split_values(inputs, cfg.codec,
+                                            random.Random(seed)),
+                       DealerState(cfg.codec, seed=seed + 1), transport)
 
 
 def run_softmax_star_shared(row, cfg: ProtocolConfig, seed: int = 0,
@@ -314,19 +236,27 @@ def run_softmax_star_shared(row, cfg: ProtocolConfig, seed: int = 0,
                             num_E_m: int = SOFTMAX_NUM_E_M,
                             den_E_m: int = SOFTMAX_DEN_E_M,
                             iterations: int = SOFTMAX_ITERATIONS):
-    def layer(party, values, channel, triples, rng):
+    """softmax_star_shared over a fresh session, seeded as run_smu_shared."""
+    def layer(party, values, channel, triples):
         return softmax_star_shared(party, values, channel, cfg, triples,
-                                   rng, num_E_m, den_E_m, iterations)
+                                   _flood_rng(party, seed), num_E_m, den_E_m,
+                                   iterations)
 
-    return _run_layer(row, cfg, layer, seed, transport)
+    return run_session(layer, *split_values(row, cfg.codec,
+                                            random.Random(seed)),
+                       DealerState(cfg.codec, seed=seed + 1), transport)
 
 
 def run_layernorm_shared(row, gamma, beta, cfg: ProtocolConfig,
                          seed: int = 0, transport: str = "inproc",
                          E_m: int = LAYERNORM_E_M,
                          iterations: int = LAYERNORM_ITERATIONS):
-    def layer(party, values, channel, triples, rng):
+    """layernorm_shared over a fresh session, seeded as run_smu_shared."""
+    def layer(party, values, channel, triples):
         return layernorm_shared(party, values, gamma, beta, channel, cfg,
-                                triples, rng, E_m, iterations)
+                                triples, _flood_rng(party, seed), E_m,
+                                iterations)
 
-    return _run_layer(row, cfg, layer, seed, transport)
+    return run_session(layer, *split_values(row, cfg.codec,
+                                            random.Random(seed)),
+                       DealerState(cfg.codec, seed=seed + 1), transport)

@@ -5,7 +5,8 @@ two's-complement signed window. Each secret is split into two uniformly
 masked summands, one per party. Multiplication consumes dealer-issued
 Beaver triples: each party opens two masked differences (one round, two
 ring elements on the wire) and combines locally, then truncates the doubled
-scale away with a local probabilistic shift.
+scale away with a local probabilistic shift. run_session runs one protocol
+for both parties over a fresh channel and decodes its outputs.
 """
 
 import random
@@ -13,6 +14,7 @@ import threading
 from dataclasses import dataclass
 
 from .errors import ConfigError, ProtocolError, RangeError, UsageError
+from .transport import run_pair
 
 CLIENT = "client"
 SERVER = "server"
@@ -61,10 +63,6 @@ class FixedPointCodec:
         return v / self.scale
 
 
-def encode_fixed(x: float, codec: FixedPointCodec) -> int:
-    return codec.encode(x)
-
-
 @dataclass(frozen=True)
 class RingShare:
     """One party's additive share, an unsigned ring integer."""
@@ -83,6 +81,21 @@ def make_shares(x: float, codec: FixedPointCodec, rng: random.Random):
     value = codec.encode(x)
     return (RingShare(CLIENT, mask),
             RingShare(SERVER, (value - mask) % codec.modulus))
+
+
+def split_values(values, codec: FixedPointCodec, rng: random.Random):
+    """Split plaintext reals into (client values, server values) ring lists.
+
+    Each mask is drawn with rng.randrange(codec.modulus), in input order.
+    """
+    mod = codec.modulus
+    client = []
+    server = []
+    for v in values:
+        mask = rng.randrange(mod)
+        client.append(mask)
+        server.append((codec.encode(v) - mask) % mod)
+    return client, server
 
 
 def reconstruct(sc: RingShare, ss: RingShare, codec: FixedPointCodec) -> float:
@@ -119,27 +132,29 @@ def linear_combine(shares, coeffs, constant: int, codec: FixedPointCodec) -> Rin
     return RingShare(party, acc % codec.modulus)
 
 
-def truncate_local(share: RingShare, codec: FixedPointCodec,
-                   shift: int | None = None) -> RingShare:
-    """Local probabilistic truncation by 2^shift (default 2^f).
+def truncate_local(party: str, values, codec: FixedPointCodec,
+                   shift: int | None = None) -> list:
+    """Local probabilistic truncation of one party's shares by 2^shift
+    (default 2^f).
 
     Correct within one unit of the truncated scale, except with probability
     about |value| / 2^(l-1) of a large wrap error, where value is the ring
     magnitude being truncated. The client rounds (adds half before the
-    shift); the server shifts the negated complement.
+    shift); the server shifts the negated complement. Inputs may be any
+    integers; they are reduced mod 2^l first.
     """
     t = codec.f if shift is None else shift
     if t < 0:
         raise UsageError("shift must be non-negative")
     if t == 0:
-        return share
+        return list(values)
     mod = codec.modulus
-    v = share.value % mod
-    if share.party == CLIENT:
-        out = ((v + (1 << (t - 1))) >> t) % mod
-    else:
-        out = (mod - (((mod - v) % mod) >> t)) % mod
-    return RingShare(share.party, out)
+    if party == CLIENT:
+        half = 1 << (t - 1)
+        return [(v % mod + half) >> t for v in values]
+    if party == SERVER:
+        return [(mod - ((-v % mod) >> t)) % mod for v in values]
+    raise UsageError(f"unknown party {party!r}")
 
 
 def _encode_elements(values, codec: FixedPointCodec) -> bytes:
@@ -172,8 +187,6 @@ class BeaverTriple:
     b_server: int
     c_client: int
     c_server: int
-    used_client: bool = False
-    used_server: bool = False
 
     def view(self, party: str):
         if party == CLIENT:
@@ -181,22 +194,6 @@ class BeaverTriple:
         if party == SERVER:
             return self.a_server, self.b_server, self.c_server
         raise UsageError(f"unknown party {party!r}")
-
-    def shares_for(self, party: str):
-        a, b, c = self.view(party)
-        return RingShare(party, a), RingShare(party, b), RingShare(party, c)
-
-    def mark_used(self, party: str) -> None:
-        if party == CLIENT:
-            if self.used_client:
-                raise ProtocolError(f"triple {self.id} already used by client")
-            self.used_client = True
-        elif party == SERVER:
-            if self.used_server:
-                raise ProtocolError(f"triple {self.id} already used by server")
-            self.used_server = True
-        else:
-            raise UsageError(f"unknown party {party!r}")
 
 
 @dataclass(frozen=True)
@@ -415,31 +412,14 @@ def beaver_mul_batch(party: str, x_values, y_values, triple_views,
     channel.send_frame(_encode_elements(d_own + e_own, codec))
     peer = _decode_elements(channel.recv_frame(), 2 * count, codec)
     is_server = party == SERVER
-    out = [0] * count
-    half = 1 << (codec.f - 1)
-    for i in range(count):
-        a, b, c = triple_views[i]
-        d = (d_own[i] + peer[i]) % mod
-        e = (e_own[i] + peer[count + i]) % mod
-        z = c + d * b + e * a
-        if is_server:
-            z += d * e
-            z %= mod
-            out[i] = (mod - (((mod - z) % mod) >> codec.f)) % mod
-        else:
-            out[i] = (((z % mod) + half) >> codec.f) % mod
-    return out
-
-
-def beaver_mul(x: RingShare, y: RingShare, triple: BeaverTriple,
-               channel, codec: FixedPointCodec) -> RingShare:
-    """Share of x*y in fixed-point semantics; 1 round, 2 elements sent."""
-    if x.party != y.party:
-        raise UsageError("beaver_mul operands must belong to one party")
-    triple.mark_used(x.party)
-    out = beaver_mul_batch(x.party, [x.value], [y.value],
-                           [triple.view(x.party)], channel, codec)
-    return RingShare(x.party, out[0])
+    z = []
+    for (a, b, c), d_mine, e_mine, d_peer, e_peer in zip(
+            triple_views, d_own, e_own, peer, peer[count:]):
+        d = (d_mine + d_peer) % mod
+        e = (e_mine + e_peer) % mod
+        z.append(c + d * b + e * a + d * e if is_server
+                 else c + d * b + e * a)
+    return truncate_local(party, z, codec)
 
 
 def matmul_shared(party: str, a_values, b_values, matrix_view,
@@ -470,6 +450,30 @@ def matmul_shared(party: str, a_values, b_values, matrix_view,
         de = _mat_mul_mod(d, e, m, k, n, mod)
         for i in range(m * n):
             z[i] = (z[i] + de[i]) % mod
-        return [(mod - (((mod - v) % mod) >> codec.f)) % mod for v in z]
-    half = 1 << (codec.f - 1)
-    return [((v + half) >> codec.f) % mod for v in z]
+    return truncate_local(party, z, codec)
+
+
+def run_session(party_fn, client_values, server_values, dealer: DealerState,
+                transport: str = "inproc"):
+    """Run one two-party protocol over a fresh channel.
+
+    party_fn(party, values, channel, triples) runs on each party's thread
+    with that party's inputs and its cursor over the dealer's streams, and
+    returns its output shares. Returns (decoded outputs, client stats,
+    server stats), the stats taken when each party returns.
+    """
+    stream_c, stream_s = dealer.pair_streams()
+
+    def party(name, values, stream):
+        def fn(ep):
+            return party_fn(name, values, ep, stream), ep.stats()
+
+        return fn
+
+    (out_c, stats_c), (out_s, stats_s) = run_pair(
+        party(CLIENT, client_values, stream_c),
+        party(SERVER, server_values, stream_s), transport=transport)
+    codec = dealer.codec
+    mod = codec.modulus
+    decoded = [codec.decode((c + s) % mod) for c, s in zip(out_c, out_s)]
+    return decoded, stats_c, stats_s

@@ -20,9 +20,8 @@ from dataclasses import dataclass
 from .errors import ConfigError, DivergenceError, RangeError, UsageError
 from .floatbits import compose, decompose, pack_integer, to_binary32, \
     unpack_integer
-from .ring import CLIENT, SERVER, DealerState, FixedPointCodec, RingShare, \
-    beaver_mul_batch, reconstruct, truncate_local
-from .transport import run_pair
+from .ring import CLIENT, SERVER, DealerState, FixedPointCodec, \
+    beaver_mul_batch, run_session, truncate_local
 
 MAGIC_K1 = 0x5F3759DF
 MIN_MAGNITUDE = 2.0 ** -30
@@ -184,34 +183,6 @@ def bits_to_value_batch(party: str, o_values, strategy: str, channel,
     raise ConfigError(f"unknown strategy {strategy!r}")
 
 
-def bits_to_value_shares(o_c: int, o_s: int,
-                         strategy: str = STRATEGY_MASKED_OPEN,
-                         codec: FixedPointCodec = FixedPointCodec(),
-                         params: SeedParams = SeedParams(),
-                         dealer: DealerState | None = None,
-                         flooded: bool = True):
-    """Joint convenience form returning (client share, server share)."""
-    if strategy == STRATEGY_LOCAL_REINTERPRET:
-        c = bits_to_value_batch(CLIENT, [o_c], strategy, None, codec, params,
-                                flooded=flooded)[0]
-        s = bits_to_value_batch(SERVER, [o_s], strategy, None, codec, params,
-                                flooded=flooded)[0]
-        return RingShare(CLIENT, c), RingShare(SERVER, s)
-    dealer = dealer or DealerState(codec, seed=0)
-    stream_c, stream_s = dealer.pair_streams()
-
-    def client_fn(ep):
-        return bits_to_value_batch(CLIENT, [o_c], strategy, ep, codec,
-                                   params, stream_c, flooded)[0]
-
-    def server_fn(ep):
-        return bits_to_value_batch(SERVER, [o_s], strategy, ep, codec,
-                                   params, stream_s, flooded)[0]
-
-    c, s = run_pair(client_fn, server_fn)
-    return RingShare(CLIENT, c), RingShare(SERVER, s)
-
-
 def newton_plain(x: float, y0: float, n: int) -> float:
     """n inverse-sqrt Newton steps; may diverge, the caller inspects."""
     if n < 0:
@@ -239,8 +210,7 @@ def newton_shared_batch(party: str, x_values, y_values, n: int, triples,
     mod = codec.modulus
     enc_three_halves = codec.encode(1.5)
     is_server = party == SERVER
-    half_x = [truncate_local(RingShare(party, v), codec, 1).value
-              for v in x_values]
+    half_x = truncate_local(party, x_values, codec, 1)
     y = list(y_values)
     for k in range(n):
         t1 = beaver_mul_batch(party, y, y, triples.take(len(y)), channel, codec)
@@ -254,15 +224,6 @@ def newton_shared_batch(party: str, x_values, y_values, n: int, triples,
         if probe is not None and probe(k, list(y)):
             raise DivergenceError(f"iterate left the safe interval at step {k}")
     return y
-
-
-def newton_shared(x_share: RingShare, y_share: RingShare, n: int, triples,
-                  channel, codec: FixedPointCodec, probe=None) -> RingShare:
-    if x_share.party != y_share.party:
-        raise UsageError("newton_shared operands must belong to one party")
-    out = newton_shared_batch(x_share.party, [x_share.value], [y_share.value],
-                              n, triples, channel, codec, probe)
-    return RingShare(x_share.party, out[0])
 
 
 def rsqrt_shared_batch(party: str, values, channel, codec: FixedPointCodec,
@@ -290,14 +251,6 @@ def rsqrt_shared_batch(party: str, values, channel, codec: FixedPointCodec,
                                triples, channel, codec, probe)
 
 
-def rsqrt_shared(x_share: RingShare, channel, codec: FixedPointCodec,
-                 params: SeedParams, newton: NewtonConfig, triples,
-                 flooded: bool = True, probe=None) -> RingShare:
-    out = rsqrt_shared_batch(x_share.party, [x_share.value], channel, codec,
-                             params, newton, triples, flooded, probe)
-    return RingShare(x_share.party, out[0])
-
-
 def run_shared_rsqrt(share_pairs, codec: FixedPointCodec, params: SeedParams,
                      newton: NewtonConfig, dealer_seed: int = 0,
                      flooded: bool = True, transport: str = "inproc"):
@@ -306,29 +259,13 @@ def run_shared_rsqrt(share_pairs, codec: FixedPointCodec, params: SeedParams,
     share_pairs is a list of (client value, server value) ring integers.
     Returns (decoded outputs, client stats, server stats).
     """
-    dealer = DealerState(codec, seed=dealer_seed)
-    stream_c, stream_s = dealer.pair_streams()
-    stats = {}
+    def party_fn(party, values, channel, triples):
+        return rsqrt_shared_batch(party, values, channel, codec, params,
+                                  newton, triples, flooded)
 
-    def party_fn(party, stream):
-        idx = 0 if party == CLIENT else 1
-        values = [pair[idx] for pair in share_pairs]
-
-        def fn(ep):
-            out = rsqrt_shared_batch(party, values, ep, codec, params,
-                                     newton, stream, flooded)
-            stats[party] = ep.stats()
-            return out
-
-        return fn
-
-    out_c, out_s = run_pair(party_fn(CLIENT, stream_c),
-                            party_fn(SERVER, stream_s), transport=transport)
-    results = [
-        reconstruct(RingShare(CLIENT, c), RingShare(SERVER, s), codec)
-        for c, s in zip(out_c, out_s)
-    ]
-    return results, stats[CLIENT], stats[SERVER]
+    return run_session(party_fn, [pair[0] for pair in share_pairs],
+                       [pair[1] for pair in share_pairs],
+                       DealerState(codec, seed=dealer_seed), transport)
 
 
 @dataclass(frozen=True)

@@ -183,6 +183,9 @@ class SocketEndpoint(Endpoint):
     def __init__(self, sock: socketlib.socket, party: str, timeout: float):
         super().__init__(party)
         sock.settimeout(timeout)
+        # Protocols write several frames before they read; without this,
+        # Nagle's algorithm holds the later frame for the peer's delayed ACK.
+        sock.setsockopt(socketlib.IPPROTO_TCP, socketlib.TCP_NODELAY, 1)
         self._sock = sock
 
     def _transmit(self, stamp, payload):
@@ -278,18 +281,6 @@ def open_socket_pair(host: str = "127.0.0.1", timeout: float = 30.0):
         client.close()
         raise TransportError("loopback accept did not complete")
     return client, SocketEndpoint(result["sock"], "server", timeout)
-
-
-def send_frame(endpoint: Endpoint, payload: bytes) -> None:
-    endpoint.send_frame(payload)
-
-
-def recv_frame(endpoint: Endpoint) -> bytes:
-    return endpoint.recv_frame()
-
-
-def stats_snapshot(endpoint: Endpoint) -> CommStats:
-    return endpoint.stats()
 
 
 def run_pair(client_fn, server_fn, transport: str = "inproc",

@@ -4,9 +4,8 @@ import random
 
 import pytest
 
-from rootshare.ring import (CLIENT, SERVER, DealerState, FixedPointCodec,
-                            beaver_mul_batch, make_shares)
-from rootshare.transport import run_pair
+from rootshare.ring import (DealerState, FixedPointCodec, beaver_mul_batch,
+                            make_shares, run_session)
 
 
 @pytest.fixture
@@ -30,25 +29,18 @@ def mul_pairs(codec, xs, ys, seed):
     against exact products of representable values.
     """
     rng = random.Random(seed)
-    dealer = DealerState(codec, seed=seed + 1)
-    stream_c, stream_s = dealer.pair_streams()
     count = len(xs)
     xsh = [make_shares(x, codec, rng) for x in xs]
     ysh = [make_shares(y, codec, rng) for y in ys]
 
-    def party(name, stream, idx):
-        def fn(ep):
-            xv = [p[idx].value for p in xsh]
-            yv = [p[idx].value for p in ysh]
-            return beaver_mul_batch(name, xv, yv, stream.take(count), ep,
-                                    codec)
+    def party_fn(party, values, channel, triples):
+        return beaver_mul_batch(party, values[:count], values[count:],
+                                triples.take(count), channel, codec)
 
-        return fn
-
-    out_c, out_s = run_pair(party(CLIENT, stream_c, 0),
-                            party(SERVER, stream_s, 1))
-    return [codec.decode((c + s) % codec.modulus)
-            for c, s in zip(out_c, out_s)]
+    out, _, _ = run_session(party_fn, [p[0].value for p in xsh + ysh],
+                            [p[1].value for p in xsh + ysh],
+                            DealerState(codec, seed=seed + 1))
+    return out
 
 
 def chi2_uniform_stat(counts):

@@ -11,7 +11,7 @@ from rootshare.errors import (ConfigError, ConstructionError, RangeError,
                               UsageError)
 from rootshare.flood import (ActivationSampler, FloodConfig,
                              adversarial_split, draw_flood_mask, flood_mask,
-                             flood_reshare, flood_reshare_batch, flood_share,
+                             flood_reshare_batch, flood_share,
                              shares_from_floats)
 from rootshare.floatbits import decompose
 from rootshare.ring import CLIENT, SERVER, FixedPointCodec, RingShare, reconstruct
@@ -216,17 +216,3 @@ def test_flood_reshare_requires_server_rng():
         flood_reshare_batch(SERVER, [1], endpoint, cfg=cfg, codec=codec,
                             rng=None)
 
-
-def test_flood_reshare_scalar_wrapper():
-    codec = FixedPointCodec()
-    cfg = FloodConfig()
-    c, s = shares_from_floats(2.0, 1.1, codec)
-
-    def client_fn(ep):
-        return flood_reshare(c, ep, codec, cfg, None)
-
-    def server_fn(ep):
-        return flood_reshare(s, ep, codec, cfg, random.Random(29))
-
-    rc, rs = run_pair(client_fn, server_fn)
-    assert reconstruct(rc, rs, codec) == pytest.approx(3.1, abs=2 ** -14)

@@ -9,13 +9,12 @@ import pytest
 from rootshare.config import DEFAULT_CONFIG
 from rootshare.errors import ConfigError, UsageError
 from rootshare.nonlinear import (GELU_PARAMS, RELU_PARAMS, SmuParams,
-                                 TensorShares, add_public_values, gelu_plain,
-                                 layernorm_plain, reconstruct_tensor,
-                                 relu_plain, run_layernorm_shared,
-                                 run_smu_shared, run_softmax_star_shared,
-                                 scalar_mul_values, share_tensor, smu_plain,
-                                 softmax_plain, softmax_star_plain)
-from rootshare.ring import CLIENT, FixedPointCodec
+                                 add_public_values, gelu_plain,
+                                 layernorm_plain, relu_plain,
+                                 run_layernorm_shared, run_smu_shared,
+                                 run_softmax_star_shared, scalar_mul_values,
+                                 smu_plain, softmax_plain, softmax_star_plain)
+from rootshare.ring import CLIENT, FixedPointCodec, split_values
 
 
 # ------------------------------------------------------------- plain smu
@@ -94,26 +93,7 @@ def test_layernorm_plain_closed_form():
     assert got == pytest.approx([want, -want], abs=1e-12)
 
 
-# --------------------------------------------------------- tensor shares
-
-def test_tensor_share_roundtrip():
-    codec = FixedPointCodec()
-    rng = random.Random(61)
-    values = [rng.uniform(-5, 5) for _ in range(12)]
-    tc, ts = share_tensor(values, (3, 4), codec, rng)
-    assert tc.shape == ts.shape == (3, 4)
-    got = reconstruct_tensor(tc, ts, codec)
-    assert got == pytest.approx(values, abs=2 ** -15)
-
-
-def test_tensor_share_validation():
-    codec = FixedPointCodec()
-    rng = random.Random(62)
-    with pytest.raises(UsageError):
-        share_tensor([1.0, 2.0], (3,), codec, rng)
-    with pytest.raises(UsageError):
-        TensorShares(party="nobody", shape=(1,), values=[0])
-
+# ------------------------------------------------------ local share maps
 
 def test_scalar_mul_and_public_add_are_local():
     # the two truncation halves only cancel across a share pair, so the
@@ -121,24 +101,22 @@ def test_scalar_mul_and_public_add_are_local():
     codec = FixedPointCodec()
     rng = random.Random(76)
     values = [2.0, -1.5]
-    tc, ts = share_tensor(values, (2,), codec, rng)
+    vc, vs = split_values(values, codec, rng)
 
-    def recombine(vc, vs):
+    def recombine(client, server):
         return [codec.decode((a + b) % codec.modulus)
-                for a, b in zip(vc, vs)]
+                for a, b in zip(client, server)]
 
-    doubled = recombine(scalar_mul_values(CLIENT, tc.values, 2.0, codec),
-                        scalar_mul_values("server", ts.values, 2.0, codec))
+    doubled = recombine(scalar_mul_values(CLIENT, vc, 2.0, codec),
+                        scalar_mul_values("server", vs, 2.0, codec))
     assert doubled == pytest.approx([4.0, -3.0], abs=2 ** -14)
     per_element = recombine(
-        scalar_mul_values(CLIENT, tc.values, [0.5, 2.0], codec),
-        scalar_mul_values("server", ts.values, [0.5, 2.0], codec))
+        scalar_mul_values(CLIENT, vc, [0.5, 2.0], codec),
+        scalar_mul_values("server", vs, [0.5, 2.0], codec))
     assert per_element == pytest.approx([1.0, -3.0], abs=2 ** -14)
     # public constants enter on the server side only
-    assert add_public_values(CLIENT, ts.values, 1.0, codec) \
-        == list(ts.values)
-    shifted = recombine(tc.values,
-                        add_public_values("server", ts.values, 1.0, codec))
+    assert add_public_values(CLIENT, vs, 1.0, codec) == vs
+    shifted = recombine(vc, add_public_values("server", vs, 1.0, codec))
     assert shifted == pytest.approx([3.0, -0.5], abs=2 ** -14)
 
 

@@ -5,23 +5,30 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import FixedBits, chi2_uniform_stat, mul_pairs, quantize
 from rootshare.errors import ConfigError, ProtocolError, RangeError, UsageError
 from rootshare.ring import (CLIENT, SERVER, BeaverTriple, DealerState,
-                            FixedPointCodec, RingShare, beaver_mul,
-                            beaver_mul_batch, encode_fixed, linear_combine,
-                            make_shares, matmul_shared, reconstruct,
-                            reconstruct_raw, truncate_local)
-from rootshare.transport import open_inproc, run_pair
+                            FixedPointCodec, RingShare, _decode_elements,
+                            _encode_elements, beaver_mul_batch,
+                            linear_combine, make_shares, matmul_shared,
+                            reconstruct, reconstruct_raw, run_session,
+                            split_values, truncate_local)
+from rootshare.transport import open_inproc
+
+# Fixed example sets, so every run checks the same cases.
+PROPERTY = settings(max_examples=300, derandomize=True, database=None,
+                    deadline=None)
+RINGS = st.sampled_from([FixedPointCodec(l=32, f=12), FixedPointCodec()])
 
 
 # ---------------------------------------------------------------- codec
 
 def test_encode_worked_values():
-    assert encode_fixed(7.25, FixedPointCodec(l=16, f=4)) == 116
-    assert encode_fixed(0.0, FixedPointCodec()) == 0
-    assert encode_fixed(-1.0, FixedPointCodec()) == 2 ** 64 - 65536
+    assert FixedPointCodec(l=16, f=4).encode(7.25) == 116
+    assert FixedPointCodec().encode(0.0) == 0
+    assert FixedPointCodec().encode(-1.0) == 2 ** 64 - 65536
 
 
 def test_decode_is_signed():
@@ -45,6 +52,15 @@ def test_range_errors():
         codec.encode(top)
     with pytest.raises(RangeError):
         codec.encode(-top - 1.0)
+
+
+@PROPERTY
+@given(RINGS, st.lists(st.integers(), max_size=40))
+def test_element_codec_roundtrip(codec, values):
+    payload = _encode_elements(values, codec)
+    assert len(payload) == len(values) * codec.element_bytes
+    assert _decode_elements(payload, len(values), codec) == [
+        v % codec.modulus for v in values]
 
 
 def test_codec_parameter_validation():
@@ -78,6 +94,19 @@ def test_reconstruct_roundtrip_property(codec):
         x = rng.uniform(-1000, 1000)
         c, s = make_shares(x, codec, rng)
         assert abs(reconstruct(c, s, codec) - x) <= 2.0 ** -codec.f
+
+
+@PROPERTY
+@given(RINGS, st.lists(st.floats(-1000, 1000), max_size=20),
+       st.integers(0, 2 ** 32))
+def test_split_values_reconstructs_its_input(codec, values, seed):
+    client, server = split_values(values, codec, random.Random(seed))
+    # one mask per value, drawn in input order from rng.randrange
+    masks = random.Random(seed)
+    assert client == [masks.randrange(codec.modulus) for _ in values]
+    assert [codec.decode((c + s) % codec.modulus)
+            for c, s in zip(client, server)] == [
+        codec.decode(codec.encode(v)) for v in values]
 
 
 def test_reconstruct_flooded_worked_pair(codec):
@@ -169,33 +198,65 @@ def test_linear_combine_usage_errors(codec):
 
 # ------------------------------------------------------------ truncation
 
-def _trunc_pair(raw, mask, codec):
+def _trunc_pairs(raw, masks, codec):
+    """Signed truncated sums of (mask, raw - mask) share pairs."""
     mod = codec.modulus
-    tc = truncate_local(RingShare(CLIENT, mask % mod), codec)
-    ts = truncate_local(RingShare(SERVER, (raw - mask) % mod), codec)
-    v = (tc.value + ts.value) % mod
-    return v - mod if v >= mod // 2 else v
+    tc = truncate_local(CLIENT, [m % mod for m in masks], codec)
+    ts = truncate_local(SERVER, [(raw - m) % mod for m in masks], codec)
+    out = []
+    for c, s in zip(tc, ts):
+        v = (c + s) % mod
+        out.append(v - mod if v >= mod // 2 else v)
+    return out
 
 
 def test_truncate_recovers_product_scale(codec):
     rng = random.Random(11)
     raw = codec.encode(1.0) << codec.f     # 1.0 at the doubled scale
-    for _ in range(200):
-        got = _trunc_pair(raw, rng.getrandbits(codec.l), codec)
+    masks = [rng.getrandbits(codec.l) for _ in range(200)]
+    for got in _trunc_pairs(raw, masks, codec):
         assert abs(got - codec.encode(1.0)) <= 1
 
 
 def test_truncate_zero(codec):
     rng = random.Random(12)
-    for _ in range(100):
-        assert abs(_trunc_pair(0, rng.getrandbits(codec.l), codec)) <= 1
+    masks = [rng.getrandbits(codec.l) for _ in range(100)]
+    for got in _trunc_pairs(0, masks, codec):
+        assert abs(got) <= 1
 
 
 def test_truncate_shift_zero_is_identity(codec):
-    share = RingShare(CLIENT, 12345)
-    assert truncate_local(share, codec, 0).value == 12345
+    assert truncate_local(CLIENT, [12345], codec, 0) == [12345]
     with pytest.raises(UsageError):
-        truncate_local(share, codec, -1)
+        truncate_local(CLIENT, [12345], codec, -1)
+    with pytest.raises(UsageError):
+        truncate_local("nobody", [12345], codec)
+
+
+@PROPERTY
+@given(RINGS, st.data())
+def test_truncate_local_error_bound(codec, data):
+    # A split (mask, v - mask) of the signed ring value v opens to
+    # mask - (mask - v) = v, unless the mask lies in the documented wrap
+    # region (below v for v >= 0, at or above 2^l + v for v < 0; probability
+    # |v| / 2^l), where it opens to v -+ 2^l. Either way the truncated pair
+    # reconstructs to the rounded quotient of what it opens to, or one above.
+    mod = codec.modulus
+    v = data.draw(st.integers(-(mod // 2), mod // 2 - 1))
+    mask = data.draw(st.integers(0, mod - 1))
+    if data.draw(st.booleans()):    # reach the top of the ring too
+        mask = mod - 1 - mask
+    shift = data.draw(st.integers(1, codec.f))
+    (tc,) = truncate_local(CLIENT, [mask], codec, shift)
+    (ts,) = truncate_local(SERVER, [(v - mask) % mod], codec, shift)
+    opened = v
+    if 0 <= v and mask < v:
+        opened = v - mod
+    elif v < 0 and mask >= mod + v:
+        opened = v + mod
+    unit = 1 << shift
+    nearest = (2 * opened + unit) // (2 * unit)
+    assert (tc + ts - nearest) % mod in (0, 1)
 
 
 def test_truncate_wrap_rate_within_documented_bound():
@@ -203,12 +264,10 @@ def test_truncate_wrap_rate_within_documented_bound():
     codec = FixedPointCodec(l=32, f=12)
     raw = 1 << 24
     rng = random.Random(0)
-    fails = 0
     trials = 100_000
-    for _ in range(trials):
-        got = _trunc_pair(raw, rng.getrandbits(32), codec)
-        if abs(got - (raw >> 12)) > 2:
-            fails += 1
+    masks = [rng.getrandbits(32) for _ in range(trials)]
+    fails = sum(1 for got in _trunc_pairs(raw, masks, codec)
+                if abs(got - (raw >> 12)) > 2)
     assert fails / trials <= raw / 2.0 ** 31
 
 
@@ -216,12 +275,10 @@ def test_truncate_wrap_rate_negligible_at_l64(codec):
     # at l=64 the same bound is ~2^-43 for values up to 2^20: none expected
     rng = random.Random(1)
     raw = 1 << 20
-    fails = 0
     trials = 1_000_000
-    for _ in range(trials):
-        got = _trunc_pair(raw, rng.getrandbits(64), codec)
-        if abs(got - (raw >> 16)) > 2:
-            fails += 1
+    masks = [rng.getrandbits(64) for _ in range(trials)]
+    fails = sum(1 for got in _trunc_pairs(raw, masks, codec)
+                if abs(got - (raw >> 16)) > 2)
     assert fails / trials < 1e-4
 
 
@@ -236,25 +293,21 @@ def test_beaver_scalar_products(codec):
 
 def test_beaver_scalar_comm_cost(codec):
     rng = random.Random(3)
-    dealer = DealerState(codec, seed=4)
-    triple = dealer.triple()
     xc, xs = make_shares(2.0, codec, rng)
     yc, ys = make_shares(3.0, codec, rng)
 
-    def client_fn(ep):
-        out = beaver_mul(xc, yc, triple, ep, codec)
-        return out, ep.stats()
+    def party_fn(party, values, channel, triples):
+        return beaver_mul_batch(party, values[:1], values[1:],
+                                triples.take(1), channel, codec)
 
-    def server_fn(ep):
-        out = beaver_mul(xs, ys, triple, ep, codec)
-        return out, ep.stats()
-
-    (rc, st_c), (rs, st_s) = run_pair(client_fn, server_fn)
+    (got,), st_c, st_s = run_session(party_fn, [xc.value, yc.value],
+                                     [xs.value, ys.value],
+                                     DealerState(codec, seed=4))
     for st in (st_c, st_s):
         assert st.rounds == 1
         assert st.frames == 1
         assert st.payload_bytes == 2 * codec.element_bytes
-    assert reconstruct(rc, rs, codec) == pytest.approx(6.0, abs=2 ** -14)
+    assert got == pytest.approx(6.0, abs=2 ** -14)
 
 
 def test_beaver_soundness_l64(codec):
@@ -288,24 +341,6 @@ def test_beaver_rejects_mismatched_batches(codec):
     a, b = open_inproc()
     with pytest.raises(UsageError):
         beaver_mul_batch(CLIENT, [1, 2], [3], [], a, codec)
-
-
-def test_triple_reuse_is_refused(codec):
-    rng = random.Random(5)
-    dealer = DealerState(codec, seed=6)
-    triple = dealer.triple()
-    xc, xs = make_shares(1.0, codec, rng)
-
-    def client_fn(ep):
-        beaver_mul(xc, xc, triple, ep, codec)
-        return beaver_mul(xc, xc, triple, ep, codec)
-
-    def server_fn(ep):
-        beaver_mul(xs, xs, triple, ep, codec)
-        return beaver_mul(xs, xs, triple, ep, codec)
-
-    with pytest.raises(ProtocolError, match="already used"):
-        run_pair(client_fn, server_fn, timeout=5.0)
 
 
 def test_triple_product_identity(codec):
@@ -382,27 +417,18 @@ def test_matmul_shared_matches_plain(codec):
     expect = [sum(a[i * k + t] * b[t * n + j] for t in range(k))
               for i in range(m) for j in range(n)]
 
-    dealer = DealerState(codec, seed=11)
-    sc, ss = dealer.pair_streams()
     a_sh = [make_shares(v, codec, rng) for v in a]
     b_sh = [make_shares(v, codec, rng) for v in b]
 
-    def party(name, stream, idx):
-        def fn(ep):
-            av = [p[idx].value for p in a_sh]
-            bv = [p[idx].value for p in b_sh]
-            out = matmul_shared(name, av, bv, stream.take_matrix(m, k, n),
-                                m, k, n, ep, codec)
-            return out, ep.stats()
+    def party_fn(party, values, channel, triples):
+        return matmul_shared(party, values[:m * k], values[m * k:],
+                             triples.take_matrix(m, k, n), m, k, n, channel,
+                             codec)
 
-        return fn
-
-    (oc, st_c), (os_, st_s) = run_pair(party(CLIENT, sc, 0),
-                                       party(SERVER, ss, 1))
-    for got_c, got_s, want in zip(oc, os_, expect):
-        got = reconstruct(RingShare(CLIENT, got_c), RingShare(SERVER, got_s),
-                          codec)
-        assert got == pytest.approx(want, abs=(k + 2) * 2.0 ** -codec.f)
+    got, st_c, st_s = run_session(party_fn, [p[0].value for p in a_sh + b_sh],
+                                  [p[1].value for p in a_sh + b_sh],
+                                  DealerState(codec, seed=11))
+    assert got == pytest.approx(expect, abs=(k + 2) * 2.0 ** -codec.f)
     for st in (st_c, st_s):
         assert st.rounds == 1
         assert st.payload_bytes == (m * k + k * n) * codec.element_bytes

@@ -12,14 +12,14 @@ from rootshare.errors import (ConfigError, DivergenceError, RangeError,
 from rootshare.flood import (ActivationSampler, FloodConfig, draw_flood_mask,
                              flood_share)
 from rootshare.ring import (CLIENT, SERVER, DealerState, FixedPointCodec,
-                            RingShare, make_shares, reconstruct)
+                            make_shares, run_session)
 from rootshare.rsqrt import (MAGIC_K1, STRATEGY_LOCAL_REINTERPRET,
                              STRATEGY_MASKED_OPEN, NewtonConfig, SeedParams,
-                             bits_to_value_shares, closeness_sweep,
-                             newton_plain, newton_shared, run_shared_rsqrt,
-                             seed_local, seed_share_client,
+                             bits_to_value_batch, closeness_sweep,
+                             newton_plain, newton_shared_batch,
+                             run_shared_rsqrt, seed_local, seed_share_client,
                              seed_share_server, seed_shares)
-from rootshare.transport import open_inproc, run_pair
+from rootshare.transport import open_inproc
 
 
 # ------------------------------------------------------------ parameters
@@ -120,16 +120,26 @@ def test_tiny_share_magnitudes_are_floored():
 
 # --------------------------------------------- bit-to-value conversion
 
+def _bits_to_value(o_c, o_s, strategy, codec, params, dealer_seed,
+                   flooded=True):
+    """bits_to_value_batch on one seed pair over a fresh session:
+    (decoded value, client stats, server stats)."""
+    def party_fn(party, values, channel, triples):
+        return bits_to_value_batch(party, values, strategy, channel, codec,
+                                   params, triples, flooded)
+
+    (got,), st_c, st_s = run_session(party_fn, [o_c], [o_s],
+                                     DealerState(codec, seed=dealer_seed))
+    return got, st_c, st_s
+
+
 def test_masked_open_matches_exponential_form():
     # the opened factor product must equal 2^((o_c + o_s)/L - B) exactly
     # up to fixed-point quantization, for a flooded pair
     codec = FixedPointCodec()
     p = SeedParams()
     o_c, o_s = seed_shares(-8191.998, 8195.098)
-    dealer = DealerState(codec, seed=33)
-    yc, ys = bits_to_value_shares(o_c, o_s, STRATEGY_MASKED_OPEN, codec, p,
-                                  dealer, flooded=True)
-    got = reconstruct(yc, ys, codec)
+    got, _, _ = _bits_to_value(o_c, o_s, STRATEGY_MASKED_OPEN, codec, p, 33)
     want = 2.0 ** ((o_c + o_s) / p.L - p.B)
     assert got == pytest.approx(want, abs=3 * 2.0 ** -codec.f)
 
@@ -140,10 +150,8 @@ def test_masked_open_balanced_split_tracks_one_party_seed():
     codec = FixedPointCodec()
     p = SeedParams()
     o_c, o_s = seed_shares(2.0, 2.0, p, flooded=False)
-    dealer = DealerState(codec, seed=34)
-    yc, ys = bits_to_value_shares(o_c, o_s, STRATEGY_MASKED_OPEN, codec, p,
-                                  dealer, flooded=False)
-    got = reconstruct(yc, ys, codec)
+    got, _, _ = _bits_to_value(o_c, o_s, STRATEGY_MASKED_OPEN, codec, p, 34,
+                               flooded=False)
     # the two masked factors are fixed-point encoded, so the shared value
     # sits within a few grid steps of the local evaluation of o_c + o_s
     assert abs(got - 0.4770965576171875) <= 3 * 2.0 ** -16
@@ -152,23 +160,9 @@ def test_masked_open_balanced_split_tracks_one_party_seed():
 
 def test_masked_open_costs_one_round_two_elements():
     codec = FixedPointCodec()
-    p = SeedParams()
     o_c, o_s = seed_shares(-8191.998, 8195.098)
-    dealer = DealerState(codec, seed=35)
-    stream_c, stream_s = dealer.pair_streams()
-
-    from rootshare.rsqrt import bits_to_value_batch
-
-    def party(name, o, stream):
-        def fn(ep):
-            out = bits_to_value_batch(name, [o], STRATEGY_MASKED_OPEN, ep,
-                                      codec, p, stream, flooded=True)
-            return out, ep.stats()
-
-        return fn
-
-    (_, st_c), (_, st_s) = run_pair(party(CLIENT, o_c, stream_c),
-                                    party(SERVER, o_s, stream_s))
+    _, st_c, st_s = _bits_to_value(o_c, o_s, STRATEGY_MASKED_OPEN, codec,
+                                   SeedParams(), 35)
     for st in (st_c, st_s):
         assert st.rounds == 1
         assert st.payload_bytes == 2 * codec.element_bytes
@@ -177,35 +171,32 @@ def test_masked_open_costs_one_round_two_elements():
 def test_local_reinterpret_costs_nothing_and_seeds_the_basin():
     codec = FixedPointCodec()
     p = SeedParams()
-    dealer = DealerState(codec, seed=36)
     rng = random.Random(37)
     for x in (0.8, 1.6, 2.7, 3.1, 6.0):
         mask = draw_flood_mask(FloodConfig(), rng)
         c, s = flood_share(x, mask, codec)
         o_c = seed_share_client(codec.decode(c.value), p)
         o_s = seed_share_server(codec.decode(s.value), p, True)
-        yc, ys = bits_to_value_shares(o_c, o_s, STRATEGY_LOCAL_REINTERPRET,
-                                      codec, p, dealer, flooded=True)
-        u0 = reconstruct(yc, ys, codec) * math.sqrt(x)
-        assert abs(u0 - 1.0) < math.sqrt(3.0) - 1.0
+        got, st_c, st_s = _bits_to_value(o_c, o_s, STRATEGY_LOCAL_REINTERPRET,
+                                         codec, p, 36)
+        assert abs(got * math.sqrt(x) - 1.0) < math.sqrt(3.0) - 1.0
+        for st in (st_c, st_s):
+            assert (st.bytes_sent, st.frames, st.rounds) == (0, 0, 0)
 
 
 def test_local_reinterpret_requires_flooding():
     codec = FixedPointCodec()
     p = SeedParams()
-    dealer = DealerState(codec, seed=38)
     o_c, o_s = seed_shares(2.0, 2.0, p, flooded=False)
     with pytest.raises(UsageError):
-        bits_to_value_shares(o_c, o_s, STRATEGY_LOCAL_REINTERPRET, codec, p,
-                             dealer, flooded=False)
+        _bits_to_value(o_c, o_s, STRATEGY_LOCAL_REINTERPRET, codec, p, 38,
+                       flooded=False)
 
 
 def test_unknown_strategy_rejected():
-    codec = FixedPointCodec()
-    dealer = DealerState(codec, seed=39)
     with pytest.raises(ConfigError):
-        bits_to_value_shares(1, 2, "majority-vote", codec, SeedParams(),
-                             dealer)
+        _bits_to_value(1, 2, "majority-vote", FixedPointCodec(), SeedParams(),
+                       39)
 
 
 # ------------------------------------------------------------- newton
@@ -259,47 +250,40 @@ def test_newton_plain_input_validation():
         newton_plain(4.0, 0.5, -1)
 
 
+def _newton(x_pair, y_pair, n, codec, dealer_seed, probes=None):
+    """newton_shared_batch on one (x, y) share pair over a fresh session;
+    probes maps each party to its probe."""
+    def party_fn(party, values, channel, triples):
+        probe = probes[party] if probes else None
+        return newton_shared_batch(party, values[:1], values[1:], n, triples,
+                                   channel, codec, probe)
+
+    (got,), st_c, st_s = run_session(
+        party_fn, [x_pair[0].value, y_pair[0].value],
+        [x_pair[1].value, y_pair[1].value],
+        DealerState(codec, seed=dealer_seed))
+    return got, st_c, st_s
+
+
 def test_newton_shared_tracks_plain():
     codec = FixedPointCodec()
     rng = random.Random(41)
-    dealer = DealerState(codec, seed=42)
-    stream_c, stream_s = dealer.pair_streams()
     x, y0, n = 2.7, 0.55, 3
-    xc, xs = make_shares(x, codec, rng)
-    yc, ys = make_shares(y0, codec, rng)
-
-    def party(x_sh, y_sh, stream):
-        def fn(ep):
-            return newton_shared(x_sh, y_sh, n, stream, ep, codec)
-
-        return fn
-
-    rc, rs = run_pair(party(xc, yc, stream_c), party(xs, ys, stream_s))
+    got, _, _ = _newton(make_shares(x, codec, rng),
+                        make_shares(y0, codec, rng), n, codec, 42)
     plain = newton_plain(codec.decode(codec.encode(x)),
                          codec.decode(codec.encode(y0)), n)
     # each iteration contributes a handful of truncation ulps
-    assert reconstruct(rc, rs, codec) == pytest.approx(
-        plain, abs=8 * n * 2.0 ** -codec.f)
+    assert got == pytest.approx(plain, abs=8 * n * 2.0 ** -codec.f)
 
 
 def test_newton_shared_comm_cost():
     # 3 multiplications per iteration, each 1 round and 2 elements
     codec = FixedPointCodec()
     rng = random.Random(43)
-    dealer = DealerState(codec, seed=44)
-    stream_c, stream_s = dealer.pair_streams()
     n = 4
-    xc, xs = make_shares(1.8, codec, rng)
-    yc, ys = make_shares(0.7, codec, rng)
-
-    def party(x_sh, y_sh, stream):
-        def fn(ep):
-            newton_shared(x_sh, y_sh, n, stream, ep, codec)
-            return ep.stats()
-
-        return fn
-
-    st_c, st_s = run_pair(party(xc, yc, stream_c), party(xs, ys, stream_s))
+    _, st_c, st_s = _newton(make_shares(1.8, codec, rng),
+                            make_shares(0.7, codec, rng), n, codec, 44)
     for st in (st_c, st_s):
         assert st.rounds == 3 * n
         assert st.frames == 3 * n
@@ -311,11 +295,9 @@ def test_newton_shared_probe_stops_divergence():
 
     codec = FixedPointCodec()
     rng = random.Random(45)
-    dealer = DealerState(codec, seed=46)
-    stream_c, stream_s = dealer.pair_streams()
     # a seed far outside the basin blows up quickly
-    xc, xs = make_shares(0.25, codec, rng)
-    yc, ys = make_shares(30.0, codec, rng)
+    x_pair = make_shares(0.25, codec, rng)
+    y_pair = make_shares(30.0, codec, rng)
     bound = 2.0 ** 10
 
     # one share alone is uniform noise, so the harness probe posts both
@@ -338,17 +320,10 @@ def test_newton_shared_probe_stops_divergence():
 
         return probe
 
-    def party_fn(x_sh, y_sh, stream, probe):
-        def fn(ep):
-            return newton_shared(x_sh, y_sh, 6, stream, ep, codec, probe)
-
-        return fn
-
+    probes = {CLIENT: make_probe(CLIENT, SERVER),
+              SERVER: make_probe(SERVER, CLIENT)}
     with pytest.raises(DivergenceError):
-        run_pair(
-            party_fn(xc, yc, stream_c, make_probe(CLIENT, SERVER)),
-            party_fn(xs, ys, stream_s, make_probe(SERVER, CLIENT)),
-            timeout=10.0)
+        _newton(x_pair, y_pair, 6, codec, 46, probes)
 
 
 # ------------------------------------------------------- full pipeline
