@@ -183,9 +183,6 @@ class SocketEndpoint(Endpoint):
     def __init__(self, sock: socketlib.socket, party: str, timeout: float):
         super().__init__(party)
         sock.settimeout(timeout)
-        # Protocols write several frames before they read; without this,
-        # Nagle's algorithm holds the later frame for the peer's delayed ACK.
-        sock.setsockopt(socketlib.IPPROTO_TCP, socketlib.TCP_NODELAY, 1)
         self._sock = sock
 
     def _transmit(self, stamp, payload):

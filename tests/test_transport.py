@@ -2,15 +2,12 @@
 socket parity, and failure modes."""
 
 import random
-import socket
-import threading
-import time
 
 import pytest
 
 from rootshare.errors import TransportError, UsageError
-from rootshare.transport import (CommStats, open_inproc, open_socket,
-                                 open_socket_pair, run_pair)
+from rootshare.transport import (CommStats, open_inproc, open_socket_pair,
+                                 run_pair)
 
 
 def test_fresh_endpoint_counters_start_at_zero():
@@ -154,45 +151,6 @@ def test_socket_echo_roundtrip():
 
     echoed, _ = run_pair(client_fn, server_fn, transport="socket")
     assert echoed == b"ping"
-
-
-def _nodelay(endpoint):
-    return endpoint._sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
-
-
-def test_socket_endpoints_set_nodelay():
-    # a party often sends two frames before it reads; with Nagle's
-    # algorithm on, the second waits for the peer's delayed ACK
-    client, server = open_socket_pair()
-    try:
-        assert _nodelay(client) and _nodelay(server)
-    finally:
-        client.close()
-        server.close()
-
-    probe = socket.socket()
-    probe.bind(("127.0.0.1", 0))
-    port = probe.getsockname()[1]
-    probe.close()
-    listened = {}
-    thread = threading.Thread(target=lambda: listened.update(
-        ep=open_socket(listen=("127.0.0.1", port), timeout=10.0)))
-    thread.start()
-    dialed = None
-    for _ in range(200):          # until the listener is up
-        try:
-            dialed = open_socket(connect=("127.0.0.1", port), timeout=10.0)
-            break
-        except TransportError:
-            time.sleep(0.01)
-    thread.join(10.0)
-    try:
-        assert dialed is not None and "ep" in listened
-        assert _nodelay(dialed) and _nodelay(listened["ep"])
-    finally:
-        for ep in (dialed, listened.get("ep")):
-            if ep is not None:
-                ep.close()
 
 
 def test_socket_abrupt_close_raises_not_hangs():
