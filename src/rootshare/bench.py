@@ -434,9 +434,9 @@ def _encoder_shared(cfg: ToyEncoderConfig, x_rows, weights,
             return out
 
         def mm(a, b, m, kk, nn):
-            view = stream.take_matrix(m, kk, nn)
+            triple = stream.take_matrix(m, kk, nn)
             return counted("matmul", lambda: matmul_shared(
-                party, a, b, view, m, kk, nn, ep, codec))
+                party, a, b, triple, m, kk, nn, ep, codec))
 
         q = mm(w["x"], w["wq"], s, d, d)
         k = mm(w["x"], w["wk"], s, d, d)

@@ -10,7 +10,9 @@ for both parties over a fresh channel and decodes its outputs.
 """
 
 import random
+import sys
 import threading
+from array import array
 from dataclasses import dataclass
 
 from .errors import ConfigError, ProtocolError, RangeError, UsageError
@@ -19,6 +21,10 @@ from .transport import run_pair
 CLIENT = "client"
 SERVER = "server"
 PARTIES = (CLIENT, SERVER)
+
+# Unsigned array typecodes by item size on this host: ring elements of
+# that byte width go through the wire codec as one array.
+_ARRAY_CODES = {array(code).itemsize: code for code in ("I", "Q")}
 
 
 @dataclass(frozen=True)
@@ -160,7 +166,13 @@ def truncate_local(party: str, values, codec: FixedPointCodec,
 def _encode_elements(values, codec: FixedPointCodec) -> bytes:
     width = codec.element_bytes
     mod = codec.modulus
-    return b"".join((v % mod).to_bytes(width, "little") for v in values)
+    code = _ARRAY_CODES.get(width)
+    if code is None:
+        return b"".join((v % mod).to_bytes(width, "little") for v in values)
+    elements = array(code, [v % mod for v in values])
+    if sys.byteorder == "big":
+        elements.byteswap()
+    return elements.tobytes()
 
 
 def _decode_elements(payload: bytes, count: int, codec: FixedPointCodec):
@@ -168,77 +180,14 @@ def _decode_elements(payload: bytes, count: int, codec: FixedPointCodec):
     if len(payload) != count * width:
         raise ProtocolError(
             f"expected {count} elements ({count * width} bytes), got {len(payload)}")
-    return [int.from_bytes(payload[k * width:(k + 1) * width], "little")
-            for k in range(count)]
-
-
-@dataclass
-class BeaverTriple:
-    """Both parties' shares of an (a, b, c = a*b mod 2^l) triple.
-
-    c is the full ring product of the uniform factors; the fixed-point
-    product identity appears after the post-multiplication truncation.
-    """
-
-    id: int
-    a_client: int
-    a_server: int
-    b_client: int
-    b_server: int
-    c_client: int
-    c_server: int
-
-    def view(self, party: str):
-        if party == CLIENT:
-            return self.a_client, self.b_client, self.c_client
-        if party == SERVER:
-            return self.a_server, self.b_server, self.c_server
-        raise UsageError(f"unknown party {party!r}")
-
-
-@dataclass(frozen=True)
-class ZeroShare:
-    """Additive sharing of zero: (r, -r) for uniform r.
-
-    Adding one to a share pair leaves the secret untouched but makes the
-    client half uniform, which the local truncation trick requires (it
-    assumes the pair wraps the ring exactly once; structured same-sign
-    pairs may not).
-    """
-
-    id: int
-    client: int
-    server: int
-
-    def view(self, party: str) -> int:
-        if party == CLIENT:
-            return self.client
-        if party == SERVER:
-            return self.server
-        raise UsageError(f"unknown party {party!r}")
-
-
-@dataclass
-class MatrixTriple:
-    """Both parties' shares of matrices A (m x k), B (k x n), C = A @ B."""
-
-    id: int
-    m: int
-    k: int
-    n: int
-    a_client: list
-    a_server: list
-    b_client: list
-    b_server: list
-    c_client: list
-    c_server: list
-
-    def view(self, party: str):
-        if party == CLIENT:
-            return self.a_client, self.b_client, self.c_client
-        if party == SERVER:
-            return self.a_server, self.b_server, self.c_server
-        raise UsageError(f"unknown party {party!r}")
+    code = _ARRAY_CODES.get(width)
+    if code is None:
+        return [int.from_bytes(payload[k * width:(k + 1) * width], "little")
+                for k in range(count)]
+    elements = array(code, payload)
+    if sys.byteorder == "big":
+        elements.byteswap()
+    return elements.tolist()
 
 
 def _mat_mul_mod(a, b, m, k, n, mod):
@@ -256,12 +205,16 @@ def _mat_mul_mod(a, b, m, k, n, mod):
 
 
 class DealerState:
-    """Simulated trusted dealer issuing correlated randomness.
+    """Simulated trusted dealer issuing correlated randomness in batches.
 
-    Seeded and deterministic; never re-issues randomness. Dealer traffic is
-    offline setup material and is not counted by the online channel stats.
-    An optional budget caps the number of issue calls and models a finite
-    preprocessing supply.
+    Seeded and deterministic; never re-issues randomness. Each TripleStream
+    request is one batch, generated by the first party to reach its index;
+    the dealer keeps the peer's half until the peer takes it and then
+    releases the batch, so it holds only the batches in flight. Dealer
+    traffic is offline setup material and is not counted by the online
+    channel stats. An optional budget caps the number of items issued (a
+    batch of n scalar triples or zero shares counts n, a matrix triple one)
+    and models a finite preprocessing supply.
     """
 
     def __init__(self, codec: FixedPointCodec, seed: int = 0,
@@ -271,94 +224,85 @@ class DealerState:
         self._budget = budget
         self._lock = threading.Lock()
         self.issued = 0
-        self._sequence: list = []
-        self._kinds: list = []
+        self._batches = 0
+        self._pending: dict = {}
 
-    def _charge(self) -> None:
-        if self._budget is not None and self.issued >= self._budget:
+    def _charge(self, items: int) -> None:
+        if self._budget is not None and self.issued + items > self._budget:
             raise ProtocolError(
-                f"dealer budget of {self._budget} issue calls exhausted")
-        self.issued += 1
+                f"dealer budget of {self._budget} items exhausted "
+                f"({self.issued} issued, {items} requested)")
+        self.issued += items
 
-    def _draw(self) -> int:
-        return self._rng.getrandbits(self.codec.l)
+    def _draws(self, count: int) -> list:
+        draw, l = self._rng.getrandbits, self.codec.l
+        return [draw(l) for _ in range(count)]
 
-    def triple(self) -> BeaverTriple:
-        with self._lock:
-            return self._triple_locked()
+    def _generate(self, kind: tuple):
+        """(client half, server half) of one batch of the given kind.
 
-    def _triple_locked(self) -> BeaverTriple:
-        self._charge()
+        Scalar triples draw a, b, a_client, b_client, c_client per element,
+        in element order; c = a*b mod 2^l is the full ring product of the
+        uniform factors, and the fixed-point product identity appears after
+        the post-multiplication truncation. A zero share is (r, -r).
+        """
         mod = self.codec.modulus
-        a, b = self._draw(), self._draw()
-        c = (a * b) % mod
-        a_c, b_c, c_c = self._draw(), self._draw(), self._draw()
-        return BeaverTriple(
-            id=self.issued - 1,
-            a_client=a_c, a_server=(a - a_c) % mod,
-            b_client=b_c, b_server=(b - b_c) % mod,
-            c_client=c_c, c_server=(c - c_c) % mod,
-        )
-
-    def matrix_triple(self, m: int, k: int, n: int) -> MatrixTriple:
-        with self._lock:
-            return self._matrix_triple_locked(m, k, n)
-
-    def zero_share(self) -> ZeroShare:
-        with self._lock:
-            return self._zero_locked()
-
-    def _zero_locked(self) -> ZeroShare:
-        self._charge()
-        r = self._draw()
-        return ZeroShare(id=self.issued - 1, client=r,
-                         server=(-r) % self.codec.modulus)
-
-    def _matrix_triple_locked(self, m, k, n) -> MatrixTriple:
-        self._charge()
-        mod = self.codec.modulus
-        a = [self._draw() for _ in range(m * k)]
-        b = [self._draw() for _ in range(k * n)]
+        if kind[0] == "scalar":
+            self._charge(kind[1])
+            r = self._draws(5 * kind[1])
+            a, b, a_c, b_c, c_c = (r[i::5] for i in range(5))
+            return (a_c, b_c, c_c), (
+                [(x - y) % mod for x, y in zip(a, a_c)],
+                [(x - y) % mod for x, y in zip(b, b_c)],
+                [(x * y - z) % mod for x, y, z in zip(a, b, c_c)])
+        if kind[0] == "zero":
+            self._charge(kind[1])
+            r = self._draws(kind[1])
+            return r, [(-x) % mod for x in r]
+        m, k, n = kind[1:]
+        self._charge(1)
+        a = self._draws(m * k)
+        b = self._draws(k * n)
         c = _mat_mul_mod(a, b, m, k, n, mod)
-        a_c = [self._draw() for _ in range(m * k)]
-        b_c = [self._draw() for _ in range(k * n)]
-        c_c = [self._draw() for _ in range(m * n)]
-        return MatrixTriple(
-            id=self.issued - 1, m=m, k=k, n=n,
-            a_client=a_c, a_server=[(x - y) % mod for x, y in zip(a, a_c)],
-            b_client=b_c, b_server=[(x - y) % mod for x, y in zip(b, b_c)],
-            c_client=c_c, c_server=[(x - y) % mod for x, y in zip(c, c_c)],
-        )
+        a_c, b_c, c_c = (self._draws(size) for size in (m * k, k * n, m * n))
+        return (a_c, b_c, c_c), tuple(
+            [(x - y) % mod for x, y in zip(full, own)]
+            for full, own in ((a, a_c), (b, b_c), (c, c_c)))
 
     # Lockstep protocols running as two threads of one process pull from a
-    # shared on-demand sequence: the first party to reach an index generates
-    # the item, the second must request the same kind and shape.
-    def _sequence_get(self, index: int, kind: tuple):
+    # shared on-demand sequence of batches: the first party to reach an
+    # index generates the batch, the second must request the same kind and
+    # shape and takes the half left for it.
+    def _request(self, index: int, kind: tuple, party: str):
         with self._lock:
-            if index < len(self._sequence):
-                if self._kinds[index] != kind:
+            if index in self._pending:
+                peer_kind, peer, half = self._pending[index]
+                if peer_kind != kind:
                     raise ProtocolError(
-                        f"parties disagree on dealer item {index}: "
-                        f"{self._kinds[index]} vs {kind}")
-                return self._sequence[index]
-            if index != len(self._sequence):
-                raise ProtocolError("dealer sequence requested out of order")
-            if kind[0] == "scalar":
-                item = self._triple_locked()
-            elif kind[0] == "zero":
-                item = self._zero_locked()
-            else:
-                item = self._matrix_triple_locked(*kind[1:])
-            self._sequence.append(item)
-            self._kinds.append(kind)
-            return item
+                        f"parties disagree on dealer batch {index}: "
+                        f"{peer_kind} vs {kind}")
+                if peer != party:
+                    raise ProtocolError(
+                        f"dealer batch {index} requested twice by {party}")
+                del self._pending[index]
+                return half
+            if index != self._batches:
+                raise ProtocolError(
+                    f"dealer batch {index} requested out of order")
+            client, server = self._generate(kind)
+            self._batches += 1
+            if party == CLIENT:
+                self._pending[index] = (kind, SERVER, server)
+                return client
+            self._pending[index] = (kind, CLIENT, client)
+            return server
 
     def pair_streams(self):
         return TripleStream(self, CLIENT), TripleStream(self, SERVER)
 
 
 class TripleStream:
-    """One party's cursor over the dealer's shared issue sequence."""
+    """One party's cursor over the dealer's shared batch sequence."""
 
     def __init__(self, dealer: DealerState, party: str):
         if party not in PARTIES:
@@ -367,62 +311,54 @@ class TripleStream:
         self.party = party
         self._cursor = 0
 
+    def _next(self, kind: tuple):
+        half = self.dealer._request(self._cursor, kind, self.party)
+        self._cursor += 1
+        return half
+
     def take(self, count: int):
-        """Next `count` scalar triples, as this party's (a, b, c) views."""
-        views = []
-        for _ in range(count):
-            item = self.dealer._sequence_get(self._cursor, ("scalar",))
-            self._cursor += 1
-            views.append(item.view(self.party))
-        return views
+        """Next `count` scalar triples, as this party's (a, b, c) lists."""
+        return self._next(("scalar", count))
 
     def take_matrix(self, m: int, k: int, n: int):
-        item = self.dealer._sequence_get(self._cursor, ("matrix", m, k, n))
-        self._cursor += 1
-        return item.view(self.party)
+        """This party's (A, B, C) shares of one m x k by k x n triple."""
+        return self._next(("matrix", m, k, n))
 
     def take_zeros(self, count: int):
         """Next `count` zero-share offsets for this party."""
-        offsets = []
-        for _ in range(count):
-            item = self.dealer._sequence_get(self._cursor, ("zero",))
-            self._cursor += 1
-            offsets.append(item.view(self.party))
-        return offsets
+        return self._next(("zero", count))
 
 
-def beaver_mul_batch(party: str, x_values, y_values, triple_views,
+def beaver_mul_batch(party: str, x_values, y_values, triples,
                      channel, codec: FixedPointCodec):
     """Elementwise product of two batches of shares, one round total.
 
-    Each party sends a single frame holding the masked openings d = x - a
-    and e = y - b for every element (2 ring elements per element), then
+    triples is this party's (a, b, c) lists from TripleStream.take. Each
+    party sends a single frame holding the masked openings d = x - a and
+    e = y - b for every element (2 ring elements per element), then
     combines and truncates locally. Returns ring integers at scale 2^f.
     """
+    a_values, b_values, c_values = triples
     count = len(x_values)
-    if len(y_values) != count or len(triple_views) != count:
+    if any(len(v) != count for v in (y_values, a_values, b_values, c_values)):
         raise UsageError("batch inputs must have equal lengths")
     mod = codec.modulus
-    d_own = [0] * count
-    e_own = [0] * count
-    for i in range(count):
-        a, b, _ = triple_views[i]
-        d_own[i] = (x_values[i] - a) % mod
-        e_own[i] = (y_values[i] - b) % mod
+    d_own = [(x - a) % mod for x, a in zip(x_values, a_values)]
+    e_own = [(y - b) % mod for y, b in zip(y_values, b_values)]
     channel.send_frame(_encode_elements(d_own + e_own, codec))
     peer = _decode_elements(channel.recv_frame(), 2 * count, codec)
-    is_server = party == SERVER
-    z = []
-    for (a, b, c), d_mine, e_mine, d_peer, e_peer in zip(
-            triple_views, d_own, e_own, peer, peer[count:]):
-        d = (d_mine + d_peer) % mod
-        e = (e_mine + e_peer) % mod
-        z.append(c + d * b + e * a + d * e if is_server
-                 else c + d * b + e * a)
+    d = [(u + v) % mod for u, v in zip(d_own, peer)]
+    e = [(u + v) % mod for u, v in zip(e_own, peer[count:])]
+    if party == SERVER:
+        z = [c + dd * b + ee * a + dd * ee for a, b, c, dd, ee in zip(
+            a_values, b_values, c_values, d, e)]
+    else:
+        z = [c + dd * b + ee * a for a, b, c, dd, ee in zip(
+            a_values, b_values, c_values, d, e)]
     return truncate_local(party, z, codec)
 
 
-def matmul_shared(party: str, a_values, b_values, matrix_view,
+def matmul_shared(party: str, a_values, b_values, triple,
                   m: int, k: int, n: int, channel,
                   codec: FixedPointCodec):
     """Shared matrix product via one matrix Beaver triple, one round.
@@ -433,7 +369,7 @@ def matmul_shared(party: str, a_values, b_values, matrix_view,
     """
     if len(a_values) != m * k or len(b_values) != k * n:
         raise UsageError("matrix share sizes disagree with the given shape")
-    ra, rb, rc = matrix_view
+    ra, rb, rc = triple
     mod = codec.modulus
     d_own = [(x - r) % mod for x, r in zip(a_values, ra)]
     e_own = [(x - r) % mod for x, r in zip(b_values, rb)]

@@ -166,8 +166,8 @@ def bits_to_value_batch(party: str, o_values, strategy: str, channel,
             x_vals = [0] * len(o_values)
             y_vals = [codec.encode(2.0 ** ((o - params.C0) / params.L - params.B))
                       for o in o_values]
-        views = triples.take(len(o_values))
-        return beaver_mul_batch(party, x_vals, y_vals, views, channel, codec)
+        return beaver_mul_batch(party, x_vals, y_vals,
+                                triples.take(len(o_values)), channel, codec)
     if strategy == STRATEGY_LOCAL_REINTERPRET:
         if not flooded:
             raise UsageError(

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import FixedBits, chi2_uniform_stat, mul_pairs, quantize
 from rootshare.errors import ConfigError, ProtocolError, RangeError, UsageError
-from rootshare.ring import (CLIENT, SERVER, BeaverTriple, DealerState,
+from rootshare.ring import (CLIENT, SERVER, DealerState,
                             FixedPointCodec, RingShare, _decode_elements,
                             _encode_elements, beaver_mul_batch,
                             linear_combine, make_shares, matmul_shared,
@@ -55,12 +55,24 @@ def test_range_errors():
 
 
 @PROPERTY
-@given(RINGS, st.lists(st.integers(), max_size=40))
-def test_element_codec_roundtrip(codec, values):
+@given(st.integers(3, 64),
+       st.lists(st.one_of(st.integers(), st.integers(-2 ** 66, 2 ** 66)),
+                max_size=40))
+def test_element_codec_roundtrip(l, values):
+    # widths 4 and 8 go through array('I')/array('Q'); the frames must be
+    # the little-endian int.to_bytes frames every other width uses
+    codec = FixedPointCodec(l=l, f=2)
+    width, mod = codec.element_bytes, codec.modulus
     payload = _encode_elements(values, codec)
-    assert len(payload) == len(values) * codec.element_bytes
+    assert payload == b"".join((v % mod).to_bytes(width, "little")
+                               for v in values)
     assert _decode_elements(payload, len(values), codec) == [
-        v % codec.modulus for v in values]
+        v % mod for v in values]
+    with pytest.raises(ProtocolError):
+        _decode_elements(payload + b"\0", len(values), codec)
+    if values:
+        with pytest.raises(ProtocolError):
+            _decode_elements(payload[:-1], len(values), codec)
 
 
 def test_codec_parameter_validation():
@@ -340,41 +352,115 @@ def test_beaver_soundness_l32(codec32):
 def test_beaver_rejects_mismatched_batches(codec):
     a, b = open_inproc()
     with pytest.raises(UsageError):
-        beaver_mul_batch(CLIENT, [1, 2], [3], [], a, codec)
+        beaver_mul_batch(CLIENT, [1, 2], [3], ([], [], []), a, codec)
+    with pytest.raises(UsageError):
+        beaver_mul_batch(CLIENT, [1, 2], [3, 4], ([0, 0], [0, 0], [0]), a,
+                         codec)
+
+
+def _both_halves(dealer, count):
+    sc, ss = dealer.pair_streams()
+    return sc.take(count), ss.take(count)
 
 
 def test_triple_product_identity(codec):
-    dealer = DealerState(codec, seed=7)
-    t = dealer.triple()
     mod = codec.modulus
-    a = (t.a_client + t.a_server) % mod
-    b = (t.b_client + t.b_server) % mod
-    c = (t.c_client + t.c_server) % mod
-    assert c == (a * b) % mod
+    (ac, bc, cc), (as_, bs, cs) = _both_halves(DealerState(codec, seed=7), 20)
+    for k in range(20):
+        a = (ac[k] + as_[k]) % mod
+        b = (bc[k] + bs[k]) % mod
+        assert (cc[k] + cs[k]) % mod == (a * b) % mod
 
 
 # ----------------------------------------------------------------- dealer
 
 def test_dealer_budget_exhaustion(codec):
-    dealer = DealerState(codec, seed=0, budget=2)
-    dealer.triple()
-    dealer.triple()
+    dealer = DealerState(codec, seed=0, budget=5)
+    sc, ss = dealer.pair_streams()
+    sc.take(2)
+    ss.take(2)
+    sc.take_zeros(3)
+    ss.take_zeros(3)
+    assert dealer.issued == 5
     with pytest.raises(ProtocolError, match="budget"):
-        dealer.triple()
+        sc.take(1)
+
+
+def test_dealer_budget_overrun_raises_before_any_draw(codec):
+    dealer = DealerState(codec, seed=0, budget=3)
+    state = dealer._rng.getstate()
+    sc, ss = dealer.pair_streams()
+    with pytest.raises(ProtocolError, match="budget"):
+        sc.take(4)
+    assert dealer._rng.getstate() == state
+    assert dealer.issued == 0
+    assert sc.take(3) == DealerState(codec, seed=0).pair_streams()[0].take(3)
 
 
 def test_dealer_is_deterministic(codec):
-    t1 = DealerState(codec, seed=42).triple()
-    t2 = DealerState(codec, seed=42).triple()
-    assert (t1.a_client, t1.b_server, t1.c_client) == (
-        t2.a_client, t2.b_server, t2.c_client)
+    assert _both_halves(DealerState(codec, seed=42), 3) == _both_halves(
+        DealerState(codec, seed=42), 3)
 
 
 def test_dealer_never_reissues(codec):
-    dealer = DealerState(codec, seed=1)
-    seen = {(t.a_client, t.b_client) for t in [dealer.triple()
-                                               for _ in range(50)]}
-    assert len(seen) == 50
+    sc, ss = DealerState(codec, seed=1).pair_streams()
+    seen = set()
+    for _ in range(2):
+        for a, b, _ in (sc.take(25), ss.take(25)):
+            seen.update(zip(a, b))
+    assert len(seen) == 100
+
+
+def test_stream_count_mismatch_is_protocol_error(codec):
+    sc, ss = DealerState(codec, seed=2).pair_streams()
+    sc.take(3)
+    with pytest.raises(ProtocolError, match="disagree"):
+        ss.take(4)
+
+
+def test_dealer_refuses_a_batch_taken_twice(codec):
+    dealer = DealerState(codec, seed=4)
+    sc, ss = dealer.pair_streams()
+    sc.take(2)
+    with pytest.raises(ProtocolError, match="twice"):
+        dealer.pair_streams()[0].take(2)
+    ss.take(2)
+    with pytest.raises(ProtocolError, match="out of order"):
+        dealer.pair_streams()[1].take(2)
+
+
+def test_dealer_makes_one_request_per_take(codec, monkeypatch):
+    calls = []
+    request = DealerState._request
+
+    def counted(self, index, kind, party):
+        calls.append(kind)
+        return request(self, index, kind, party)
+
+    monkeypatch.setattr(DealerState, "_request", counted)
+    for stream in DealerState(codec, seed=5).pair_streams():
+        stream.take(1)
+        stream.take(1000)
+        stream.take_zeros(500)
+        stream.take_matrix(2, 3, 4)
+    assert calls == [("scalar", 1), ("scalar", 1000), ("zero", 500),
+                     ("matrix", 2, 3, 4)] * 2
+
+
+def test_dealer_releases_every_batch_after_a_session(codec):
+    dealer = DealerState(codec, seed=6)
+
+    def party_fn(party, values, channel, triples):
+        zeros = triples.take_zeros(len(values))
+        values = [(v + z) % codec.modulus for v, z in zip(values, zeros)]
+        return beaver_mul_batch(party, values, values,
+                                triples.take(len(values)), channel, codec)
+
+    xc, xs = split_values([1.5, -2.0, 3.0], codec, random.Random(6))
+    got, _, _ = run_session(party_fn, xc, xs, dealer)
+    assert got == pytest.approx([2.25, 4.0, 9.0], abs=2 ** -12)
+    assert dealer.issued == 6
+    assert dealer._pending == {}
 
 
 def test_stream_kind_mismatch_is_protocol_error(codec):
