@@ -16,8 +16,7 @@ from .transport import CommStats, Endpoint, InprocEndpoint, SocketEndpoint, \
 from .flood import ActivationSampler, FloodConfig, adversarial_split, \
     draw_flood_mask, flood_mask, flood_reshare_batch, flood_share, \
     shares_from_floats
-from .rsqrt import MAGIC_K1, NewtonConfig, SeedParams, STRATEGIES, \
-    STRATEGY_LOCAL_REINTERPRET, STRATEGY_MASKED_OPEN, SweepRow, \
+from .rsqrt import MAGIC_K1, NewtonConfig, SeedParams, SweepRow, \
     bits_to_value_batch, closeness_sweep, newton_plain, newton_shared_batch, \
     rsqrt_shared_batch, run_shared_rsqrt, seed_local, seed_share_client, \
     seed_share_server, seed_shares

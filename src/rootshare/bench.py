@@ -150,7 +150,7 @@ def comm_report(scenario: str, cfg: ProtocolConfig = DEFAULT_CONFIG,
         counted = max(st_c.bytes_sent, st_s.bytes_sent) / row_len
         rounds = max(st_c.rounds, st_s.rounds)
         rows.append(ReportRow(scenario, "rootshare", "counted", "element",
-                              counted, rounds, 3 + 3 * n))
+                              counted, rounds, 2 + 3 * n))
         rows.append(ReportRow(scenario, "lut", "modeled", "element",
                               lut_cost(lut, 1)[0] / 8, 1, 0))
         t_muls = TAYLOR_HIGH_ORDER + 3 * n
@@ -166,8 +166,8 @@ def comm_report(scenario: str, cfg: ProtocolConfig = DEFAULT_CONFIG,
         _, st_c, st_s = run_softmax_star_shared(row, cfg, seed=seed)
         counted = max(st_c.bytes_sent, st_s.bytes_sent)
         rounds = max(st_c.rounds, st_s.rounds)
-        muls = (row_len * (3 + 3 * SOFTMAX_ITERATIONS)
-                + (2 + 3 * SOFTMAX_ITERATIONS) + row_len)
+        muls = (row_len * (2 + 3 * SOFTMAX_ITERATIONS)
+                + (1 + 3 * SOFTMAX_ITERATIONS) + row_len)
         rows.append(ReportRow(scenario, "rootshare", "counted", "row",
                               counted, rounds, muls))
         rows.append(ReportRow(scenario, "lut", "modeled", "row",
@@ -185,7 +185,7 @@ def comm_report(scenario: str, cfg: ProtocolConfig = DEFAULT_CONFIG,
         _, st_c, st_s = run_layernorm_shared(row, ones, zeros, cfg, seed=seed)
         counted = max(st_c.bytes_sent, st_s.bytes_sent)
         rounds = max(st_c.rounds, st_s.rounds)
-        muls = 2 * row_len + (2 + 3 * LAYERNORM_ITERATIONS)
+        muls = 2 * row_len + 3 * LAYERNORM_ITERATIONS
         rows.append(ReportRow(scenario, "rootshare", "counted", "row",
                               counted, rounds, muls))
         rows.append(ReportRow(scenario, "lut", "modeled", "row",
@@ -545,7 +545,9 @@ def flood_ablation(gap: int = 6, trials: int = 200,
     Each trial draws one activation; the with-flood arm splits it behind a
     flooded mask, the without-flood arm splits it adversarially at the
     requested exponent gap. Both arms run the same codec, seed constants,
-    and iteration budget.
+    and iteration budget, but not the same seed conversion: the with-flood
+    arm converts its seed bits locally, the without-flood arm pays one
+    masked opening.
     """
     if gap < 0:
         raise ConfigError("gap must be non-negative")

@@ -15,7 +15,7 @@ from .bench import LutCostModel, REPORT_SCENARIOS, ToyEncoderConfig, \
     comm_report, flood_ablation, toy_encoder_infer, write_report_csv
 from .config import DEFAULT_CONFIG, load_config_file
 from .flood import ActivationSampler, draw_flood_mask, flood_share
-from .rsqrt import STRATEGIES, closeness_sweep, run_shared_rsqrt
+from .rsqrt import closeness_sweep, run_shared_rsqrt
 
 
 def _parse_gaps(text: str):
@@ -34,11 +34,7 @@ def _load_config(args):
     cfg = DEFAULT_CONFIG
     if getattr(args, "config", None):
         cfg = load_config_file(args.config)
-    iterations = getattr(args, "iterations", None)
-    strategy = getattr(args, "strategy", None)
-    if iterations is not None or strategy is not None:
-        cfg = cfg.with_site(iterations=iterations, strategy=strategy)
-    return cfg
+    return cfg.with_site(iterations=getattr(args, "iterations", None))
 
 
 def _add_common(p, default_out):
@@ -69,7 +65,7 @@ def _cmd_rsqrt_sweep(args) -> int:
     ranked = sorted(errs)
     within = sum(1 for e in errs if e <= args.tol)
     print(f"rsqrt-sweep: {args.count} flooded samples, "
-          f"n={cfg.newton.iterations}, strategy={cfg.newton.strategy}")
+          f"n={cfg.newton.iterations}")
     print(f"  within {args.tol:g}: {within}/{args.count} "
           f"({within / args.count:.2%})")
     print(f"  median rel err {ranked[len(ranked) // 2]:.3g}, "
@@ -86,8 +82,7 @@ def _cmd_closeness_sweep(args) -> int:
     rows = closeness_sweep(gaps, trials=args.trials,
                            n=args.iterations if args.iterations is not None
                            else 8,
-                           codec=cfg.codec, params=cfg.seed, seed=args.seed,
-                           strategy=cfg.newton.strategy)
+                           codec=cfg.codec, params=cfg.seed, seed=args.seed)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(("gap", "trials", "converged", "mean_rel_err"))
@@ -198,7 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=1000)
     p.add_argument("--tol", type=float, default=1e-2)
     p.add_argument("--iterations", type=int)
-    p.add_argument("--strategy", choices=STRATEGIES)
     p.set_defaults(fn=_cmd_rsqrt_sweep)
 
     p = sub.add_parser("closeness-sweep",
@@ -208,7 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="range like 0..12 or list like 0,3,6")
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--iterations", type=int)
-    p.add_argument("--strategy", choices=STRATEGIES)
     p.set_defaults(fn=_cmd_closeness_sweep)
 
     p = sub.add_parser("comm-report",
@@ -221,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha-bits", type=int, default=32)
     p.add_argument("--row-len", type=int, default=8)
     p.add_argument("--iterations", type=int)
-    p.add_argument("--strategy", choices=STRATEGIES)
     p.set_defaults(fn=_cmd_comm_report)
 
     p = sub.add_parser("toy-infer", help="one-block encoder demo")
@@ -234,7 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="both")
     p.add_argument("--weights", help="weight CSV (name,i,j,value)")
     p.add_argument("--iterations", type=int)
-    p.add_argument("--strategy", choices=STRATEGIES)
     p.set_defaults(fn=_cmd_toy_infer)
 
     p = sub.add_parser("flood-ablation",
@@ -245,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-flood", action="store_true",
                    help="run only the unflooded arm")
     p.add_argument("--iterations", type=int)
-    p.add_argument("--strategy", choices=STRATEGIES)
     p.set_defaults(fn=_cmd_flood_ablation)
     return parser
 

@@ -14,9 +14,8 @@ from .rsqrt import NewtonConfig, SeedParams
 class ProtocolConfig:
     """Bundle of all tunables one protocol run needs.
 
-    The flood constant and the two reference exponents appear both in the
-    flooding layer and in the seed constants; construction enforces that
-    the two views agree so a partial override cannot desynchronize them.
+    The flood constant lives in the flooding layer, the reference exponents
+    in the seed constants, which derive the flooding compensation from them.
     """
 
     codec: FixedPointCodec = FixedPointCodec()
@@ -27,37 +26,23 @@ class ProtocolConfig:
     sampler_log2_std: float = 0.45
 
     def __post_init__(self):
-        if self.seed.F != self.flood.F:
-            raise ConfigError("seed and flood disagree on the flood constant")
-        if self.seed.E_f != self.flood.E_f or self.seed.E_m != self.flood.E_m:
-            raise ConfigError("seed and flood disagree on reference exponents")
         if self.sampler_log2_std < 0:
             raise ConfigError("sampler spread must be non-negative")
 
-    def with_site(self, E_m: int | None = None, iterations: int | None = None,
-                  strategy: str | None = None) -> "ProtocolConfig":
+    def with_site(self, E_m: int | None = None,
+                  iterations: int | None = None) -> "ProtocolConfig":
         """Per-call-site variant: same codec and flood constant, but a
         different expected-magnitude exponent or iteration budget."""
-        seed = self.seed
-        flood = self.flood
-        if E_m is not None:
-            seed = replace(seed, E_m=E_m)
-            flood = replace(flood, E_m=E_m)
-        newton = self.newton
-        if iterations is not None or strategy is not None:
-            newton = replace(
-                self.newton,
-                iterations=self.newton.iterations if iterations is None else iterations,
-                strategy=self.newton.strategy if strategy is None else strategy,
-            )
-        return replace(self, seed=seed, flood=flood, newton=newton)
+        seed = self.seed if E_m is None else replace(self.seed, E_m=E_m)
+        newton = (self.newton if iterations is None
+                  else replace(self.newton, iterations=iterations))
+        return replace(self, seed=seed, newton=newton)
 
 
 DEFAULT_CONFIG = ProtocolConfig()
 
 _INT_KEYS = {"l", "f", "E_f", "E_m", "iterations"}
 _FLOAT_KEYS = {"b", "F", "mask_spread", "sampler_log2_mean", "sampler_log2_std"}
-_STR_KEYS = {"strategy"}
 _KEY_ALIASES = {"n": "iterations"}
 
 
@@ -65,7 +50,8 @@ def config_from_mapping(mapping: dict) -> ProtocolConfig:
     """Build a ProtocolConfig from flat key=value pairs.
 
     Recognized keys: l, f, b, F, E_f, E_m, mask_spread, iterations (alias
-    n), strategy, sampler_log2_mean, sampler_log2_std. Unknown keys raise
+    n), sampler_log2_mean, sampler_log2_std. F sets the flood constant,
+    E_f and E_m the seed's reference exponents. Unknown keys raise
     ConfigError so typos never silently fall back to defaults.
     """
     values = {}
@@ -81,8 +67,6 @@ def config_from_mapping(mapping: dict) -> ProtocolConfig:
                 values[key] = float(raw_value)
             except (TypeError, ValueError):
                 raise ConfigError(f"{raw_key} needs a number, got {raw_value!r}")
-        elif key in _STR_KEYS:
-            values[key] = str(raw_value)
         else:
             raise ConfigError(f"unknown configuration key {raw_key!r}")
 
@@ -93,20 +77,15 @@ def config_from_mapping(mapping: dict) -> ProtocolConfig:
     )
     seed = SeedParams(
         b=values.get("b", base.seed.b),
-        F=values.get("F", base.seed.F),
         E_f=values.get("E_f", base.seed.E_f),
         E_m=values.get("E_m", base.seed.E_m),
     )
     flood = FloodConfig(
         F=values.get("F", base.flood.F),
         mask_spread=values.get("mask_spread", base.flood.mask_spread),
-        E_f=values.get("E_f", base.flood.E_f),
-        E_m=values.get("E_m", base.flood.E_m),
     )
     newton = NewtonConfig(
-        iterations=values.get("iterations", base.newton.iterations),
-        strategy=values.get("strategy", base.newton.strategy),
-    )
+        iterations=values.get("iterations", base.newton.iterations))
     return ProtocolConfig(
         codec=codec, seed=seed, newton=newton, flood=flood,
         sampler_log2_mean=values.get("sampler_log2_mean", base.sampler_log2_mean),

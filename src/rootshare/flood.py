@@ -24,24 +24,18 @@ from .ring import CLIENT, SERVER, FixedPointCodec, RingShare, _decode_elements, 
 @dataclass(frozen=True)
 class FloodConfig:
     """F is the flood constant; the mask is F + r with r uniform on
-    [-mask_spread, +mask_spread]. E_f is the flood exponent, E_m the
-    expected exponent of the activations the seed compensation targets.
+    [-mask_spread, +mask_spread]. The seed's compensation for the exponent
+    bias this injects lives in the seed parameters (E_f, E_m).
     """
 
     F: float = 8192.0
     mask_spread: float = 2048.0
-    E_f: int = 140
-    E_m: int = 128
 
     def __post_init__(self):
         if self.F <= 0:
             raise ConfigError("flood constant must be positive")
         if not 0 < self.mask_spread < self.F / 2:
             raise ConfigError("mask_spread must lie in (0, F/2)")
-        for name in ("E_f", "E_m"):
-            value = getattr(self, name)
-            if not 1 <= value <= 254:
-                raise ConfigError(f"{name}={value} is not a normal binary32 exponent")
 
 
 def flood_mask(r: float, F: float = 8192.0) -> float:

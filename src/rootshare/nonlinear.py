@@ -124,7 +124,7 @@ def smu_shared_batch(party: str, values, params: SmuParams, channel,
     configuration, w = s * y = sqrt(s), out = (1+alpha)/2 x + w/2. The
     additive floor keeps s strictly positive where mu = 0 would let the
     shared inverse square root see zero; it perturbs the exact unit by at
-    most 2^-7 near the kink. Total multiplications: 3 + 3 * iterations.
+    most 2^-7 near the kink. Total multiplications: 2 + 3 * iterations.
     """
     codec = cfg.codec
     sq = beaver_mul_batch(party, values, values, triples.take(len(values)),

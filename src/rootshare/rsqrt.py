@@ -5,8 +5,9 @@ one integer shift against a magic constant. The two-party form here splits
 that arithmetic across additive shares: each party shifts the packed bits
 of its own share magnitude, the server adds a constant that merges the two
 halves and compensates the flooding bias, and the sum of the two integers
-approximates the packed bits of the result. No communication happens until
-the bits re-enter the value domain.
+approximates the packed bits of the result. On flooded shares the bits
+re-enter the value domain locally too, so the whole seed is free; unflooded
+shares pay one masked opening for that step.
 
 Newton's update y <- y * (3/2 - x/2 * y^2) then runs on shares with three
 Beaver multiplications per iteration. The iteration converges only when
@@ -17,7 +18,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .errors import ConfigError, DivergenceError, RangeError, UsageError
+from .errors import ConfigError, DivergenceError, RangeError
 from .floatbits import compose, decompose, pack_integer, to_binary32, \
     unpack_integer
 from .ring import CLIENT, SERVER, DealerState, FixedPointCodec, \
@@ -26,12 +27,8 @@ from .ring import CLIENT, SERVER, DealerState, FixedPointCodec, \
 MAGIC_K1 = 0x5F3759DF
 MIN_MAGNITUDE = 2.0 ** -30
 
-STRATEGY_MASKED_OPEN = "masked-open"
-STRATEGY_LOCAL_REINTERPRET = "local-reinterpret"
-STRATEGIES = (STRATEGY_MASKED_OPEN, STRATEGY_LOCAL_REINTERPRET)
-
 # Expected mantissa fraction of a flooded share, used only to center the
-# local-reinterpret linearization.
+# flooded seed's linearization.
 LINEARIZE_MANTISSA = 0.375
 
 
@@ -50,7 +47,6 @@ class SeedParams:
     B: int = 127
     L: int = 1 << 23
     K1: int = MAGIC_K1
-    F: float = 8192.0
     E_f: int = 140
     E_m: int = 128
 
@@ -61,8 +57,6 @@ class SeedParams:
             raise ConfigError("L must be a positive power of two")
         if self.K1 <= 0:
             raise ConfigError("K1 must be positive")
-        if self.F <= 0:
-            raise ConfigError("flood constant must be positive")
         for name in ("E_f", "E_m"):
             value = getattr(self, name)
             if not 1 <= value <= 254:
@@ -78,23 +72,17 @@ class SeedParams:
 
     @property
     def C0(self) -> int:
-        # centers the masked-open factors near 1 under flooding
+        # splits the masked opening's exponential between the two factors
         return round(self.L * (self.E_f + 0.5) / 4)
 
 
 @dataclass(frozen=True)
 class NewtonConfig:
     iterations: int = 4
-    divergence_bound: float = 2.0 ** 20
-    strategy: str = STRATEGY_MASKED_OPEN
 
     def __post_init__(self):
         if not 0 <= self.iterations <= 16:
             raise ConfigError(f"iterations={self.iterations} outside 0..16")
-        if self.divergence_bound <= 0:
-            raise ConfigError("divergence_bound must be positive")
-        if self.strategy not in STRATEGIES:
-            raise ConfigError(f"unknown strategy {self.strategy!r}")
 
 
 def seed_local(x: float, params: SeedParams = SeedParams()) -> float:
@@ -140,38 +128,23 @@ def seed_shares(fc: float, fs: float, params: SeedParams = SeedParams(),
             seed_share_server(fs, params, flooded))
 
 
-def bits_to_value_batch(party: str, o_values, strategy: str, channel,
+def bits_to_value_batch(party: str, o_values, channel,
                         codec: FixedPointCodec, params: SeedParams,
                         triples=None, flooded: bool = True):
     """Carry seed integers into fixed-point value shares.
 
-    masked-open: each party maps its integer to the exponential factor
+    Flooded shares: zero communication. Flooding pins the seed near a known
+    constant, so each party applies the affine map that linearizes the
+    exponential 2^(o/L - B) around the flood-expected packed value.
+
+    Unflooded shares: each party maps its integer to the exponential factor
     2^(o/L + centering), encodes it, and one Beaver multiplication joins
     the factors, so the pair reconstructs 2^((o_c + o_s)/L - B). That is
     within a factor 2^-phi, phi = log2(1+m) - m <= 0.0861, of the bit-exact
     composed seed; the shortfall only deepens the Newton undershoot. Costs
     one round and two ring elements per party per element.
-
-    local-reinterpret: zero communication. Each party applies the affine
-    map that linearizes the same exponential around the flood-expected
-    packed value; usable only on flooded shares, where the seed is pinned
-    near a known constant.
     """
-    if strategy == STRATEGY_MASKED_OPEN:
-        if party == CLIENT:
-            x_vals = [codec.encode(2.0 ** ((o + params.C0) / params.L))
-                      for o in o_values]
-            y_vals = [0] * len(o_values)
-        else:
-            x_vals = [0] * len(o_values)
-            y_vals = [codec.encode(2.0 ** ((o - params.C0) / params.L - params.B))
-                      for o in o_values]
-        return beaver_mul_batch(party, x_vals, y_vals,
-                                triples.take(len(o_values)), channel, codec)
-    if strategy == STRATEGY_LOCAL_REINTERPRET:
-        if not flooded:
-            raise UsageError(
-                "local-reinterpret is only sound on flooded shares")
+    if flooded:
         p0 = params.K2 + params.comp - round(
             (params.E_f + LINEARIZE_MANTISSA) * params.L / 2)
         v0 = 2.0 ** (p0 / params.L - params.B)
@@ -180,7 +153,16 @@ def bits_to_value_batch(party: str, o_values, strategy: str, channel,
             return [codec.encode(slope * o) for o in o_values]
         offset = v0 - slope * p0
         return [codec.encode(slope * o + offset) for o in o_values]
-    raise ConfigError(f"unknown strategy {strategy!r}")
+    if party == CLIENT:
+        x_vals = [codec.encode(2.0 ** ((o + params.C0) / params.L))
+                  for o in o_values]
+        y_vals = [0] * len(o_values)
+    else:
+        x_vals = [0] * len(o_values)
+        y_vals = [codec.encode(2.0 ** ((o - params.C0) / params.L - params.B))
+                  for o in o_values]
+    return beaver_mul_batch(party, x_vals, y_vals,
+                            triples.take(len(o_values)), channel, codec)
 
 
 def newton_plain(x: float, y0: float, n: int) -> float:
@@ -228,7 +210,7 @@ def newton_shared_batch(party: str, x_values, y_values, n: int, triples,
 
 def rsqrt_shared_batch(party: str, values, channel, codec: FixedPointCodec,
                        params: SeedParams, newton: NewtonConfig, triples,
-                       flooded: bool = True, probe=None):
+                       flooded: bool = True):
     """Full per-party pipeline on a batch of shares of positive values:
     local seed bits, value-domain conversion, shared Newton refinement.
 
@@ -242,13 +224,13 @@ def rsqrt_shared_batch(party: str, values, channel, codec: FixedPointCodec,
     else:
         o_values = [seed_share_server(codec.decode(v), params, flooded)
                     for v in values]
-    seeds = bits_to_value_batch(party, o_values, newton.strategy, channel,
-                                codec, params, triples, flooded)
+    seeds = bits_to_value_batch(party, o_values, channel, codec, params,
+                                triples, flooded)
     mod = codec.modulus
     zeros = triples.take_zeros(len(values))
     arith = [(v + z) % mod for v, z in zip(values, zeros)]
     return newton_shared_batch(party, arith, seeds, newton.iterations,
-                               triples, channel, codec, probe)
+                               triples, channel, codec)
 
 
 def run_shared_rsqrt(share_pairs, codec: FixedPointCodec, params: SeedParams,
@@ -279,8 +261,7 @@ class SweepRow:
 
 def closeness_sweep(gaps=range(13), trials: int = 200, n: int = 8,
                     tol: float = 1e-2, codec: FixedPointCodec | None = None,
-                    params: SeedParams | None = None, seed: int = 1,
-                    strategy: str = STRATEGY_MASKED_OPEN):
+                    params: SeedParams | None = None, seed: int = 1):
     """Convergence rate of the unflooded pipeline versus exponent gap.
 
     For each gap d, share pairs are built with a bit-exact binary32
@@ -296,7 +277,7 @@ def closeness_sweep(gaps=range(13), trials: int = 200, n: int = 8,
         raise ConfigError("trials must be positive")
     codec = codec or FixedPointCodec()
     params = params or SeedParams()
-    newton = NewtonConfig(iterations=n, strategy=strategy)
+    newton = NewtonConfig(iterations=n)
     rng = random.Random(seed)
     rows = []
     for gap in gaps:

@@ -15,6 +15,7 @@ from rootshare.bench import (REPORT_COLUMNS, REPORT_SCENARIOS, TAYLOR_COEFFS,
                              save_weights_csv, taylor_cost, taylor_seed,
                              toy_encoder_infer, write_report_csv)
 from rootshare.errors import ConfigError, ProtocolError, RangeError
+from rootshare.ring import CLIENT, TripleStream
 
 
 # ------------------------------------------------------------ LUT model
@@ -88,7 +89,7 @@ def test_crypten_seed_values():
 # ------------------------------------------------------------- counting
 
 def test_counted_element_bytes():
-    assert count_rsqrt_element_bytes() == 260
+    assert count_rsqrt_element_bytes() == 240
 
 
 def test_comm_report_shapes_and_kinds():
@@ -107,10 +108,29 @@ def test_comm_report_shapes_and_kinds():
 def test_activation_report_favors_counted_bytes():
     rows = {r.method: r for r in comm_report("activation")}
     counted = rows["rootshare"].online_bytes
-    assert counted == 256.0
+    assert counted == 239.5
     for method in ("lut", "taylor", "crypten"):
         assert counted < rows[method].online_bytes
     assert rows["lut"].online_bytes == lut_cost(LutCostModel(), 1)[0] / 8
+
+
+def test_report_muls_equal_triples_taken(monkeypatch):
+    # the muls column must match the scalar Beaver triples one party takes
+    taken = []
+    take = TripleStream.take
+
+    def counting_take(self, count):
+        if self.party == CLIENT:
+            taken.append(count)
+        return take(self, count)
+
+    monkeypatch.setattr(TripleStream, "take", counting_take)
+    row_len = 8
+    for scenario, units_per_run in (("activation", row_len), ("softmax", 1),
+                                    ("layernorm", 1)):
+        taken.clear()
+        rows = {r.method: r for r in comm_report(scenario, row_len=row_len)}
+        assert sum(taken) == rows["rootshare"].muls * units_per_run
 
 
 def test_counted_rows_ignore_lut_parameters():

@@ -86,6 +86,14 @@ def test_flood_ablation_cli(tmp_path, capsys):
     assert by_arm["with-flood"] > by_arm["without-flood"]
 
 
+def test_strategy_flag_is_rejected(tmp_path):
+    # the seed conversion follows from flooding; no flag selects it
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["rsqrt-sweep", "--strategy", "masked-open",
+                  "--out", str(tmp_path / "never.csv")])
+    assert exc.value.code != 0
+
+
 def test_config_file_flows_into_run(tmp_path):
     cfg_path = tmp_path / "proto.cfg"
     cfg_path.write_text("n = 2\n")

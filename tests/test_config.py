@@ -7,21 +7,17 @@ import pytest
 from rootshare.config import (DEFAULT_CONFIG, ProtocolConfig,
                               config_from_mapping, load_config_file)
 from rootshare.errors import ConfigError
-from rootshare.flood import FloodConfig
 from rootshare.ring import FixedPointCodec
-from rootshare.rsqrt import (STRATEGY_LOCAL_REINTERPRET, STRATEGY_MASKED_OPEN,
-                             SeedParams)
+from rootshare.rsqrt import SeedParams
 
 
 def test_default_bundle():
     cfg = DEFAULT_CONFIG
     assert cfg.codec == FixedPointCodec(l=64, f=16)
-    assert cfg.seed.F == cfg.flood.F == 8192.0
-    assert cfg.seed.E_f == cfg.flood.E_f == 140
-    assert cfg.seed.E_m == cfg.flood.E_m == 128
+    assert cfg.flood.F == 8192.0
+    assert cfg.seed.E_f == 140
+    assert cfg.seed.E_m == 128
     assert cfg.newton.iterations == 4
-    assert cfg.newton.strategy == STRATEGY_MASKED_OPEN
-    assert cfg.newton.divergence_bound == 2.0 ** 20
     assert cfg.flood.mask_spread == 2048.0
     assert cfg.sampler_log2_mean == pytest.approx(1.4)
     assert cfg.sampler_log2_std == pytest.approx(0.45)
@@ -33,41 +29,35 @@ def test_bundle_is_frozen():
 
 
 def test_constituents_must_agree():
-    with pytest.raises(ConfigError):
-        ProtocolConfig(seed=SeedParams(F=4096.0))
-    with pytest.raises(ConfigError):
-        ProtocolConfig(flood=FloodConfig(F=4096.0, E_f=139))
-    with pytest.raises(ConfigError):
-        ProtocolConfig(seed=SeedParams(E_m=130))
+    # the reference exponents live only in the seed, so overriding them
+    # there needs no matching flood override
+    assert ProtocolConfig(seed=SeedParams(E_m=130)).seed.E_m == 130
     with pytest.raises(ConfigError):
         ProtocolConfig(sampler_log2_std=-0.1)
 
 
 def test_with_site_overrides():
-    cfg = DEFAULT_CONFIG.with_site(E_m=131, iterations=4,
-                                   strategy=STRATEGY_LOCAL_REINTERPRET)
+    cfg = DEFAULT_CONFIG.with_site(E_m=131, iterations=4)
     assert cfg.seed.E_m == 131
-    assert cfg.flood.E_m == 131
     assert cfg.newton.iterations == 4
-    assert cfg.newton.strategy == STRATEGY_LOCAL_REINTERPRET
     # untouched fields carry over
     assert cfg.codec == DEFAULT_CONFIG.codec
     assert cfg.flood.F == DEFAULT_CONFIG.flood.F
     # partial override leaves the rest at the parent's values
     part = DEFAULT_CONFIG.with_site(iterations=2)
     assert part.seed.E_m == DEFAULT_CONFIG.seed.E_m
-    assert part.newton.strategy == DEFAULT_CONFIG.newton.strategy
+    assert part.newton.iterations == 2
     assert DEFAULT_CONFIG.with_site() == DEFAULT_CONFIG
 
 
 def test_mapping_round_trip():
     cfg = config_from_mapping({
         "l": "32", "f": "12", "F": "4096", "E_f": "139", "E_m": "129",
-        "mask_spread": "1024", "iterations": "6", "strategy": "masked-open",
+        "mask_spread": "1024", "iterations": "6",
         "b": "0.045", "sampler_log2_mean": "1.0", "sampler_log2_std": "0.3",
     })
     assert cfg.codec == FixedPointCodec(l=32, f=12)
-    assert cfg.seed.F == cfg.flood.F == 4096.0
+    assert cfg.flood.F == 4096.0
     assert cfg.seed.E_f == 139 and cfg.seed.E_m == 129
     assert cfg.flood.mask_spread == 1024.0
     assert cfg.newton.iterations == 6
@@ -83,6 +73,9 @@ def test_mapping_alias_and_types():
         config_from_mapping({"F": "big"})
     with pytest.raises(ConfigError):
         config_from_mapping({"no_such_key": "1"})
+    # the seed conversion follows from flooding; there is no key for it
+    with pytest.raises(ConfigError, match="unknown configuration key"):
+        config_from_mapping({"strategy": "masked-open"})
 
 
 def test_mapping_empty_is_default():

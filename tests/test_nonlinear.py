@@ -160,19 +160,20 @@ def test_shared_smu_zero_tensor_gives_half_mu():
 
 
 def test_shared_smu_comm_formula():
-    # per element and party: 3 + 3n multiplications of 2 elements each,
-    # plus the server's reshare frame of one element per input
+    # per element and party: 2 + 3n multiplications of 2 elements each,
+    # plus the server's reshare frame of one element per input; the
+    # flooded seed conversion adds nothing
     cfg = DEFAULT_CONFIG.with_site(E_m=128, iterations=4)
     k = 5
     n = cfg.newton.iterations
     xs = [0.3 * i - 0.7 for i in range(k)]
     _, st_c, st_s = run_smu_shared(xs, GELU_PARAMS, cfg, seed=66)
     element = cfg.codec.element_bytes
-    assert st_c.frames == 3 + 3 * n
-    assert st_s.frames == 4 + 3 * n
-    assert st_c.payload_bytes == (3 + 3 * n) * 2 * k * element
-    assert st_s.payload_bytes == ((3 + 3 * n) * 2 * k + k) * element
-    assert st_c.rounds == st_s.rounds == 4 + 3 * n
+    assert st_c.frames == 2 + 3 * n
+    assert st_s.frames == 3 + 3 * n
+    assert st_c.payload_bytes == (2 + 3 * n) * 2 * k * element
+    assert st_s.payload_bytes == ((2 + 3 * n) * 2 * k + k) * element
+    assert st_c.rounds == st_s.rounds == 3 + 3 * n
 
 
 # ------------------------------------------------------- shared softmax

@@ -1,20 +1,18 @@
-"""Inverse square root on shares: the communication-free seed, both
-bit-to-value conversion strategies, the shared Newton loop, and the full
-pipeline with its counted communication."""
+"""Inverse square root on shares: the communication-free seed, the
+bit-to-value conversion on flooded and unflooded shares, the shared Newton
+loop, and the full pipeline with its counted communication."""
 
 import math
 import random
 
 import pytest
 
-from rootshare.errors import (ConfigError, DivergenceError, RangeError,
-                              UsageError)
+from rootshare.errors import ConfigError, DivergenceError, RangeError
 from rootshare.flood import (ActivationSampler, FloodConfig, draw_flood_mask,
                              flood_share)
 from rootshare.ring import (CLIENT, SERVER, DealerState, FixedPointCodec,
                             make_shares, run_session)
-from rootshare.rsqrt import (MAGIC_K1, STRATEGY_LOCAL_REINTERPRET,
-                             STRATEGY_MASKED_OPEN, NewtonConfig, SeedParams,
+from rootshare.rsqrt import (MAGIC_K1, NewtonConfig, SeedParams,
                              bits_to_value_batch, closeness_sweep,
                              newton_plain, newton_shared_batch,
                              run_shared_rsqrt, seed_local, seed_share_client,
@@ -45,7 +43,7 @@ def test_seed_params_validation():
     with pytest.raises(ConfigError):
         SeedParams(E_m=0)
     with pytest.raises(ConfigError):
-        SeedParams(F=-8192.0)
+        SeedParams(E_f=255)
 
 
 def test_newton_config_validation():
@@ -55,8 +53,6 @@ def test_newton_config_validation():
         NewtonConfig(iterations=-1)
     with pytest.raises(ConfigError):
         NewtonConfig(iterations=17)
-    with pytest.raises(ConfigError):
-        NewtonConfig(strategy="telepathy")
 
 
 # ------------------------------------------------------- one-party seed
@@ -120,13 +116,12 @@ def test_tiny_share_magnitudes_are_floored():
 
 # --------------------------------------------- bit-to-value conversion
 
-def _bits_to_value(o_c, o_s, strategy, codec, params, dealer_seed,
-                   flooded=True):
+def _bits_to_value(o_c, o_s, codec, params, dealer_seed, flooded=True):
     """bits_to_value_batch on one seed pair over a fresh session:
     (decoded value, client stats, server stats)."""
     def party_fn(party, values, channel, triples):
-        return bits_to_value_batch(party, values, strategy, channel, codec,
-                                   params, triples, flooded)
+        return bits_to_value_batch(party, values, channel, codec, params,
+                                   triples, flooded)
 
     (got,), st_c, st_s = run_session(party_fn, [o_c], [o_s],
                                      DealerState(codec, seed=dealer_seed))
@@ -139,7 +134,7 @@ def test_masked_open_matches_exponential_form():
     codec = FixedPointCodec()
     p = SeedParams()
     o_c, o_s = seed_shares(-8191.998, 8195.098)
-    got, _, _ = _bits_to_value(o_c, o_s, STRATEGY_MASKED_OPEN, codec, p, 33)
+    got, _, _ = _bits_to_value(o_c, o_s, codec, p, 33, flooded=False)
     want = 2.0 ** ((o_c + o_s) / p.L - p.B)
     assert got == pytest.approx(want, abs=3 * 2.0 ** -codec.f)
 
@@ -150,8 +145,7 @@ def test_masked_open_balanced_split_tracks_one_party_seed():
     codec = FixedPointCodec()
     p = SeedParams()
     o_c, o_s = seed_shares(2.0, 2.0, p, flooded=False)
-    got, _, _ = _bits_to_value(o_c, o_s, STRATEGY_MASKED_OPEN, codec, p, 34,
-                               flooded=False)
+    got, _, _ = _bits_to_value(o_c, o_s, codec, p, 34, flooded=False)
     # the two masked factors are fixed-point encoded, so the shared value
     # sits within a few grid steps of the local evaluation of o_c + o_s
     assert abs(got - 0.4770965576171875) <= 3 * 2.0 ** -16
@@ -161,8 +155,8 @@ def test_masked_open_balanced_split_tracks_one_party_seed():
 def test_masked_open_costs_one_round_two_elements():
     codec = FixedPointCodec()
     o_c, o_s = seed_shares(-8191.998, 8195.098)
-    _, st_c, st_s = _bits_to_value(o_c, o_s, STRATEGY_MASKED_OPEN, codec,
-                                   SeedParams(), 35)
+    _, st_c, st_s = _bits_to_value(o_c, o_s, codec, SeedParams(), 35,
+                                   flooded=False)
     for st in (st_c, st_s):
         assert st.rounds == 1
         assert st.payload_bytes == 2 * codec.element_bytes
@@ -177,26 +171,10 @@ def test_local_reinterpret_costs_nothing_and_seeds_the_basin():
         c, s = flood_share(x, mask, codec)
         o_c = seed_share_client(codec.decode(c.value), p)
         o_s = seed_share_server(codec.decode(s.value), p, True)
-        got, st_c, st_s = _bits_to_value(o_c, o_s, STRATEGY_LOCAL_REINTERPRET,
-                                         codec, p, 36)
+        got, st_c, st_s = _bits_to_value(o_c, o_s, codec, p, 36)
         assert abs(got * math.sqrt(x) - 1.0) < math.sqrt(3.0) - 1.0
         for st in (st_c, st_s):
             assert (st.bytes_sent, st.frames, st.rounds) == (0, 0, 0)
-
-
-def test_local_reinterpret_requires_flooding():
-    codec = FixedPointCodec()
-    p = SeedParams()
-    o_c, o_s = seed_shares(2.0, 2.0, p, flooded=False)
-    with pytest.raises(UsageError):
-        _bits_to_value(o_c, o_s, STRATEGY_LOCAL_REINTERPRET, codec, p, 38,
-                       flooded=False)
-
-
-def test_unknown_strategy_rejected():
-    with pytest.raises(ConfigError):
-        _bits_to_value(1, 2, "majority-vote", FixedPointCodec(), SeedParams(),
-                       39)
 
 
 # ------------------------------------------------------------- newton
@@ -336,14 +314,34 @@ def test_pipeline_worked_example():
     results, st_c, st_s = run_shared_rsqrt(
         [(c.value, s.value)], codec, SeedParams(), NewtonConfig(iterations=4),
         dealer_seed=0)
-    assert results[0] == 0.5679473876953125
+    assert results[0] == 0.567962646484375
     assert abs(results[0] - 1.0 / math.sqrt(3.1)) <= 1e-4
-    # 1 conversion round + 3 rounds per iteration; 2 elements each round
+    # the flooded conversion is free: 3 rounds per iteration, 2 elements each
     for st in (st_c, st_s):
-        assert st.rounds == 13
-        assert st.frames == 13
-        assert st.bytes_sent == 260
-        assert st.payload_bytes == 13 * 2 * codec.element_bytes
+        assert st.rounds == 12
+        assert st.frames == 12
+        assert st.bytes_sent == 240
+        assert st.payload_bytes == 12 * 2 * codec.element_bytes
+
+
+def test_flooded_seed_with_conversion_costs_nothing():
+    # seed bits and their conversion into value shares, no Newton step:
+    # nothing on the wire for flooded pairs, one masked opening otherwise
+    codec = FixedPointCodec()
+    cfg = FloodConfig()
+    rng = random.Random(54)
+    pairs = []
+    for x in (0.8, 1.6, 2.7, 3.1, 6.0):
+        c, s = flood_share(x, draw_flood_mask(cfg, rng), codec)
+        pairs.append((c.value, s.value))
+    args = (pairs, codec, SeedParams(), NewtonConfig(iterations=0))
+    _, st_c, st_s = run_shared_rsqrt(*args, dealer_seed=55)
+    for st in (st_c, st_s):
+        assert (st.bytes_sent, st.frames, st.rounds) == (0, 0, 0)
+    _, st_c, st_s = run_shared_rsqrt(*args, dealer_seed=55, flooded=False)
+    for st in (st_c, st_s):
+        assert (st.frames, st.rounds) == (1, 1)
+        assert st.payload_bytes == 2 * len(pairs) * codec.element_bytes
 
 
 def test_pipeline_socket_matches_inproc_bytes_and_values():
@@ -376,23 +374,6 @@ def test_pipeline_flooded_accuracy_batch():
                                      dealer_seed=49)
     rel = sorted(abs(y * math.sqrt(x) - 1.0) for x, y in zip(xs, results))
     assert rel[int(0.99 * len(rel))] <= 1e-2
-
-
-def test_pipeline_both_strategies_agree():
-    codec = FixedPointCodec()
-    cfg = FloodConfig()
-    rng = random.Random(50)
-    xs = [2.0 ** rng.uniform(0.5, 2.5) for _ in range(50)]
-    pairs = []
-    for x in xs:
-        c, s = flood_share(x, draw_flood_mask(cfg, rng), codec)
-        pairs.append((c.value, s.value))
-    for strategy in (STRATEGY_MASKED_OPEN, STRATEGY_LOCAL_REINTERPRET):
-        newton = NewtonConfig(iterations=4, strategy=strategy)
-        results, _, _ = run_shared_rsqrt(pairs, codec, SeedParams(), newton,
-                                         dealer_seed=51)
-        for x, y in zip(xs, results):
-            assert abs(y * math.sqrt(x) - 1.0) <= 1e-2
 
 
 def test_pipeline_covers_working_range_with_per_site_exponents():
