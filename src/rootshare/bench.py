@@ -450,24 +450,18 @@ def _encoder_shared(cfg: ToyEncoderConfig, x_rows, weights,
             scores = mm(qh, _transpose(kh, s, dh), s, dh, s)
             scores = scalar_mul_values(party, scores,
                                        1.0 / math.sqrt(dh), codec)
-            att = []
-            for i in range(s):
-                row = scores[i * s:(i + 1) * s]
-                att.extend(counted("nonlinear", lambda r=row: softmax_star_shared(
-                    party, r, ep, protocol, stream, flood_rng,
-                    sites.softmax_num_E_m, sites.softmax_den_E_m, n_iter)))
+            att = counted("nonlinear", lambda: softmax_star_shared(
+                party, scores, ep, protocol, stream, flood_rng,
+                sites.softmax_num_E_m, sites.softmax_den_E_m, n_iter, s))
             ctx_h = mm(att, vh, s, s, dh)
             for i in range(s):
                 for j in range(dh):
                     ctx[i * d + j0 + j] = ctx_h[i * dh + j]
         attn = mm(ctx, w["wo"], s, d, d)
         h0 = [(a + b) % mod for a, b in zip(w["x"], attn)]
-        h1 = []
-        for i in range(s):
-            row = h0[i * d:(i + 1) * d]
-            h1.extend(counted("nonlinear", lambda r=row: layernorm_shared(
-                party, r, weights["ln1_gamma"], weights["ln1_beta"], ep,
-                protocol, stream, flood_rng, sites.ln1_E_m, n_iter)))
+        h1 = counted("nonlinear", lambda: layernorm_shared(
+            party, h0, weights["ln1_gamma"], weights["ln1_beta"], ep,
+            protocol, stream, flood_rng, sites.ln1_E_m, n_iter))
         pre = mm(h1, w["w1"], s, d, f)
         b1 = weights["b1"] * s
         pre = add_public_values(party, pre, b1, codec)
@@ -477,13 +471,9 @@ def _encoder_shared(cfg: ToyEncoderConfig, x_rows, weights,
         b2 = weights["b2"] * s
         f2 = add_public_values(party, f2, b2, codec)
         h2 = [(a + b) % mod for a, b in zip(h1, f2)]
-        out = []
-        for i in range(s):
-            row = h2[i * d:(i + 1) * d]
-            out.extend(counted("nonlinear", lambda r=row: layernorm_shared(
-                party, r, weights["ln2_gamma"], weights["ln2_beta"], ep,
-                protocol, stream, flood_rng, sites.ln2_E_m, n_iter)))
-        return out
+        return counted("nonlinear", lambda: layernorm_shared(
+            party, h2, weights["ln2_gamma"], weights["ln2_beta"], ep,
+            protocol, stream, flood_rng, sites.ln2_E_m, n_iter))
 
     flat, stats_c, stats_s = run_session(
         party_fn, {name: pair[0] for name, pair in halves.items()},

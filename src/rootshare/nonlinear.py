@@ -124,7 +124,8 @@ def smu_shared_batch(party: str, values, params: SmuParams, channel,
     configuration, w = s * y = sqrt(s), out = (1+alpha)/2 x + w/2. The
     additive floor keeps s strictly positive where mu = 0 would let the
     shared inverse square root see zero; it perturbs the exact unit by at
-    most 2^-7 near the kink. Total multiplications: 2 + 3 * iterations.
+    most 2^-7 near the kink. Total multiplications: 2 + 3 * iterations, in
+    3 + 2 * iterations rounds.
     """
     codec = cfg.codec
     sq = beaver_mul_batch(party, values, values, triples.take(len(values)),
@@ -143,34 +144,50 @@ def smu_shared_batch(party: str, values, params: SmuParams, channel,
     return [(a + b) % mod for a, b in zip(ax, half_w)]
 
 
+def _row_count(count: int, row_len: int) -> int:
+    """Number of whole rows of row_len shares in a flat batch of count."""
+    if row_len < 1 or count % row_len:
+        raise UsageError(
+            f"{count} shares do not split into rows of {row_len}")
+    return count // row_len
+
+
+def _row_sums(values, rows: int, row_len: int) -> list:
+    """Unreduced sum of each row of a flat, row-major batch."""
+    return [sum(values[i * row_len:(i + 1) * row_len]) for i in range(rows)]
+
+
 def softmax_star_shared(party: str, row_values, channel,
                         cfg: ProtocolConfig, triples, rng=None,
                         num_E_m: int = SOFTMAX_NUM_E_M,
                         den_E_m: int = SOFTMAX_DEN_E_M,
-                        iterations: int = SOFTMAX_ITERATIONS):
-    """Attention-style normalization of one row of shares.
+                        iterations: int = SOFTMAX_ITERATIONS,
+                        row_len: int | None = None):
+    """Attention-style normalization of rows of shares.
 
-    Numerator: ReLU-preset smooth unit per element. Denominator: their sum
-    plus a public epsilon, inverted by squaring the shared inverse square
-    root (1/d = rsqrt(d)^2, one extra multiplication), then one product
-    per element. The epsilon bounds the output-sum deficit by eps/d.
+    row_values is a flat, row-major batch of rows of row_len shares each
+    (default: the whole batch is one row). Numerator: ReLU-preset smooth
+    unit per element. Denominator: each row's sum plus a public epsilon,
+    inverted by squaring the shared inverse square root (1/d = rsqrt(d)^2,
+    one extra multiplication), then one product per element. The epsilon
+    bounds each row's output-sum deficit by eps/d. Every row keeps its own
+    denominator, but all rows share each reshare, rsqrt batch and
+    multiplication round, so r rows cost the rounds of one.
     """
     codec = cfg.codec
+    k = len(row_values) if row_len is None else row_len
+    rows = _row_count(len(row_values), k)
     num_cfg = cfg.with_site(E_m=num_E_m, iterations=iterations)
     den_cfg = cfg.with_site(E_m=den_E_m, iterations=iterations)
     r = smu_shared_batch(party, row_values, RELU_PARAMS, channel, num_cfg,
                          triples, rng)
-    mod = codec.modulus
-    d = 0
-    for v in r:
-        d = (d + v) % mod
-    d = add_public_values(party, [d], SOFTMAX_EPS, codec)
+    d = add_public_values(party, _row_sums(r, rows, k), SOFTMAX_EPS, codec)
     d = flood_reshare_batch(party, d, channel, codec, den_cfg.flood, rng)
     y = rsqrt_shared_batch(party, d, channel, codec, den_cfg.seed,
                            den_cfg.newton, triples, flooded=True)
-    inv = beaver_mul_batch(party, y, y, triples.take(1), channel, codec)
-    inv_row = inv * len(r)
-    return beaver_mul_batch(party, r, inv_row, triples.take(len(r)),
+    inv = beaver_mul_batch(party, y, y, triples.take(rows), channel, codec)
+    inv_per_element = [v for v in inv for _ in range(k)]
+    return beaver_mul_batch(party, r, inv_per_element, triples.take(len(r)),
                             channel, codec)
 
 
@@ -179,37 +196,37 @@ def layernorm_shared(party: str, row_values, gamma, beta, channel,
                      E_m: int = LAYERNORM_E_M,
                      iterations: int = LAYERNORM_ITERATIONS,
                      eps: float = LAYERNORM_EPS):
-    """Layer normalization of one row of shares with public gamma, beta.
+    """Layer normalization of rows of shares with public gamma, beta.
 
-    Mean and centering are free (affine). The k squares cost one batched
-    multiplication, the variance inverse root runs flooded at this site's
-    expected exponent, and one more batched multiplication normalizes.
+    row_values is a flat, row-major batch of rows of len(gamma) shares.
+    Means and centering are free (affine). The squares cost one batched
+    multiplication, each row's variance inverse root runs flooded at this
+    site's expected exponent, and one more batched multiplication
+    normalizes. All rows share each reshare, rsqrt batch and
+    multiplication round, so r rows cost the rounds of one.
     """
     codec = cfg.codec
-    k = len(row_values)
-    if len(gamma) != k or len(beta) != k:
-        raise UsageError("gamma and beta must match the row length")
+    k = len(gamma)
+    if len(beta) != k:
+        raise UsageError("gamma and beta must have the same length")
+    rows = _row_count(len(row_values), k)
     site = cfg.with_site(E_m=E_m, iterations=iterations)
     mod = codec.modulus
-    total = 0
-    for v in row_values:
-        total = (total + v) % mod
-    mean = scalar_mul_values(party, [total], 1.0 / k, codec)[0]
-    centered = [(v - mean) % mod for v in row_values]
-    sq = beaver_mul_batch(party, centered, centered, triples.take(k),
-                          channel, codec)
-    var_total = 0
-    for v in sq:
-        var_total = (var_total + v) % mod
-    var = scalar_mul_values(party, [var_total], 1.0 / k, codec)
+    means = scalar_mul_values(party, _row_sums(row_values, rows, k), 1.0 / k,
+                              codec)
+    centered = [(v - means[j // k]) % mod for j, v in enumerate(row_values)]
+    sq = beaver_mul_batch(party, centered, centered,
+                          triples.take(len(centered)), channel, codec)
+    var = scalar_mul_values(party, _row_sums(sq, rows, k), 1.0 / k, codec)
     var = add_public_values(party, var, eps, codec)
     var = flood_reshare_batch(party, var, channel, codec, site.flood, rng)
     y = rsqrt_shared_batch(party, var, channel, codec, site.seed,
                            site.newton, triples, flooded=True)
-    normalized = beaver_mul_batch(party, centered, y * k, triples.take(k),
-                                  channel, codec)
-    scaled = scalar_mul_values(party, normalized, list(gamma), codec)
-    return add_public_values(party, scaled, list(beta), codec)
+    y_per_element = [v for v in y for _ in range(k)]
+    normalized = beaver_mul_batch(party, centered, y_per_element,
+                                  triples.take(len(centered)), channel, codec)
+    scaled = scalar_mul_values(party, normalized, list(gamma) * rows, codec)
+    return add_public_values(party, scaled, list(beta) * rows, codec)
 
 
 def _flood_rng(party: str, seed: int):
@@ -235,12 +252,14 @@ def run_softmax_star_shared(row, cfg: ProtocolConfig, seed: int = 0,
                             transport: str = "inproc",
                             num_E_m: int = SOFTMAX_NUM_E_M,
                             den_E_m: int = SOFTMAX_DEN_E_M,
-                            iterations: int = SOFTMAX_ITERATIONS):
-    """softmax_star_shared over a fresh session, seeded as run_smu_shared."""
+                            iterations: int = SOFTMAX_ITERATIONS,
+                            row_len: int | None = None):
+    """softmax_star_shared over a fresh session, seeded as run_smu_shared.
+    row is flat: one row, or rows of row_len."""
     def layer(party, values, channel, triples):
         return softmax_star_shared(party, values, channel, cfg, triples,
                                    _flood_rng(party, seed), num_E_m, den_E_m,
-                                   iterations)
+                                   iterations, row_len)
 
     return run_session(layer, *split_values(row, cfg.codec,
                                             random.Random(seed)),
@@ -251,7 +270,8 @@ def run_layernorm_shared(row, gamma, beta, cfg: ProtocolConfig,
                          seed: int = 0, transport: str = "inproc",
                          E_m: int = LAYERNORM_E_M,
                          iterations: int = LAYERNORM_ITERATIONS):
-    """layernorm_shared over a fresh session, seeded as run_smu_shared."""
+    """layernorm_shared over a fresh session, seeded as run_smu_shared.
+    row is flat: one row, or rows of len(gamma)."""
     def layer(party, values, channel, triples):
         return layernorm_shared(party, values, gamma, beta, channel, cfg,
                                 triples, _flood_rng(party, seed), E_m,

@@ -14,6 +14,8 @@ import sys
 import threading
 from array import array
 from dataclasses import dataclass
+from itertools import islice
+from operator import add
 
 from .errors import ConfigError, ProtocolError, RangeError, UsageError
 from .transport import run_pair
@@ -163,19 +165,32 @@ def truncate_local(party: str, values, codec: FixedPointCodec,
     raise UsageError(f"unknown party {party!r}")
 
 
+def _elements(values, codec: FixedPointCodec):
+    """Reduced ring elements held as one array of the codec's element width,
+    or as a list when no array typecode has that width."""
+    code = _ARRAY_CODES.get(codec.element_bytes)
+    return list(values) if code is None else array(code, values)
+
+
 def _encode_elements(values, codec: FixedPointCodec) -> bytes:
+    """Little-endian frame payload of ring elements. An array from
+    _elements is taken as already reduced; anything else is reduced here."""
     width = codec.element_bytes
     mod = codec.modulus
     code = _ARRAY_CODES.get(width)
     if code is None:
         return b"".join((v % mod).to_bytes(width, "little") for v in values)
-    elements = array(code, [v % mod for v in values])
+    if isinstance(values, array) and values.typecode == code:
+        elements = array(code, values) if sys.byteorder == "big" else values
+    else:
+        elements = array(code, [v % mod for v in values])
     if sys.byteorder == "big":
         elements.byteswap()
     return elements.tobytes()
 
 
 def _decode_elements(payload: bytes, count: int, codec: FixedPointCodec):
+    """Frame payload as ring elements, in the container _elements uses."""
     width = codec.element_bytes
     if len(payload) != count * width:
         raise ProtocolError(
@@ -187,7 +202,7 @@ def _decode_elements(payload: bytes, count: int, codec: FixedPointCodec):
     elements = array(code, payload)
     if sys.byteorder == "big":
         elements.byteswap()
-    return elements.tolist()
+    return elements
 
 
 def _mat_mul_mod(a, b, m, k, n, mod):
@@ -234,9 +249,21 @@ class DealerState:
                 f"({self.issued} issued, {items} requested)")
         self.issued += items
 
-    def _draws(self, count: int) -> list:
-        draw, l = self._rng.getrandbits, self.codec.l
-        return [draw(l) for _ in range(count)]
+    def _draws(self, count: int):
+        """count uniform l-bit draws, held as _elements holds them.
+
+        At l = 32 or 64 on a little-endian host one wide getrandbits call
+        reads the same 32-bit generator words, least significant first, as
+        count single draws would, so it yields the same values and leaves
+        the generator in the same state.
+        """
+        l = self.codec.l
+        if l in (32, 64) and sys.byteorder == "little":
+            wide = self._rng.getrandbits(l * count)
+            return array(_ARRAY_CODES[l // 8],
+                         wide.to_bytes(l // 8 * count, "little"))
+        draw = self._rng.getrandbits
+        return _elements((draw(l) for _ in range(count)), self.codec)
 
     def _generate(self, kind: tuple):
         """(client half, server half) of one batch of the given kind.
@@ -317,7 +344,8 @@ class TripleStream:
         return half
 
     def take(self, count: int):
-        """Next `count` scalar triples, as this party's (a, b, c) lists."""
+        """Next `count` scalar triples, as this party's (a, b, c)
+        element sequences."""
         return self._next(("scalar", count))
 
     def take_matrix(self, m: int, k: int, n: int):
@@ -333,28 +361,31 @@ def beaver_mul_batch(party: str, x_values, y_values, triples,
                      channel, codec: FixedPointCodec):
     """Elementwise product of two batches of shares, one round total.
 
-    triples is this party's (a, b, c) lists from TripleStream.take. Each
+    triples is this party's (a, b, c) from TripleStream.take. Each
     party sends a single frame holding the masked openings d = x - a and
     e = y - b for every element (2 ring elements per element), then
-    combines and truncates locally. Returns ring integers at scale 2^f.
+    combines and truncates locally. Both parties' openings are held as
+    element arrays, and the opened d and e are formed lazily in the one
+    pass that builds the products. Returns ring integers at scale 2^f.
     """
     a_values, b_values, c_values = triples
     count = len(x_values)
     if any(len(v) != count for v in (y_values, a_values, b_values, c_values)):
         raise UsageError("batch inputs must have equal lengths")
     mod = codec.modulus
-    d_own = [(x - a) % mod for x, a in zip(x_values, a_values)]
-    e_own = [(y - b) % mod for y, b in zip(y_values, b_values)]
-    channel.send_frame(_encode_elements(d_own + e_own, codec))
+    own = _elements(((x - a) % mod for x, a in zip(x_values, a_values)), codec)
+    own.extend((y - b) % mod for y, b in zip(y_values, b_values))
+    channel.send_frame(_encode_elements(own, codec))
     peer = _decode_elements(channel.recv_frame(), 2 * count, codec)
-    d = [(u + v) % mod for u, v in zip(d_own, peer)]
-    e = [(u + v) % mod for u, v in zip(e_own, peer[count:])]
+    # d and e stay unreduced (below 2^(l+1)); the truncation reduces z
+    d = map(add, own, peer)
+    e = map(add, islice(own, count, None), islice(peer, count, None))
     if party == SERVER:
-        z = [c + dd * b + ee * a + dd * ee for a, b, c, dd, ee in zip(
-            a_values, b_values, c_values, d, e)]
+        z = (c + dd * b + ee * a + dd * ee for a, b, c, dd, ee in zip(
+            a_values, b_values, c_values, d, e))
     else:
-        z = [c + dd * b + ee * a for a, b, c, dd, ee in zip(
-            a_values, b_values, c_values, d, e)]
+        z = (c + dd * b + ee * a for a, b, c, dd, ee in zip(
+            a_values, b_values, c_values, d, e))
     return truncate_local(party, z, codec)
 
 

@@ -9,9 +9,12 @@ approximates the packed bits of the result. On flooded shares the bits
 re-enter the value domain locally too, so the whole seed is free; unflooded
 shares pay one masked opening for that step.
 
-Newton's update y <- y * (3/2 - x/2 * y^2) then runs on shares with three
-Beaver multiplications per iteration. The iteration converges only when
-seed * sqrt(x) < sqrt(3), which is what share flooding buys.
+Newton's update y <- y * (3/2 - x/2 * y^2) then runs on shares in two
+rounds per iteration: one batch forms y^2 and (x/2) y together, a second
+multiplies them, and 3/2 y minus that product is local, so each element
+still costs three Beaver multiplications per iteration. The iteration
+converges only when seed * sqrt(x) < sqrt(3), which is what share flooding
+buys.
 """
 
 import math
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 from .errors import ConfigError, DivergenceError, RangeError
 from .floatbits import compose, decompose, pack_integer, to_binary32, \
     unpack_integer
-from .ring import CLIENT, SERVER, DealerState, FixedPointCodec, \
+from .ring import CLIENT, DealerState, FixedPointCodec, \
     beaver_mul_batch, run_session, truncate_local
 
 MAGIC_K1 = 0x5F3759DF
@@ -181,28 +184,28 @@ def newton_plain(x: float, y0: float, n: int) -> float:
 
 def newton_shared_batch(party: str, x_values, y_values, n: int, triples,
                         channel, codec: FixedPointCodec, probe=None):
-    """n shared Newton iterations on batches, 3 multiplications each.
+    """n shared Newton iterations on batches, two rounds each.
 
-    Per iteration: t1 = y*y, t2 = (x/2)*t1, then y = y * (3/2 - t2); the
-    3/2 - t2 step is an exact local affine map. x/2 is pre-computed once
-    with a one-bit local truncation. probe, when given, is called after
-    every iteration with (iteration, own share values) and is meant for
-    test or bench harnesses only; a truthy return raises DivergenceError.
+    The step y' = y * (3/2 - x/2 * y^2) is taken as y + y/2 - (y*y) *
+    ((x/2)*y): round 1 forms y*y and (x/2)*y together in one
+    multiplication batch of 2m elements, round 2 multiplies the two, and
+    the rest is local (y/2 and x/2 by one-bit local truncations). That is
+    still three multiplications per element per iteration. probe, when
+    given, is called after every iteration with (iteration, own share
+    values) and is meant for test or bench harnesses only; a truthy return
+    raises DivergenceError.
     """
     mod = codec.modulus
-    enc_three_halves = codec.encode(1.5)
-    is_server = party == SERVER
+    m = len(y_values)
     half_x = truncate_local(party, x_values, codec, 1)
     y = list(y_values)
     for k in range(n):
-        t1 = beaver_mul_batch(party, y, y, triples.take(len(y)), channel, codec)
-        t2 = beaver_mul_batch(party, half_x, t1, triples.take(len(y)),
-                              channel, codec)
-        if is_server:
-            w = [(enc_three_halves - v) % mod for v in t2]
-        else:
-            w = [(-v) % mod for v in t2]
-        y = beaver_mul_batch(party, y, w, triples.take(len(y)), channel, codec)
+        pair = beaver_mul_batch(party, y + half_x, y + y,
+                                triples.take(2 * m), channel, codec)
+        product = beaver_mul_batch(party, pair[:m], pair[m:],
+                                   triples.take(m), channel, codec)
+        half_y = truncate_local(party, y, codec, 1)
+        y = [(u + h - p) % mod for u, h, p in zip(y, half_y, product)]
         if probe is not None and probe(k, list(y)):
             raise DivergenceError(f"iterate left the safe interval at step {k}")
     return y

@@ -161,6 +161,7 @@ def test_shared_smu_zero_tensor_gives_half_mu():
 
 def test_shared_smu_comm_formula():
     # per element and party: 2 + 3n multiplications of 2 elements each,
+    # sent in 2 + 2n frames (Newton fuses two of its three per iteration),
     # plus the server's reshare frame of one element per input; the
     # flooded seed conversion adds nothing
     cfg = DEFAULT_CONFIG.with_site(E_m=128, iterations=4)
@@ -169,11 +170,11 @@ def test_shared_smu_comm_formula():
     xs = [0.3 * i - 0.7 for i in range(k)]
     _, st_c, st_s = run_smu_shared(xs, GELU_PARAMS, cfg, seed=66)
     element = cfg.codec.element_bytes
-    assert st_c.frames == 2 + 3 * n
-    assert st_s.frames == 3 + 3 * n
+    assert st_c.frames == 2 + 2 * n
+    assert st_s.frames == 3 + 2 * n
     assert st_c.payload_bytes == (2 + 3 * n) * 2 * k * element
     assert st_s.payload_bytes == ((2 + 3 * n) * 2 * k + k) * element
-    assert st_c.rounds == st_s.rounds == 3 + 3 * n
+    assert st_c.rounds == st_s.rounds == 3 + 2 * n
 
 
 # ------------------------------------------------------- shared softmax
@@ -211,6 +212,29 @@ def test_shared_softmax_star_agreement_low_iterations():
         want = softmax_star_plain(row)
         for g, w in zip(got, want):
             assert abs(g - w) <= 2e-2
+
+
+def test_shared_softmax_star_rows_cost_one_row():
+    # three rows in one call: each row keeps its own denominator, all rows
+    # share every round, so the call costs the 6 + 4n rounds of one row
+    rng = random.Random(77)
+    n, k, rows = 4, 8, 3
+    flat = [rng.gauss(1.5, 0.8) for _ in range(rows * k)]
+    got, st_c, st_s = run_softmax_star_shared(flat, DEFAULT_CONFIG, seed=78,
+                                              iterations=n, row_len=k)
+    _, one_c, one_s = run_softmax_star_shared(flat[:k], DEFAULT_CONFIG,
+                                              seed=78, iterations=n)
+    assert st_c.rounds == st_s.rounds == one_c.rounds == one_s.rounds \
+        == 6 + 4 * n
+    for i in range(rows):
+        want = softmax_star_plain(flat[i * k:(i + 1) * k])
+        for g, w in zip(got[i * k:(i + 1) * k], want):
+            assert abs(g - w) <= 2e-2
+
+
+def test_shared_softmax_star_rejects_partial_rows():
+    with pytest.raises(UsageError):
+        run_softmax_star_shared([1.0] * 10, DEFAULT_CONFIG, row_len=4)
 
 
 # ----------------------------------------------------- shared layernorm
@@ -278,3 +302,29 @@ def test_shared_layernorm_output_moments():
 def test_shared_layernorm_parameter_validation():
     with pytest.raises(UsageError):
         run_layernorm_shared([1.0, 2.0], [1.0], [0.0, 0.0], DEFAULT_CONFIG)
+
+
+def test_shared_layernorm_rows_cost_one_row():
+    # rows of len(gamma) in one call cost the 3 + 2n rounds of one row
+    rng = random.Random(79)
+    k, rows = 16, 3
+    n = 8
+    ones, zeros = [1.0] * k, [0.0] * k
+    flat = [rng.gauss(0.0, 1.0) for _ in range(rows * k)]
+    got, st_c, st_s = run_layernorm_shared(flat, ones, zeros, DEFAULT_CONFIG,
+                                           seed=80, iterations=n)
+    _, one_c, one_s = run_layernorm_shared(flat[:k], ones, zeros,
+                                           DEFAULT_CONFIG, seed=80,
+                                           iterations=n)
+    assert st_c.rounds == st_s.rounds == one_c.rounds == one_s.rounds \
+        == 3 + 2 * n
+    for i in range(rows):
+        want = layernorm_plain(flat[i * k:(i + 1) * k], ones, zeros)
+        for g, w in zip(got[i * k:(i + 1) * k], want):
+            assert abs(g - w) <= 2e-2
+
+
+def test_shared_layernorm_rejects_partial_rows():
+    with pytest.raises(UsageError):
+        run_layernorm_shared([1.0] * 10, [1.0] * 4, [0.0] * 4,
+                             DEFAULT_CONFIG)

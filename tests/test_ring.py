@@ -3,6 +3,9 @@ Beaver multiplication, exercised at both supported ring widths."""
 
 import math
 import random
+import struct
+import sys
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -59,14 +62,15 @@ def test_range_errors():
        st.lists(st.one_of(st.integers(), st.integers(-2 ** 66, 2 ** 66)),
                 max_size=40))
 def test_element_codec_roundtrip(l, values):
-    # widths 4 and 8 go through array('I')/array('Q'); the frames must be
-    # the little-endian int.to_bytes frames every other width uses
+    # widths 4 and 8 go through array('I')/array('Q') and decode to an
+    # array; the frames must be the little-endian int.to_bytes frames
+    # every other width uses
     codec = FixedPointCodec(l=l, f=2)
     width, mod = codec.element_bytes, codec.modulus
     payload = _encode_elements(values, codec)
     assert payload == b"".join((v % mod).to_bytes(width, "little")
                                for v in values)
-    assert _decode_elements(payload, len(values), codec) == [
+    assert list(_decode_elements(payload, len(values), codec)) == [
         v % mod for v in values]
     with pytest.raises(ProtocolError):
         _decode_elements(payload + b"\0", len(values), codec)
@@ -349,6 +353,46 @@ def test_beaver_soundness_l32(codec32):
             assert abs(g - x * y) <= tol
 
 
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from([(FixedPointCodec(l=32, f=12), 0.125),
+                        (FixedPointCodec(), 256.0)]), st.data())
+def test_compact_beaver_product_and_frame(ring, data):
+    # the openings travel as arrays, yet the frame must be the
+    # int.to_bytes encoding of d || e, and the product the plain one within
+    # the truncation bound. Operands shrink with the ring width, as in the
+    # soundness tests, so the wrap probability stays negligible
+    codec, span = ring
+    mod, width = codec.modulus, codec.element_bytes
+    count = data.draw(st.integers(0, 12))
+    grid = st.floats(-span, span).map(lambda v: quantize(v, codec))
+    xs = data.draw(st.lists(grid, min_size=count, max_size=count))
+    ys = data.draw(st.lists(grid, min_size=count, max_size=count))
+    seed = data.draw(st.integers(0, 2 ** 16))
+    rng = random.Random(seed)
+    shares = [make_shares(v, codec, rng) for v in xs + ys]
+    frames = {}
+
+    def party_fn(party, values, channel, triples):
+        a, b, c = triples.take(count)
+        channel.start_transcript()
+        out = beaver_mul_batch(party, values[:count], values[count:],
+                               (a, b, c), channel, codec)
+        masks = list(a) + list(b)
+        payload = b"".join(((v - t) % mod).to_bytes(width, "little")
+                           for v, t in zip(values, masks))
+        frames[party] = (channel.transcript(),
+                         struct.pack("<I", len(payload)) + payload)
+        return out
+
+    got, _, _ = run_session(party_fn, [p[0].value for p in shares],
+                            [p[1].value for p in shares],
+                            DealerState(codec, seed=seed + 1))
+    for sent, want in frames.values():
+        assert sent == want
+    for g, x, y in zip(got, xs, ys):
+        assert abs(g - x * y) <= 4 * 2.0 ** -codec.f
+
+
 def test_beaver_rejects_mismatched_batches(codec):
     a, b = open_inproc()
     with pytest.raises(UsageError):
@@ -395,6 +439,31 @@ def test_dealer_budget_overrun_raises_before_any_draw(codec):
     assert dealer._rng.getstate() == state
     assert dealer.issued == 0
     assert sc.take(3) == DealerState(codec, seed=0).pair_streams()[0].take(3)
+
+
+@pytest.mark.parametrize("l", [32, 40, 64])
+def test_dealer_draws_match_single_draws(l, monkeypatch):
+    # at l = 32 and 64 (little-endian host) one wide getrandbits call
+    # stands in for a batch of single draws; l = 40 keeps the loop. The
+    # values and the generator state after must be the single draws' own
+    count = 37
+    dealer = DealerState(FixedPointCodec(l=l, f=8), seed=11)
+    calls = []
+    draw = dealer._rng.getrandbits
+
+    def counted(bits):
+        calls.append(bits)
+        return draw(bits)
+
+    monkeypatch.setattr(dealer._rng, "getrandbits", counted)
+    reference = random.Random(11)
+    want = [reference.getrandbits(l) for _ in range(count)]
+    got = dealer._draws(count)
+    assert list(got) == want
+    assert dealer._rng.getstate() == reference.getstate()
+    wide = l in (32, 64) and sys.byteorder == "little"
+    assert calls == ([l * count] if wide else [l] * count)
+    assert isinstance(got, array) == (l != 40)
 
 
 def test_dealer_is_deterministic(codec):

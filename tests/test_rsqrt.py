@@ -4,10 +4,13 @@ loop, and the full pipeline with its counted communication."""
 
 import math
 import random
+import time
 
 import pytest
 
-from rootshare.errors import ConfigError, DivergenceError, RangeError
+from rootshare import transport
+from rootshare.errors import ConfigError, DivergenceError, RangeError, \
+    TransportError
 from rootshare.flood import (ActivationSampler, FloodConfig, draw_flood_mask,
                              flood_share)
 from rootshare.ring import (CLIENT, SERVER, DealerState, FixedPointCodec,
@@ -15,8 +18,9 @@ from rootshare.ring import (CLIENT, SERVER, DealerState, FixedPointCodec,
 from rootshare.rsqrt import (MAGIC_K1, NewtonConfig, SeedParams,
                              bits_to_value_batch, closeness_sweep,
                              newton_plain, newton_shared_batch,
-                             run_shared_rsqrt, seed_local, seed_share_client,
-                             seed_share_server, seed_shares)
+                             rsqrt_shared_batch, run_shared_rsqrt, seed_local,
+                             seed_share_client, seed_share_server,
+                             seed_shares)
 from rootshare.transport import open_inproc
 
 
@@ -256,15 +260,16 @@ def test_newton_shared_tracks_plain():
 
 
 def test_newton_shared_comm_cost():
-    # 3 multiplications per iteration, each 1 round and 2 elements
+    # 3 multiplications per iteration in 2 rounds, one frame each; every
+    # multiplication opens 2 elements
     codec = FixedPointCodec()
     rng = random.Random(43)
     n = 4
     _, st_c, st_s = _newton(make_shares(1.8, codec, rng),
                             make_shares(0.7, codec, rng), n, codec, 44)
     for st in (st_c, st_s):
-        assert st.rounds == 3 * n
-        assert st.frames == 3 * n
+        assert st.rounds == 2 * n
+        assert st.frames == 2 * n
         assert st.payload_bytes == 3 * n * 2 * codec.element_bytes
 
 
@@ -314,14 +319,15 @@ def test_pipeline_worked_example():
     results, st_c, st_s = run_shared_rsqrt(
         [(c.value, s.value)], codec, SeedParams(), NewtonConfig(iterations=4),
         dealer_seed=0)
-    assert results[0] == 0.567962646484375
+    assert results[0] == 0.5679473876953125
     assert abs(results[0] - 1.0 / math.sqrt(3.1)) <= 1e-4
-    # the flooded conversion is free: 3 rounds per iteration, 2 elements each
+    # the flooded conversion is free: 2 rounds per iteration, opening 4
+    # and then 2 elements
     for st in (st_c, st_s):
-        assert st.rounds == 12
-        assert st.frames == 12
-        assert st.bytes_sent == 240
-        assert st.payload_bytes == 12 * 2 * codec.element_bytes
+        assert st.rounds == 8
+        assert st.frames == 8
+        assert st.bytes_sent == 224
+        assert st.payload_bytes == 4 * 6 * codec.element_bytes
 
 
 def test_flooded_seed_with_conversion_costs_nothing():
@@ -357,6 +363,40 @@ def test_pipeline_socket_matches_inproc_bytes_and_values():
     assert res_i == res_s
     assert sti_c.bytes_sent == sts_c.bytes_sent
     assert sti_c.frames == sts_c.frames
+
+
+def test_batch_over_the_frame_cap_fails_at_once_on_both_parties(
+        monkeypatch):
+    # the fused Newton round opens 4 ring elements per element, the largest
+    # frame of a flooded rsqrt; with the cap set to fit m elements, m pass
+    # and m + 1 fail on both parties at their first send, without waiting
+    # for a receive to time out
+    codec = FixedPointCodec()
+    m = 3
+    monkeypatch.setattr(transport, "MAX_FRAME_BYTES",
+                        4 * m * codec.element_bytes)
+    rng = random.Random(56)
+    pairs = []
+    for x in (0.8, 1.6, 2.7, 3.1):
+        c, s = flood_share(x, draw_flood_mask(FloodConfig(), rng), codec)
+        pairs.append((c.value, s.value))
+    args = (codec, SeedParams(), NewtonConfig(iterations=4))
+    run_shared_rsqrt(pairs[:m], *args, dealer_seed=57)
+    failed = {}
+
+    def party_fn(party, values, channel, triples):
+        try:
+            return rsqrt_shared_batch(party, values, channel, *args, triples)
+        except TransportError as exc:
+            failed[party] = exc
+            raise
+
+    started = time.perf_counter()
+    with pytest.raises(TransportError, match="exceeds"):
+        run_session(party_fn, [p[0] for p in pairs], [p[1] for p in pairs],
+                    DealerState(codec, seed=57))
+    assert time.perf_counter() - started < 5.0
+    assert set(failed) == {CLIENT, SERVER}
 
 
 def test_pipeline_flooded_accuracy_batch():
