@@ -2,9 +2,9 @@
 seed: additive sharing, Beaver multiplication, share flooding, smooth-unit
 non-linear layers, and counted-communication benchmarks."""
 
-from .errors import ConfigError, ConstructionError, DivergenceError, \
-    ProtocolError, RangeError, RootshareError, TransportError, \
-    UnsupportedValueError, UsageError
+from .errors import ConfigError, ConstructionError, ProtocolError, \
+    RangeError, RootshareError, TransportError, UnsupportedValueError, \
+    UsageError
 from .ring import CLIENT, SERVER, PARTIES, DealerState, FixedPointCodec, \
     RingShare, TripleStream, beaver_mul_batch, linear_combine, make_shares, \
     matmul_shared, reconstruct, reconstruct_raw, run_session, split_values, \
@@ -27,10 +27,9 @@ from .nonlinear import GELU_PARAMS, RELU_PARAMS, SmuParams, gelu_plain, \
     run_smu_shared, run_softmax_star_shared, smu_plain, smu_shared_batch, \
     softmax_plain, softmax_star_plain, softmax_star_shared
 from .bench import AblationRow, EncoderSites, LutCostModel, ReportRow, \
-    ToyEncoderConfig, comm_report, count_rsqrt_element, \
-    count_rsqrt_element_bytes, crypten_seed, crypten_seed_cost, \
-    flood_ablation, generate_weights, load_weights_csv, lut_cost, \
-    save_weights_csv, taylor_cost, taylor_seed, toy_encoder_infer, \
+    ToyEncoderConfig, comm_report, count_rsqrt_element_bytes, crypten_seed, \
+    crypten_seed_cost, flood_ablation, generate_weights, load_weights_csv, \
+    lut_cost, save_weights_csv, taylor_seed, toy_encoder_infer, \
     write_report_csv
 
 __version__ = "0.1.0"

@@ -77,10 +77,6 @@ def taylor_seed(x: float, order: int) -> float:
     return acc
 
 
-def taylor_cost(order: int) -> int:
-    return order
-
-
 def crypten_seed(x: float) -> float:
     """Exponential-decay seed 2.2 * exp(-x/2 + 1/5) + 1/5."""
     if not x > 0:
@@ -94,20 +90,13 @@ def crypten_seed_cost(exp_squarings: int = 8, newton_iters: int = 10) -> int:
     return exp_squarings + 3 * newton_iters
 
 
-def count_rsqrt_element(cfg: ProtocolConfig = DEFAULT_CONFIG,
-                        x: float = 3.1, mask_offset: float = 3.098):
-    """Counted per-party online stats for one flooded shared rsqrt element."""
-    codec = cfg.codec
-    mask = flood_mask(mask_offset, cfg.flood.F)
-    share_c, share_s = flood_share(x, mask, codec)
-    _, stats_c, stats_s = run_shared_rsqrt(
-        [(share_c.value, share_s.value)], codec, cfg.seed, cfg.newton)
-    return stats_c, stats_s
-
-
 def count_rsqrt_element_bytes(cfg: ProtocolConfig = DEFAULT_CONFIG) -> int:
-    """Per-party online bytes (headers included) for one rsqrt element."""
-    stats_c, stats_s = count_rsqrt_element(cfg)
+    """Per-party online bytes (headers included) for one flooded shared
+    rsqrt element, x = 3.1 behind the mask at offset 3.098."""
+    share_c, share_s = flood_share(3.1, flood_mask(3.098, cfg.flood.F),
+                                   cfg.codec)
+    _, stats_c, stats_s = run_shared_rsqrt(
+        [(share_c.value, share_s.value)], cfg.codec, cfg.seed, cfg.newton)
     return max(stats_c.bytes_sent, stats_s.bytes_sent)
 
 
@@ -404,7 +393,7 @@ def _encoder_plain(cfg: ToyEncoderConfig, x_rows, weights):
 
 def _encoder_shared(cfg: ToyEncoderConfig, x_rows, weights,
                     protocol: ProtocolConfig, sites: EncoderSites,
-                    dealer_budget, transport: str):
+                    transport: str):
     s, d, f = cfg.seq_len, cfg.model_dim, cfg.ffn_dim
     dh = d // cfg.heads
     codec = protocol.codec
@@ -417,26 +406,22 @@ def _encoder_shared(cfg: ToyEncoderConfig, x_rows, weights,
     for name in ("wq", "wk", "wv", "wo", "w1", "w2"):
         halves[name] = split_values(weights[name], codec, rng)
 
-    dealer = DealerState(codec, seed=cfg.seed + 202, budget=dealer_budget)
-    buckets = {}
+    dealer = DealerState(codec, seed=cfg.seed + 202)
+    matmul_bytes = {}
     n_iter = sites.iterations
     smu_cfg = protocol.with_site(E_m=sites.ffn_E_m, iterations=n_iter)
 
     def party_fn(party, w, ep, stream):
         flood_rng = random.Random(cfg.seed + 303) if party == SERVER else None
-        counts = buckets[party] = {"matmul": 0, "nonlinear": 0}
+        matmul_bytes[party] = 0
         mod = codec.modulus
-
-        def counted(bucket, fn_call):
-            before = ep.stats().bytes_sent
-            out = fn_call()
-            counts[bucket] += ep.stats().bytes_sent - before
-            return out
 
         def mm(a, b, m, kk, nn):
             triple = stream.take_matrix(m, kk, nn)
-            return counted("matmul", lambda: matmul_shared(
-                party, a, b, triple, m, kk, nn, ep, codec))
+            before = ep.stats().bytes_sent
+            out = matmul_shared(party, a, b, triple, m, kk, nn, ep, codec)
+            matmul_bytes[party] += ep.stats().bytes_sent - before
+            return out
 
         q = mm(w["x"], w["wq"], s, d, d)
         k = mm(w["x"], w["wk"], s, d, d)
@@ -450,44 +435,47 @@ def _encoder_shared(cfg: ToyEncoderConfig, x_rows, weights,
             scores = mm(qh, _transpose(kh, s, dh), s, dh, s)
             scores = scalar_mul_values(party, scores,
                                        1.0 / math.sqrt(dh), codec)
-            att = counted("nonlinear", lambda: softmax_star_shared(
-                party, scores, ep, protocol, stream, flood_rng,
-                sites.softmax_num_E_m, sites.softmax_den_E_m, n_iter, s))
+            att = softmax_star_shared(party, scores, ep, protocol, stream,
+                                      flood_rng, sites.softmax_num_E_m,
+                                      sites.softmax_den_E_m, n_iter, s)
             ctx_h = mm(att, vh, s, s, dh)
             for i in range(s):
                 for j in range(dh):
                     ctx[i * d + j0 + j] = ctx_h[i * dh + j]
         attn = mm(ctx, w["wo"], s, d, d)
         h0 = [(a + b) % mod for a, b in zip(w["x"], attn)]
-        h1 = counted("nonlinear", lambda: layernorm_shared(
-            party, h0, weights["ln1_gamma"], weights["ln1_beta"], ep,
-            protocol, stream, flood_rng, sites.ln1_E_m, n_iter))
+        h1 = layernorm_shared(party, h0, weights["ln1_gamma"],
+                              weights["ln1_beta"], ep, protocol, stream,
+                              flood_rng, sites.ln1_E_m, n_iter)
         pre = mm(h1, w["w1"], s, d, f)
         b1 = weights["b1"] * s
         pre = add_public_values(party, pre, b1, codec)
-        act = counted("nonlinear", lambda: smu_shared_batch(
-            party, pre, GELU_PARAMS, ep, smu_cfg, stream, flood_rng))
+        act = smu_shared_batch(party, pre, GELU_PARAMS, ep, smu_cfg, stream,
+                               flood_rng)
         f2 = mm(act, w["w2"], s, f, d)
         b2 = weights["b2"] * s
         f2 = add_public_values(party, f2, b2, codec)
         h2 = [(a + b) % mod for a, b in zip(h1, f2)]
-        return counted("nonlinear", lambda: layernorm_shared(
-            party, h2, weights["ln2_gamma"], weights["ln2_beta"], ep,
-            protocol, stream, flood_rng, sites.ln2_E_m, n_iter))
+        return layernorm_shared(party, h2, weights["ln2_gamma"],
+                                weights["ln2_beta"], ep, protocol, stream,
+                                flood_rng, sites.ln2_E_m, n_iter)
 
     flat, stats_c, stats_s = run_session(
         party_fn, {name: pair[0] for name, pair in halves.items()},
         {name: pair[1] for name, pair in halves.items()}, dealer, transport)
     rows = [flat[i * d:(i + 1) * d] for i in range(s)]
-    bytes_by = {name: sum(counts[name] for counts in buckets.values())
-                for name in ("matmul", "nonlinear")}
-    bytes_by["total"] = stats_c.bytes_sent + stats_s.bytes_sent
+    total = stats_c.bytes_sent + stats_s.bytes_sent
+    matmul = sum(matmul_bytes.values())
     info = {
         "client": stats_c,
         "server": stats_s,
-        "bytes": bytes_by,
+        # every frame outside mm comes from a non-linear layer
+        "bytes": {"matmul": matmul, "nonlinear": total - matmul,
+                  "total": total},
         "rounds": max(stats_c.rounds, stats_s.rounds),
-        "rsqrt_elements": s * s + s + s * f + 2 * s,
+        # per head: s*s softmax numerators and s denominators; then s*f
+        # smooth units and s variances at each of the two layernorms
+        "rsqrt_elements": cfg.heads * (s * s + s) + s * f + 2 * s,
     }
     return rows, info
 
@@ -496,7 +484,6 @@ def toy_encoder_infer(cfg: ToyEncoderConfig, x_rows, mode: str = "plain",
                       protocol: ProtocolConfig = DEFAULT_CONFIG,
                       sites: EncoderSites = EncoderSites(),
                       weights: dict | None = None,
-                      dealer_budget: int | None = None,
                       transport: str = "inproc"):
     """One encoder block: attention with normalized positive weights,
     residual + layernorm, smooth-unit FFN, residual + layernorm.
@@ -514,7 +501,7 @@ def toy_encoder_infer(cfg: ToyEncoderConfig, x_rows, mode: str = "plain",
         return _encoder_plain(cfg, x_rows, weights)
     if mode == "shared":
         return _encoder_shared(cfg, x_rows, weights, protocol, sites,
-                               dealer_budget, transport)
+                               transport)
     raise ConfigError(f"unknown mode {mode!r}; expected plain or shared")
 
 

@@ -225,7 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("plain", "shared", "both"),
                    default="both")
     p.add_argument("--weights", help="weight CSV (name,i,j,value)")
-    p.add_argument("--iterations", type=int)
     p.set_defaults(fn=_cmd_toy_infer)
 
     p = sub.add_parser("flood-ablation",

@@ -35,7 +35,3 @@ class UnsupportedValueError(RangeError):
 
 class ConstructionError(RootshareError, ValueError):
     """A requested adversarial share split cannot be realised."""
-
-
-class DivergenceError(RootshareError, ArithmeticError):
-    """A Newton iterate left the configured safety interval."""

@@ -194,8 +194,7 @@ def softmax_star_shared(party: str, row_values, channel,
 def layernorm_shared(party: str, row_values, gamma, beta, channel,
                      cfg: ProtocolConfig, triples, rng=None,
                      E_m: int = LAYERNORM_E_M,
-                     iterations: int = LAYERNORM_ITERATIONS,
-                     eps: float = LAYERNORM_EPS):
+                     iterations: int = LAYERNORM_ITERATIONS):
     """Layer normalization of rows of shares with public gamma, beta.
 
     row_values is a flat, row-major batch of rows of len(gamma) shares.
@@ -218,7 +217,7 @@ def layernorm_shared(party: str, row_values, gamma, beta, channel,
     sq = beaver_mul_batch(party, centered, centered,
                           triples.take(len(centered)), channel, codec)
     var = scalar_mul_values(party, _row_sums(sq, rows, k), 1.0 / k, codec)
-    var = add_public_values(party, var, eps, codec)
+    var = add_public_values(party, var, LAYERNORM_EPS, codec)
     var = flood_reshare_batch(party, var, channel, codec, site.flood, rng)
     y = rsqrt_shared_batch(party, var, channel, codec, site.seed,
                            site.newton, triples, flooded=True)

@@ -35,7 +35,6 @@ class FixedPointCodec:
 
     l: int = 64
     f: int = 16
-    signed: bool = True
 
     def __post_init__(self):
         if not (isinstance(self.l, int) and isinstance(self.f, int)):
@@ -66,7 +65,7 @@ class FixedPointCodec:
 
     def decode(self, v: int) -> float:
         v %= self.modulus
-        if self.signed and v >= self.modulus // 2:
+        if v >= self.modulus // 2:
             v -= self.modulus
         return v / self.scale
 
@@ -106,17 +105,15 @@ def split_values(values, codec: FixedPointCodec, rng: random.Random):
     return client, server
 
 
-def reconstruct(sc: RingShare, ss: RingShare, codec: FixedPointCodec) -> float:
-    if {sc.party, ss.party} != set(PARTIES):
-        raise UsageError("reconstruct needs one share from each party")
-    return codec.decode((sc.value + ss.value) % codec.modulus)
-
-
 def reconstruct_raw(sc: RingShare, ss: RingShare, codec: FixedPointCodec) -> int:
     """Ring-integer sum of a share pair, without fixed-point decoding."""
     if {sc.party, ss.party} != set(PARTIES):
         raise UsageError("reconstruct needs one share from each party")
     return (sc.value + ss.value) % codec.modulus
+
+
+def reconstruct(sc: RingShare, ss: RingShare, codec: FixedPointCodec) -> float:
+    return codec.decode(reconstruct_raw(sc, ss, codec))
 
 
 def linear_combine(shares, coeffs, constant: int, codec: FixedPointCodec) -> RingShare:
@@ -227,27 +224,17 @@ class DealerState:
     the dealer keeps the peer's half until the peer takes it and then
     releases the batch, so it holds only the batches in flight. Dealer
     traffic is offline setup material and is not counted by the online
-    channel stats. An optional budget caps the number of items issued (a
-    batch of n scalar triples or zero shares counts n, a matrix triple one)
-    and models a finite preprocessing supply.
+    channel stats. issued counts the items handed out so far: a batch of n
+    scalar triples or zero shares counts n, a matrix triple one.
     """
 
-    def __init__(self, codec: FixedPointCodec, seed: int = 0,
-                 budget: int | None = None):
+    def __init__(self, codec: FixedPointCodec, seed: int = 0):
         self.codec = codec
         self._rng = random.Random(seed)
-        self._budget = budget
         self._lock = threading.Lock()
         self.issued = 0
         self._batches = 0
         self._pending: dict = {}
-
-    def _charge(self, items: int) -> None:
-        if self._budget is not None and self.issued + items > self._budget:
-            raise ProtocolError(
-                f"dealer budget of {self._budget} items exhausted "
-                f"({self.issued} issued, {items} requested)")
-        self.issued += items
 
     def _draws(self, count: int):
         """count uniform l-bit draws, held as _elements holds them.
@@ -275,7 +262,7 @@ class DealerState:
         """
         mod = self.codec.modulus
         if kind[0] == "scalar":
-            self._charge(kind[1])
+            self.issued += kind[1]
             r = self._draws(5 * kind[1])
             a, b, a_c, b_c, c_c = (r[i::5] for i in range(5))
             return (a_c, b_c, c_c), (
@@ -283,11 +270,11 @@ class DealerState:
                 [(x - y) % mod for x, y in zip(b, b_c)],
                 [(x * y - z) % mod for x, y, z in zip(a, b, c_c)])
         if kind[0] == "zero":
-            self._charge(kind[1])
+            self.issued += kind[1]
             r = self._draws(kind[1])
             return r, [(-x) % mod for x in r]
         m, k, n = kind[1:]
-        self._charge(1)
+        self.issued += 1
         a = self._draws(m * k)
         b = self._draws(k * n)
         c = _mat_mul_mod(a, b, m, k, n, mod)
@@ -408,16 +395,13 @@ def matmul_shared(party: str, a_values, b_values, triple,
     peer = _decode_elements(channel.recv_frame(), m * k + k * n, codec)
     d = [(u + v) % mod for u, v in zip(d_own, peer[:m * k])]
     e = [(u + v) % mod for u, v in zip(e_own, peer[m * k:])]
-    z = rc[:]
+    if party == SERVER:
+        # the server also adds D E, folded in as D (R_b + E)
+        rb = [(r + v) % mod for r, v in zip(rb, e)]
     db = _mat_mul_mod(d, rb, m, k, n, mod)
     ae = _mat_mul_mod(ra, e, m, k, n, mod)
-    for i in range(m * n):
-        z[i] = (z[i] + db[i] + ae[i]) % mod
-    if party == SERVER:
-        de = _mat_mul_mod(d, e, m, k, n, mod)
-        for i in range(m * n):
-            z[i] = (z[i] + de[i]) % mod
-    return truncate_local(party, z, codec)
+    return truncate_local(party, [c + u + v for c, u, v in zip(rc, db, ae)],
+                          codec)
 
 
 def run_session(party_fn, client_values, server_values, dealer: DealerState,

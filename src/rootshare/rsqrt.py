@@ -21,9 +21,9 @@ import math
 import random
 from dataclasses import dataclass
 
-from .errors import ConfigError, DivergenceError, RangeError
-from .floatbits import compose, decompose, pack_integer, to_binary32, \
-    unpack_integer
+from .errors import ConfigError, RangeError
+from .floatbits import BIAS, L, compose, decompose, pack_integer, \
+    to_binary32, unpack_integer
 from .ring import CLIENT, DealerState, FixedPointCodec, \
     beaver_mul_batch, run_session, truncate_local
 
@@ -39,27 +39,21 @@ LINEARIZE_MANTISSA = 0.375
 class SeedParams:
     """Constants of the communication-free seed.
 
-    K1 is the classic one-party magic integer, pinned verbatim. K2 and the
-    flooding compensation are derived at construction time, never copied
-    from hand arithmetic: K2 = round((3B - 3b - 1) * L / 2) merges the two
-    share halves, comp = (E_f - E_m) * L / 2 removes the systematic
-    exponent bias flooding introduces.
+    B and L are the binary32 exponent bias and mantissa scale from
+    floatbits. K2 and the flooding compensation are derived from the
+    fields, never copied from hand arithmetic: K2 = round((3B - 3b - 1) *
+    L / 2) merges the two share halves, comp = (E_f - E_m) * L / 2 removes
+    the systematic exponent bias flooding introduces. The one-party seed
+    uses the classic magic integer MAGIC_K1 instead.
     """
 
     b: float = 0.045
-    B: int = 127
-    L: int = 1 << 23
-    K1: int = MAGIC_K1
     E_f: int = 140
     E_m: int = 128
 
     def __post_init__(self):
         if not 0 <= self.b < 1:
             raise ConfigError(f"log-linearization constant b={self.b} outside [0, 1)")
-        if self.L <= 0 or self.L & (self.L - 1):
-            raise ConfigError("L must be a positive power of two")
-        if self.K1 <= 0:
-            raise ConfigError("K1 must be positive")
         for name in ("E_f", "E_m"):
             value = getattr(self, name)
             if not 1 <= value <= 254:
@@ -67,16 +61,16 @@ class SeedParams:
 
     @property
     def K2(self) -> int:
-        return round((3 * self.B - 3 * self.b - 1) * self.L / 2)
+        return round((3 * BIAS - 3 * self.b - 1) * L / 2)
 
     @property
     def comp(self) -> int:
-        return ((self.E_f - self.E_m) * self.L) // 2
+        return ((self.E_f - self.E_m) * L) // 2
 
     @property
     def C0(self) -> int:
         # splits the masked opening's exponential between the two factors
-        return round(self.L * (self.E_f + 0.5) / 4)
+        return round(L * (self.E_f + 0.5) / 4)
 
 
 @dataclass(frozen=True)
@@ -88,15 +82,16 @@ class NewtonConfig:
             raise ConfigError(f"iterations={self.iterations} outside 0..16")
 
 
-def seed_local(x: float, params: SeedParams = SeedParams()) -> float:
-    """One-party seed: compose(K1 - packed(x)/2), relative error under 5%."""
+def seed_local(x: float) -> float:
+    """One-party seed: compose(MAGIC_K1 - packed(x)/2), relative error
+    under 5%."""
     if not (isinstance(x, (int, float)) and math.isfinite(x) and x > 0):
         raise RangeError(f"seed_local needs a positive finite input, got {x!r}")
     i_x = pack_integer(decompose(to_binary32(x))).i
-    return compose(unpack_integer(params.K1 - (i_x >> 1)))
+    return compose(unpack_integer(MAGIC_K1 - (i_x >> 1)))
 
 
-def _packed_magnitude(value: float, params: SeedParams) -> int:
+def _packed_magnitude(value: float) -> int:
     mag = abs(value)
     if mag < MIN_MAGNITUDE:
         mag = MIN_MAGNITUDE
@@ -105,14 +100,14 @@ def _packed_magnitude(value: float, params: SeedParams) -> int:
 
 def seed_share_client(fc: float, params: SeedParams = SeedParams()) -> int:
     """Client half of the seed: minus a quarter of its packed magnitude."""
-    return -(_packed_magnitude(fc, params) >> 2)
+    return -(_packed_magnitude(fc) >> 2)
 
 
 def seed_share_server(fs: float, params: SeedParams = SeedParams(),
                       flooded: bool = True) -> int:
     """Server half: quarter-shifted packed magnitude plus the merge constant
     K2, plus the flooding compensation when the shares are flooded."""
-    o = -(_packed_magnitude(fs, params) >> 2) + params.K2
+    o = -(_packed_magnitude(fs) >> 2) + params.K2
     if flooded:
         o += params.comp
     return o
@@ -149,20 +144,20 @@ def bits_to_value_batch(party: str, o_values, channel,
     """
     if flooded:
         p0 = params.K2 + params.comp - round(
-            (params.E_f + LINEARIZE_MANTISSA) * params.L / 2)
-        v0 = 2.0 ** (p0 / params.L - params.B)
-        slope = v0 * math.log(2.0) / params.L
+            (params.E_f + LINEARIZE_MANTISSA) * L / 2)
+        v0 = 2.0 ** (p0 / L - BIAS)
+        slope = v0 * math.log(2.0) / L
         if party == CLIENT:
             return [codec.encode(slope * o) for o in o_values]
         offset = v0 - slope * p0
         return [codec.encode(slope * o + offset) for o in o_values]
     if party == CLIENT:
-        x_vals = [codec.encode(2.0 ** ((o + params.C0) / params.L))
+        x_vals = [codec.encode(2.0 ** ((o + params.C0) / L))
                   for o in o_values]
         y_vals = [0] * len(o_values)
     else:
         x_vals = [0] * len(o_values)
-        y_vals = [codec.encode(2.0 ** ((o - params.C0) / params.L - params.B))
+        y_vals = [codec.encode(2.0 ** ((o - params.C0) / L - BIAS))
                   for o in o_values]
     return beaver_mul_batch(party, x_vals, y_vals,
                             triples.take(len(o_values)), channel, codec)
@@ -183,31 +178,26 @@ def newton_plain(x: float, y0: float, n: int) -> float:
 
 
 def newton_shared_batch(party: str, x_values, y_values, n: int, triples,
-                        channel, codec: FixedPointCodec, probe=None):
+                        channel, codec: FixedPointCodec):
     """n shared Newton iterations on batches, two rounds each.
 
     The step y' = y * (3/2 - x/2 * y^2) is taken as y + y/2 - (y*y) *
     ((x/2)*y): round 1 forms y*y and (x/2)*y together in one
     multiplication batch of 2m elements, round 2 multiplies the two, and
     the rest is local (y/2 and x/2 by one-bit local truncations). That is
-    still three multiplications per element per iteration. probe, when
-    given, is called after every iteration with (iteration, own share
-    values) and is meant for test or bench harnesses only; a truthy return
-    raises DivergenceError.
+    still three multiplications per element per iteration.
     """
     mod = codec.modulus
     m = len(y_values)
     half_x = truncate_local(party, x_values, codec, 1)
     y = list(y_values)
-    for k in range(n):
+    for _ in range(n):
         pair = beaver_mul_batch(party, y + half_x, y + y,
                                 triples.take(2 * m), channel, codec)
         product = beaver_mul_batch(party, pair[:m], pair[m:],
                                    triples.take(m), channel, codec)
         half_y = truncate_local(party, y, codec, 1)
         y = [(u + h - p) % mod for u, h, p in zip(y, half_y, product)]
-        if probe is not None and probe(k, list(y)):
-            raise DivergenceError(f"iterate left the safe interval at step {k}")
     return y
 
 

@@ -6,15 +6,16 @@ import random
 
 import pytest
 
+from rootshare import nonlinear
 from rootshare.bench import (REPORT_COLUMNS, REPORT_SCENARIOS, TAYLOR_COEFFS,
                              TAYLOR_HIGH_ORDER, TAYLOR_LOW_ORDER,
                              LutCostModel, ToyEncoderConfig, comm_report,
                              count_rsqrt_element_bytes, crypten_seed,
                              crypten_seed_cost, flood_ablation,
                              generate_weights, load_weights_csv, lut_cost,
-                             save_weights_csv, taylor_cost, taylor_seed,
+                             save_weights_csv, taylor_seed,
                              toy_encoder_infer, write_report_csv)
-from rootshare.errors import ConfigError, ProtocolError, RangeError
+from rootshare.errors import ConfigError, RangeError
 from rootshare.ring import CLIENT, TripleStream
 
 
@@ -56,7 +57,6 @@ def test_taylor_coefficients_are_central_binomials():
         assert c == want
     assert TAYLOR_LOW_ORDER == 2
     assert TAYLOR_HIGH_ORDER == 7
-    assert taylor_cost(TAYLOR_HIGH_ORDER) == 7
 
 
 def test_taylor_seed_values():
@@ -221,21 +221,29 @@ def test_encoder_shared_matches_plain():
                 for g, w in zip(gr, wr))
     assert worst <= 1e-2
 
-    s, d, f = cfg.seq_len, cfg.model_dim, cfg.ffn_dim
-    assert info["rsqrt_elements"] == s * s + s + s * f + 2 * s
     by = info["bytes"]
     assert by["total"] == info["client"].bytes_sent \
         + info["server"].bytes_sent
-    assert 0 < by["matmul"] < by["nonlinear"]
-    assert by["matmul"] + by["nonlinear"] <= by["total"]
+    assert (by["matmul"], by["nonlinear"]) == (54336, 174436)
+    assert by["matmul"] + by["nonlinear"] == by["total"]
     assert info["rounds"] == 63
 
 
-def test_encoder_shared_dealer_budget_exhaustion():
-    cfg = ToyEncoderConfig()
-    x = _fixture_rows(cfg)
-    with pytest.raises(ProtocolError):
-        toy_encoder_infer(cfg, x, mode="shared", dealer_budget=10)
+@pytest.mark.parametrize("heads", [1, 2, 4])
+def test_encoder_rsqrt_elements_match_the_calls(heads, monkeypatch):
+    # every inverse square root of the encoder goes through one binding
+    counted = []
+    original = nonlinear.rsqrt_shared_batch
+
+    def counting(party, values, *args, **kwargs):
+        if party == CLIENT:
+            counted.append(len(values))
+        return original(party, values, *args, **kwargs)
+
+    monkeypatch.setattr(nonlinear, "rsqrt_shared_batch", counting)
+    cfg = ToyEncoderConfig(heads=heads)
+    _, info = toy_encoder_infer(cfg, _fixture_rows(cfg), mode="shared")
+    assert info["rsqrt_elements"] == sum(counted)
 
 
 def test_encoder_mode_validation():

@@ -94,6 +94,14 @@ def test_strategy_flag_is_rejected(tmp_path):
     assert exc.value.code != 0
 
 
+def test_toy_infer_iterations_flag_is_rejected(tmp_path):
+    # the encoder takes its iteration counts from its per-site settings
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["toy-infer", "--iterations", "1",
+                  "--out", str(tmp_path / "never.csv")])
+    assert exc.value.code == 2
+
+
 def test_config_file_flows_into_run(tmp_path):
     cfg_path = tmp_path / "proto.cfg"
     cfg_path.write_text("n = 2\n")

@@ -9,6 +9,7 @@ import random
 import struct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rootshare.errors import RangeError, UnsupportedValueError
 from rootshare.floatbits import (BIAS, L, FloatBits, SignedBitsInteger,
@@ -64,6 +65,15 @@ def test_compose_decompose_roundtrip_is_exact():
     for _ in range(300):
         x = (1.0 + rng.random()) * 2.0 ** rng.randint(-100, 100)
         assert decompose(compose(decompose(x))) == decompose(x)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.integers(0, 1), st.integers(1, 254), st.integers(0, L - 1))
+def test_pack_roundtrip_over_normal_bit_patterns(sign, E, M):
+    bits = (sign << 31) | (E << 23) | M
+    v = struct.unpack("<f", struct.pack("<I", bits))[0]
+    got = compose(unpack_integer(pack_integer(decompose(v)).i, sign))
+    assert struct.pack("<f", got) == struct.pack("<I", bits)
 
 
 def test_rejects_zero_and_subnormal():

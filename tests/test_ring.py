@@ -418,29 +418,6 @@ def test_triple_product_identity(codec):
 
 # ----------------------------------------------------------------- dealer
 
-def test_dealer_budget_exhaustion(codec):
-    dealer = DealerState(codec, seed=0, budget=5)
-    sc, ss = dealer.pair_streams()
-    sc.take(2)
-    ss.take(2)
-    sc.take_zeros(3)
-    ss.take_zeros(3)
-    assert dealer.issued == 5
-    with pytest.raises(ProtocolError, match="budget"):
-        sc.take(1)
-
-
-def test_dealer_budget_overrun_raises_before_any_draw(codec):
-    dealer = DealerState(codec, seed=0, budget=3)
-    state = dealer._rng.getstate()
-    sc, ss = dealer.pair_streams()
-    with pytest.raises(ProtocolError, match="budget"):
-        sc.take(4)
-    assert dealer._rng.getstate() == state
-    assert dealer.issued == 0
-    assert sc.take(3) == DealerState(codec, seed=0).pair_streams()[0].take(3)
-
-
 @pytest.mark.parametrize("l", [32, 40, 64])
 def test_dealer_draws_match_single_draws(l, monkeypatch):
     # at l = 32 and 64 (little-endian host) one wide getrandbits call
