@@ -6,9 +6,9 @@ from .errors import ConfigError, ConstructionError, ProtocolError, \
     RangeError, RootshareError, TransportError, UnsupportedValueError, \
     UsageError
 from .ring import CLIENT, SERVER, PARTIES, DealerState, FixedPointCodec, \
-    RingShare, TripleStream, beaver_mul_batch, linear_combine, make_shares, \
-    matmul_shared, reconstruct, reconstruct_raw, run_session, split_values, \
-    truncate_local
+    Masked, RingShare, TripleStream, beaver_mul_batch, linear_combine, \
+    make_shares, matmul_shared, reconstruct, reconstruct_raw, run_session, \
+    split_values, truncate_local
 from .floatbits import FloatBits, SignedBitsInteger, compose, decompose, \
     pack_integer, share_to_float, to_binary32, unpack_integer
 from .transport import CommStats, Endpoint, InprocEndpoint, SocketEndpoint, \

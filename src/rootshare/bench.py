@@ -402,8 +402,12 @@ def _encoder_shared(cfg: ToyEncoderConfig, x_rows, weights,
     x = [v for row in x_rows for v in row]
     if len(x_rows) != s or any(len(row) != d for row in x_rows):
         raise UsageError(f"input must be {s} rows of {d} values")
-    halves = {"x": split_values(x, codec, rng)}
-    for name in ("wq", "wk", "wv", "wo", "w1", "w2"):
+    # x [wq | wk | wv] is one matmul, so x is opened once for all three
+    wqkv = [v for i in range(d) for name in ("wq", "wk", "wv")
+            for v in weights[name][i * d:(i + 1) * d]]
+    halves = {"x": split_values(x, codec, rng),
+              "wqkv": split_values(wqkv, codec, rng)}
+    for name in ("wo", "w1", "w2"):
         halves[name] = split_values(weights[name], codec, rng)
 
     dealer = DealerState(codec, seed=cfg.seed + 202)
@@ -423,15 +427,13 @@ def _encoder_shared(cfg: ToyEncoderConfig, x_rows, weights,
             matmul_bytes[party] += ep.stats().bytes_sent - before
             return out
 
-        q = mm(w["x"], w["wq"], s, d, d)
-        k = mm(w["x"], w["wk"], s, d, d)
-        v = mm(w["x"], w["wv"], s, d, d)
+        qkv = mm(w["x"], w["wqkv"], s, d, 3 * d)
         ctx = [0] * (s * d)
         for h in range(cfg.heads):
             j0, j1 = h * dh, (h + 1) * dh
-            qh = _columns(q, s, d, j0, j1)
-            kh = _columns(k, s, d, j0, j1)
-            vh = _columns(v, s, d, j0, j1)
+            qh = _columns(qkv, s, 3 * d, j0, j1)
+            kh = _columns(qkv, s, 3 * d, d + j0, d + j1)
+            vh = _columns(qkv, s, 3 * d, 2 * d + j0, 2 * d + j1)
             scores = mm(qh, _transpose(kh, s, dh), s, dh, s)
             scores = scalar_mul_values(party, scores,
                                        1.0 / math.sqrt(dh), codec)

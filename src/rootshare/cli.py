@@ -10,10 +10,10 @@ import math
 import random
 import sys
 
-from .errors import RootshareError
+from .errors import ConfigError, RootshareError
 from .bench import LutCostModel, REPORT_SCENARIOS, ToyEncoderConfig, \
     comm_report, flood_ablation, toy_encoder_infer, write_report_csv
-from .config import DEFAULT_CONFIG, load_config_file
+from .config import config_from_mapping, read_config_file
 from .flood import ActivationSampler, draw_flood_mask, flood_share
 from .rsqrt import closeness_sweep, run_shared_rsqrt
 
@@ -30,11 +30,18 @@ def _parse_gaps(text: str):
     return [int(part) for part in text.split(",") if part.strip()]
 
 
-def _load_config(args):
-    cfg = DEFAULT_CONFIG
-    if getattr(args, "config", None):
-        cfg = load_config_file(args.config)
-    return cfg.with_site(iterations=getattr(args, "iterations", None))
+def _load_config(args, encoder: bool = False):
+    """The run's ProtocolConfig. The encoder takes its iteration counts from
+    EncoderSites, so for it an iteration setting is an error, not ignored."""
+    mapping = read_config_file(args.config) if args.config else {}
+    iterations = getattr(args, "iterations", None)
+    if encoder and (iterations is not None
+                    or {"n", "iterations"} & mapping.keys()):
+        raise ConfigError(
+            "the encoder takes its Newton iteration counts from "
+            "EncoderSites.iterations; drop --iterations and the n or "
+            "iterations config key")
+    return config_from_mapping(mapping).with_site(iterations=iterations)
 
 
 def _add_common(p, default_out):
@@ -98,7 +105,7 @@ def _cmd_closeness_sweep(args) -> int:
 
 
 def _cmd_comm_report(args) -> int:
-    cfg = _load_config(args)
+    cfg = _load_config(args, encoder=args.scenario == "end2end")
     lut = LutCostModel(sigma=args.sigma, entries=args.entries,
                        alpha_bits=args.alpha_bits)
     rows = comm_report(args.scenario, cfg, lut=lut, row_len=args.row_len,
@@ -115,7 +122,7 @@ def _cmd_comm_report(args) -> int:
 
 
 def _cmd_toy_infer(args) -> int:
-    cfg = _load_config(args)
+    cfg = _load_config(args, encoder=True)
     enc = ToyEncoderConfig(seq_len=args.seq, model_dim=args.dim,
                            ffn_dim=args.ffn, heads=args.heads,
                            seed=args.seed, weight_file=args.weights)

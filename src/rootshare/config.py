@@ -94,6 +94,11 @@ def config_from_mapping(mapping: dict) -> ProtocolConfig:
 
 
 def load_config_file(path: str) -> ProtocolConfig:
+    """The ProtocolConfig of a key=value file."""
+    return config_from_mapping(read_config_file(path))
+
+
+def read_config_file(path: str) -> dict:
     """Read key=value lines (# comments, blank lines allowed)."""
     if not os.path.isfile(path):
         raise ConfigError(f"configuration file not found: {path}")
@@ -107,4 +112,4 @@ def load_config_file(path: str) -> ProtocolConfig:
                 raise ConfigError(f"{path}:{lineno}: expected key=value, got {text!r}")
             key, _, value = text.partition("=")
             mapping[key.strip()] = value.strip()
-    return config_from_mapping(mapping)
+    return mapping

@@ -1,12 +1,14 @@
 """Smooth-maximum-unit layers on shares: s-GeLU, normalized positive
 attention weights, and layer normalization.
 
-Every non-linearity here reduces to one primitive chain: square locally
-via one multiplication, add a public constant, re-flood, take the shared
-inverse square root, multiply back. The seed of the inverse square root
-is the only step that ever inspects value magnitudes, and flooding pins
-those magnitudes to a public constant, so per-call-site tuning reduces to
-choosing the expected-magnitude exponent and an iteration budget.
+Every non-linearity here reduces to one primitive chain: square via one
+multiplication, add a public constant, re-flood, take the shared inverse
+square root, multiply back. A square opens its operand once, and a
+product that broadcasts one value per row opens that value once per row.
+The seed of the inverse square root is the only step that ever inspects
+value magnitudes, and flooding pins those magnitudes to a public
+constant, so per-call-site tuning reduces to choosing the
+expected-magnitude exponent and an iteration budget.
 """
 
 import math
@@ -16,8 +18,8 @@ from dataclasses import dataclass
 from .errors import ConfigError, UsageError
 from .config import ProtocolConfig
 from .flood import flood_reshare_batch
-from .ring import SERVER, DealerState, FixedPointCodec, beaver_mul_batch, \
-    run_session, split_values, truncate_local
+from .ring import SERVER, DealerState, FixedPointCodec, Masked, \
+    beaver_mul_batch, run_session, split_values, truncate_local
 from .rsqrt import rsqrt_shared_batch
 
 S_FLOOR = 2.0 ** -12
@@ -115,21 +117,29 @@ def add_public_values(party: str, values, const, codec: FixedPointCodec):
     return [(v + codec.encode(c)) % mod for v, c in zip(values, const)]
 
 
+def _square(party: str, values, triples, channel, codec: FixedPointCodec):
+    """Elementwise squares: each share opened once, against a square's
+    mask a, and the product formed from (a, a^2)."""
+    a, aa = triples.take_squares(len(values))
+    x = Masked(values, a)
+    return beaver_mul_batch(party, (x,), (x,), (aa,), channel, codec)
+
+
 def smu_shared_batch(party: str, values, params: SmuParams, channel,
                      cfg: ProtocolConfig, triples, rng=None):
     """Smooth maximum unit on a batch of shares.
 
-    Chain: t = x^2 (one multiplication), s = (1-alpha) t + max(mu^2, 2^-12)
+    Chain: t = x^2 (one square), s = (1-alpha) t + max(mu^2, 2^-12)
     added server side, re-flood s, y = rsqrt(s) at this call site's seed
     configuration, w = s * y = sqrt(s), out = (1+alpha)/2 x + w/2. The
     additive floor keeps s strictly positive where mu = 0 would let the
     shared inverse square root see zero; it perturbs the exact unit by at
     most 2^-7 near the kink. Total multiplications: 2 + 3 * iterations, in
-    3 + 2 * iterations rounds.
+    3 + 2 * iterations rounds; the square opens 1 ring element per
+    element, w opens 2.
     """
     codec = cfg.codec
-    sq = beaver_mul_batch(party, values, values, triples.take(len(values)),
-                          channel, codec)
+    sq = _square(party, values, triples, channel, codec)
     if params.alpha != 0.0:
         sq = scalar_mul_values(party, sq, 1.0 - params.alpha, codec)
     floor = max(params.mu * params.mu, S_FLOOR)
@@ -169,10 +179,11 @@ def softmax_star_shared(party: str, row_values, channel,
     (default: the whole batch is one row). Numerator: ReLU-preset smooth
     unit per element. Denominator: each row's sum plus a public epsilon,
     inverted by squaring the shared inverse square root (1/d = rsqrt(d)^2,
-    one extra multiplication), then one product per element. The epsilon
-    bounds each row's output-sum deficit by eps/d. Every row keeps its own
-    denominator, but all rows share each reshare, rsqrt batch and
-    multiplication round, so r rows cost the rounds of one.
+    one extra multiplication), then one product per element, which opens
+    the row's inverse once for the whole row: k + 1 ring elements per row
+    of k. The epsilon bounds each row's output-sum deficit by eps/d. Every
+    row keeps its own denominator, but all rows share each reshare, rsqrt
+    batch and multiplication round, so r rows cost the rounds of one.
     """
     codec = cfg.codec
     k = len(row_values) if row_len is None else row_len
@@ -185,9 +196,9 @@ def softmax_star_shared(party: str, row_values, channel,
     d = flood_reshare_batch(party, d, channel, codec, den_cfg.flood, rng)
     y = rsqrt_shared_batch(party, d, channel, codec, den_cfg.seed,
                            den_cfg.newton, triples, flooded=True)
-    inv = beaver_mul_batch(party, y, y, triples.take(rows), channel, codec)
-    inv_per_element = [v for v in inv for _ in range(k)]
-    return beaver_mul_batch(party, r, inv_per_element, triples.take(len(r)),
+    inv = _square(party, y, triples, channel, codec)
+    b, a, ab = triples.take_fixed_mask(rows, k)
+    return beaver_mul_batch(party, (Masked(r, a),), (Masked(inv, b),), (ab,),
                             channel, codec)
 
 
@@ -201,8 +212,11 @@ def layernorm_shared(party: str, row_values, gamma, beta, channel,
     Means and centering are free (affine). The squares cost one batched
     multiplication, each row's variance inverse root runs flooded at this
     site's expected exponent, and one more batched multiplication
-    normalizes. All rows share each reshare, rsqrt batch and
-    multiplication round, so r rows cost the rounds of one.
+    normalizes. The centered values are opened once, for the squares, and
+    reused by the normalizing product, which opens only each row's inverse
+    root: k + 1 ring elements per row of k. All rows share each reshare,
+    rsqrt batch and multiplication round, so r rows cost the rounds of
+    one.
     """
     codec = cfg.codec
     k = len(gamma)
@@ -214,16 +228,17 @@ def layernorm_shared(party: str, row_values, gamma, beta, channel,
     means = scalar_mul_values(party, _row_sums(row_values, rows, k), 1.0 / k,
                               codec)
     centered = [(v - means[j // k]) % mod for j, v in enumerate(row_values)]
-    sq = beaver_mul_batch(party, centered, centered,
-                          triples.take(len(centered)), channel, codec)
+    b, a, ab, aa = triples.take_fixed_mask(rows, k, squares=True)
+    centered = Masked(centered, a)
+    sq = beaver_mul_batch(party, (centered,), (centered,), (aa,), channel,
+                          codec)
     var = scalar_mul_values(party, _row_sums(sq, rows, k), 1.0 / k, codec)
     var = add_public_values(party, var, LAYERNORM_EPS, codec)
     var = flood_reshare_batch(party, var, channel, codec, site.flood, rng)
     y = rsqrt_shared_batch(party, var, channel, codec, site.seed,
                            site.newton, triples, flooded=True)
-    y_per_element = [v for v in y for _ in range(k)]
-    normalized = beaver_mul_batch(party, centered, y_per_element,
-                                  triples.take(len(centered)), channel, codec)
+    normalized = beaver_mul_batch(party, (centered,), (Masked(y, b),), (ab,),
+                                  channel, codec)
     scaled = scalar_mul_values(party, normalized, list(gamma) * rows, codec)
     return add_public_values(party, scaled, list(beta) * rows, codec)
 

@@ -3,10 +3,13 @@
 Values are reals scaled by 2^f and reduced mod 2^l, read back through a
 two's-complement signed window. Each secret is split into two uniformly
 masked summands, one per party. Multiplication consumes dealer-issued
-Beaver triples: each party opens two masked differences (one round, two
-ring elements on the wire) and combines locally, then truncates the doubled
-scale away with a local probabilistic shift. run_session runs one protocol
-for both parties over a fresh channel and decodes its outputs.
+correlated masks: each operand is opened once as a masked difference, and
+every product of opened operands is then local, given the dealer's share
+of the product of their masks. A fresh pair costs one round and two ring
+elements on the wire; a square, or a product with an operand opened
+before, costs less. Each product truncates the doubled scale away with a
+local probabilistic shift. run_session runs one protocol for both parties
+over a fresh channel and decodes its outputs.
 """
 
 import random
@@ -14,8 +17,8 @@ import sys
 import threading
 from array import array
 from dataclasses import dataclass
-from itertools import islice
-from operator import add
+from itertools import chain, islice
+from operator import add, mul
 
 from .errors import ConfigError, ProtocolError, RangeError, UsageError
 from .transport import run_pair
@@ -202,6 +205,11 @@ def _decode_elements(payload: bytes, count: int, codec: FixedPointCodec):
     return elements
 
 
+def _repeat(values, group: int):
+    """Each element of values repeated group times in a row."""
+    return values if group == 1 else [v for v in values for _ in range(group)]
+
+
 def _mat_mul_mod(a, b, m, k, n, mod):
     """Row-major integer matmul mod 2^l."""
     out = [0] * (m * n)
@@ -224,8 +232,9 @@ class DealerState:
     the dealer keeps the peer's half until the peer takes it and then
     releases the batch, so it holds only the batches in flight. Dealer
     traffic is offline setup material and is not counted by the online
-    channel stats. issued counts the items handed out so far: a batch of n
-    scalar triples or zero shares counts n, a matrix triple one.
+    channel stats. issued counts the items handed out so far: one per
+    product a batch can form (scalar triple, square, fixed-mask product)
+    and per zero share, and one per matrix triple.
     """
 
     def __init__(self, codec: FixedPointCodec, seed: int = 0):
@@ -252,13 +261,23 @@ class DealerState:
         draw = self._rng.getrandbits
         return _elements((draw(l) for _ in range(count)), self.codec)
 
+    def _other_half(self, full, own):
+        """The peer's half of shared values: full - own, as _elements."""
+        mod = self.codec.modulus
+        return _elements([(x - y) % mod for x, y in zip(full, own)],
+                         self.codec)
+
     def _generate(self, kind: tuple):
         """(client half, server half) of one batch of the given kind.
 
         Scalar triples draw a, b, a_client, b_client, c_client per element,
         in element order; c = a*b mod 2^l is the full ring product of the
         uniform factors, and the fixed-point product identity appears after
-        the post-multiplication truncation. A zero share is (r, -r).
+        the post-multiplication truncation. A square is (a, a^2), drawn as
+        a, a_client, c_client per element. A fixed mask is one mask b of
+        `count` elements shared by `group` products per element: masks a
+        (group per element of b, element-major) and a_t * b[t // group],
+        plus a_t^2 when squares are asked for. A zero share is (r, -r).
         """
         mod = self.codec.modulus
         if kind[0] == "scalar":
@@ -266,13 +285,31 @@ class DealerState:
             r = self._draws(5 * kind[1])
             a, b, a_c, b_c, c_c = (r[i::5] for i in range(5))
             return (a_c, b_c, c_c), (
-                [(x - y) % mod for x, y in zip(a, a_c)],
-                [(x - y) % mod for x, y in zip(b, b_c)],
-                [(x * y - z) % mod for x, y, z in zip(a, b, c_c)])
+                self._other_half(a, a_c), self._other_half(b, b_c),
+                self._other_half(map(mul, a, b), c_c))
+        if kind[0] == "square":
+            self.issued += kind[1]
+            r = self._draws(3 * kind[1])
+            a, a_c, c_c = (r[i::3] for i in range(3))
+            return (a_c, c_c), (self._other_half(a, a_c),
+                                self._other_half(map(mul, a, a), c_c))
+        if kind[0] == "fixed":
+            _, count, group, squares = kind
+            size = count * group
+            b, b_c = self._draws(count), self._draws(count)
+            a, a_c, ab_c = (self._draws(size) for _ in range(3))
+            client = [b_c, a_c, ab_c]
+            server = [self._other_half(b, b_c), self._other_half(a, a_c),
+                      self._other_half(map(mul, a, _repeat(b, group)), ab_c)]
+            if squares:
+                client.append(self._draws(size))
+                server.append(self._other_half(map(mul, a, a), client[-1]))
+            self.issued += size * (len(client) - 2)
+            return tuple(client), tuple(server)
         if kind[0] == "zero":
             self.issued += kind[1]
             r = self._draws(kind[1])
-            return r, [(-x) % mod for x in r]
+            return r, _elements([(-x) % mod for x in r], self.codec)
         m, k, n = kind[1:]
         self.issued += 1
         a = self._draws(m * k)
@@ -280,7 +317,7 @@ class DealerState:
         c = _mat_mul_mod(a, b, m, k, n, mod)
         a_c, b_c, c_c = (self._draws(size) for size in (m * k, k * n, m * n))
         return (a_c, b_c, c_c), tuple(
-            [(x - y) % mod for x, y in zip(full, own)]
+            self._other_half(full, own)
             for full, own in ((a, a_c), (b, b_c), (c, c_c)))
 
     # Lockstep protocols running as two threads of one process pull from a
@@ -335,6 +372,16 @@ class TripleStream:
         element sequences."""
         return self._next(("scalar", count))
 
+    def take_squares(self, count: int):
+        """This party's (a, c) for `count` squares: masks a, c = a^2."""
+        return self._next(("square", count))
+
+    def take_fixed_mask(self, count: int, group: int, squares: bool = False):
+        """This party's (b, a, c) of one fixed mask b of `count` elements
+        shared by `group` products per element: masks a, element-major,
+        and c_t = a_t * b[t // group]; with squares, also a_t^2 last."""
+        return self._next(("fixed", count, group, squares))
+
     def take_matrix(self, m: int, k: int, n: int):
         """This party's (A, B, C) shares of one m x k by k x n triple."""
         return self._next(("matrix", m, k, n))
@@ -344,36 +391,83 @@ class TripleStream:
         return self._next(("zero", count))
 
 
+class Masked:
+    """An operand of Beaver products: this party's shares of u and of the
+    dealer mask r it is opened against.
+
+    beaver_mul_batch opens it once, as the public D = u - r, in the first
+    call it enters, and keeps D in diff: every later product with it
+    reuses that opening, so each mask is opened against one value only.
+    """
+
+    __slots__ = ("values", "mask", "diff")
+
+    def __init__(self, values, mask):
+        if len(values) != len(mask):
+            raise UsageError("a masked operand needs one mask per share")
+        self.values = values
+        self.mask = mask
+        self.diff = None
+
+
 def beaver_mul_batch(party: str, x_values, y_values, triples,
                      channel, codec: FixedPointCodec):
-    """Elementwise product of two batches of shares, one round total.
+    """Elementwise products of shared operands, one round total.
 
-    triples is this party's (a, b, c) from TripleStream.take. Each
-    party sends a single frame holding the masked openings d = x - a and
-    e = y - b for every element (2 ring elements per element), then
-    combines and truncates locally. Both parties' openings are held as
-    element arrays, and the opened d and e are formed lazily in the one
-    pass that builds the products. Returns ring integers at scale 2^f.
+    Plain form: two batches of shares and this party's (a, b, c) from
+    TripleStream.take; x is opened against a, y against b.
+
+    Correlated form: x_values and y_values are equal-length tuples of
+    Masked operands, product i being x_values[i] * y_values[i], and
+    triples the tuple of this party's shares c of each product's mask
+    product r_x * r_y. A y operand with one element per row of x is
+    broadcast along the row. Every operand not opened yet is opened in
+    this call's single frame, once, however many products use it.
+
+    With D_u = u - r_u public for both operands, each product is
+    z = c + D_x r_y + D_y r_x, plus D_x D_y on the server, then truncated.
+    The plain form is the case where both operands are fresh. Returns the
+    products' ring integers at scale 2^f, concatenated in order.
     """
-    a_values, b_values, c_values = triples
-    count = len(x_values)
-    if any(len(v) != count for v in (y_values, a_values, b_values, c_values)):
-        raise UsageError("batch inputs must have equal lengths")
+    if not (x_values and isinstance(x_values[0], Masked)):
+        a_values, b_values, c_values = triples
+        x_values = (Masked(x_values, a_values),)
+        y_values = (Masked(y_values, b_values),)
+        triples = (c_values,)
+    if not len(x_values) == len(y_values) == len(triples):
+        raise UsageError("each product needs two operands and one c share")
+    groups = []
+    for x, y, c in zip(x_values, y_values, triples):
+        count, rows = len(x.values), len(y.values)
+        group = count // rows if rows else 1
+        if len(c) != count or group < 1 or rows * group != count:
+            raise UsageError("batch inputs must have equal lengths, or y "
+                             "one element per row of x")
+        groups.append(group)
+    fresh = {id(op): op for pair in zip(x_values, y_values) for op in pair
+             if op.diff is None}.values()
     mod = codec.modulus
-    own = _elements(((x - a) % mod for x, a in zip(x_values, a_values)), codec)
-    own.extend((y - b) % mod for y, b in zip(y_values, b_values))
+    own = _elements([(u - r) % mod for op in fresh
+                     for u, r in zip(op.values, op.mask)], codec)
     channel.send_frame(_encode_elements(own, codec))
-    peer = _decode_elements(channel.recv_frame(), 2 * count, codec)
-    # d and e stay unreduced (below 2^(l+1)); the truncation reduces z
-    d = map(add, own, peer)
-    e = map(add, islice(own, count, None), islice(peer, count, None))
-    if party == SERVER:
-        z = (c + dd * b + ee * a + dd * ee for a, b, c, dd, ee in zip(
-            a_values, b_values, c_values, d, e))
-    else:
-        z = (c + dd * b + ee * a for a, b, c, dd, ee in zip(
-            a_values, b_values, c_values, d, e))
-    return truncate_local(party, z, codec)
+    peer = _decode_elements(channel.recv_frame(), len(own), codec)
+    start = 0
+    for op in fresh:
+        end = start + len(op.values)
+        # D stays unreduced (below 2^(l+1)); the truncation reduces z
+        op.diff = list(map(add, islice(own, start, end),
+                           islice(peer, start, end)))
+        start = end
+    products = []
+    for x, y, c, group in zip(x_values, y_values, triples, groups):
+        dy, ry = _repeat(y.diff, group), _repeat(y.mask, group)
+        if party == SERVER:
+            products.append(cc + dx * s + d * r + dx * d for cc, dx, s, d, r
+                            in zip(c, x.diff, ry, dy, x.mask))
+        else:
+            products.append(cc + dx * s + d * r for cc, dx, s, d, r
+                            in zip(c, x.diff, ry, dy, x.mask))
+    return truncate_local(party, chain.from_iterable(products), codec)
 
 
 def matmul_shared(party: str, a_values, b_values, triple,

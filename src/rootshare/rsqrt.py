@@ -12,9 +12,11 @@ shares pay one masked opening for that step.
 Newton's update y <- y * (3/2 - x/2 * y^2) then runs on shares in two
 rounds per iteration: one batch forms y^2 and (x/2) y together, a second
 multiplies them, and 3/2 y minus that product is local, so each element
-still costs three Beaver multiplications per iteration. The iteration
-converges only when seed * sqrt(x) < sqrt(3), which is what share flooding
-buys.
+still costs three Beaver multiplications per iteration. x/2 is opened once
+per call and y once per iteration, so those three products open 3 ring
+elements per element after the first iteration, which opens 4. The
+iteration converges only when seed * sqrt(x) < sqrt(3), which is what
+share flooding buys.
 """
 
 import math
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 from .errors import ConfigError, RangeError
 from .floatbits import BIAS, L, compose, decompose, pack_integer, \
     to_binary32, unpack_integer
-from .ring import CLIENT, DealerState, FixedPointCodec, \
+from .ring import CLIENT, DealerState, FixedPointCodec, Masked, \
     beaver_mul_batch, run_session, truncate_local
 
 MAGIC_K1 = 0x5F3759DF
@@ -182,18 +184,25 @@ def newton_shared_batch(party: str, x_values, y_values, n: int, triples,
     """n shared Newton iterations on batches, two rounds each.
 
     The step y' = y * (3/2 - x/2 * y^2) is taken as y + y/2 - (y*y) *
-    ((x/2)*y): round 1 forms y*y and (x/2)*y together in one
-    multiplication batch of 2m elements, round 2 multiplies the two, and
-    the rest is local (y/2 and x/2 by one-bit local truncations). That is
-    still three multiplications per element per iteration.
+    ((x/2)*y): round 1 forms y*y and (x/2)*y, round 2 multiplies the two,
+    and the rest is local (y/2 and x/2 by one-bit local truncations).
+    x/2 is opened once per call, against a fixed mask b, in the first
+    iteration's round 1; each round 1 opens only y, against a fresh mask
+    a_k, and forms y*y from (a_k, a_k^2) and (x/2)*y from (b, a_k, a_k b).
+    Round 2 takes an ordinary triple. That is 2 ring elements per element
+    in each round, but 1 in round 1 after the first iteration.
     """
     mod = codec.modulus
     m = len(y_values)
-    half_x = truncate_local(party, x_values, codec, 1)
     y = list(y_values)
-    for _ in range(n):
-        pair = beaver_mul_batch(party, y + half_x, y + y,
-                                triples.take(2 * m), channel, codec)
+    if not n:
+        return y
+    b, a, ab, aa = triples.take_fixed_mask(m, n, squares=True)
+    half_x = Masked(truncate_local(party, x_values, codec, 1), b)
+    for k in range(n):
+        y_k = Masked(y, a[k::n])
+        pair = beaver_mul_batch(party, (y_k, half_x), (y_k, y_k),
+                                (aa[k::n], ab[k::n]), channel, codec)
         product = beaver_mul_batch(party, pair[:m], pair[m:],
                                    triples.take(m), channel, codec)
         half_y = truncate_local(party, y, codec, 1)

@@ -89,7 +89,7 @@ def test_crypten_seed_values():
 # ------------------------------------------------------------- counting
 
 def test_counted_element_bytes():
-    assert count_rsqrt_element_bytes() == 224
+    assert count_rsqrt_element_bytes() == 136
 
 
 def test_comm_report_shapes_and_kinds():
@@ -108,23 +108,32 @@ def test_comm_report_shapes_and_kinds():
 def test_activation_report_favors_counted_bytes():
     rows = {r.method: r for r in comm_report("activation")}
     counted = rows["rootshare"].online_bytes
-    assert counted == 237.5
+    assert counted == 141.5
     for method in ("lut", "taylor", "crypten"):
         assert counted < rows[method].online_bytes
     assert rows["lut"].online_bytes == lut_cost(LutCostModel(), 1)[0] / 8
 
 
 def test_report_muls_equal_triples_taken(monkeypatch):
-    # the muls column must match the scalar Beaver triples one party takes
+    # the muls column must match the products one party's dealer material
+    # forms: a scalar triple or a square forms one, a fixed mask one per
+    # mask a, and one more per a when it comes with squares
     taken = []
-    take = TripleStream.take
 
-    def counting_take(self, count):
-        if self.party == CLIENT:
-            taken.append(count)
-        return take(self, count)
+    def counting(method, products):
+        original = getattr(TripleStream, method)
 
-    monkeypatch.setattr(TripleStream, "take", counting_take)
+        def take(self, *args, **kwargs):
+            if self.party == CLIENT:
+                taken.append(products(*args, **kwargs))
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(TripleStream, method, take)
+
+    counting("take", lambda count: count)
+    counting("take_squares", lambda count: count)
+    counting("take_fixed_mask", lambda count, group, squares=False:
+             count * group * (2 if squares else 1))
     row_len = 8
     for scenario, units_per_run in (("activation", row_len), ("softmax", 1),
                                     ("layernorm", 1)):
@@ -224,9 +233,9 @@ def test_encoder_shared_matches_plain():
     by = info["bytes"]
     assert by["total"] == info["client"].bytes_sent \
         + info["server"].bytes_sent
-    assert (by["matmul"], by["nonlinear"]) == (54336, 174436)
+    assert (by["matmul"], by["nonlinear"]) == (50224, 95716)
     assert by["matmul"] + by["nonlinear"] == by["total"]
-    assert info["rounds"] == 63
+    assert info["rounds"] == 61
 
 
 @pytest.mark.parametrize("heads", [1, 2, 4])

@@ -102,6 +102,32 @@ def test_toy_infer_iterations_flag_is_rejected(tmp_path):
     assert exc.value.code == 2
 
 
+def test_comm_report_end2end_rejects_iterations(tmp_path, capsys):
+    # the encoder takes its iteration counts from EncoderSites, so the
+    # flag must fail rather than be ignored; other scenarios still take it
+    out = tmp_path / "never.csv"
+    code = cli.main(["comm-report", "--scenario", "end2end",
+                     "--iterations", "1", "--out", str(out)])
+    assert code == 2
+    assert "EncoderSites" in capsys.readouterr().err
+    assert not out.exists()
+    code = cli.main(["comm-report", "--scenario", "activation",
+                     "--iterations", "1", "--out", str(out)])
+    assert code == 0
+
+
+@pytest.mark.parametrize("key", ["n", "iterations"])
+def test_toy_infer_config_iterations_are_rejected(tmp_path, capsys, key):
+    cfg_path = tmp_path / "proto.cfg"
+    cfg_path.write_text(f"{key} = 1\n")
+    out = tmp_path / "never.csv"
+    code = cli.main(["toy-infer", "--config", str(cfg_path),
+                     "--out", str(out)])
+    assert code == 2
+    assert "EncoderSites" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_file_flows_into_run(tmp_path):
     cfg_path = tmp_path / "proto.cfg"
     cfg_path.write_text("n = 2\n")

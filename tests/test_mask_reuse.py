@@ -1,0 +1,146 @@
+"""Every dealer mask is opened once, against one value.
+
+An opening sends D = u - r for a dealer mask r. Two openings of one mask
+against values u1 and u2 would reveal u1 - u2, so an operand is opened
+once and its D reused by every product that needs it. These tests record
+the full value of every mask the dealer issues and every element the
+client sends and then receives in lockstep (an opening and the server's
+half of it), reconstruct each opened D, and attribute it to the one mask
+r that leaves u = D + r small.
+"""
+
+import bisect
+import random
+
+import pytest
+
+from rootshare import ToyEncoderConfig, toy_encoder_infer
+from rootshare.config import DEFAULT_CONFIG
+from rootshare.flood import draw_flood_mask, flood_share
+from rootshare.nonlinear import GELU_PARAMS, run_layernorm_shared, \
+    run_smu_shared, run_softmax_star_shared
+from rootshare.ring import CLIENT, DealerState, _decode_elements
+from rootshare.rsqrt import run_shared_rsqrt
+from rootshare.transport import Endpoint
+
+CODEC = DEFAULT_CONFIG.codec
+# Every value these sessions open is below 2^14 in magnitude; a uniform
+# mask lands this close to another opening's -D with negligible chance.
+WINDOW = 1 << (CODEC.f + 14)
+# Halves of each dealer kind that are masks, by position; the rest are
+# shares of mask products and zero shares, which are never opened.
+MASK_HALVES = {"scalar": (0, 1), "square": (0,), "fixed": (0, 1),
+               "matrix": (0, 1), "zero": ()}
+
+
+@pytest.fixture
+def openings(monkeypatch):
+    """(full dealer masks, the client's (sent, received) opening frames),
+    filled in as the test runs a session."""
+    masks = []
+    events = []
+    generate = DealerState._generate
+    send, recv = Endpoint.send_frame, Endpoint.recv_frame
+
+    def recording_generate(self, kind):
+        client, server = generate(self, kind)
+        mod = self.codec.modulus
+        for half in MASK_HALVES[kind[0]]:
+            masks.extend((c + s) % mod
+                         for c, s in zip(client[half], server[half]))
+        return client, server
+
+    def recording_send(self, payload):
+        if self.party == CLIENT:
+            events.append(("send", bytes(payload)))
+        return send(self, payload)
+
+    def recording_recv(self):
+        payload = recv(self)
+        if self.party == CLIENT:
+            events.append(("recv", payload))
+        return payload
+
+    monkeypatch.setattr(DealerState, "_generate", recording_generate)
+    monkeypatch.setattr(Endpoint, "send_frame", recording_send)
+    monkeypatch.setattr(Endpoint, "recv_frame", recording_recv)
+    return masks, events
+
+
+def opened_per_mask(masks, events):
+    """{mask: [u, ...]} over every opened element of the session."""
+    mod = CODEC.modulus
+    width = CODEC.element_bytes
+    ordered = sorted(masks)
+    assert len(set(ordered)) == len(ordered)
+    found = {}
+    for (kind, own), (next_kind, peer) in zip(events, events[1:]):
+        # the client never sends outside an opening, and each of its
+        # openings is answered by the server's half of it; a receive that
+        # does not follow a send is a reshare
+        if kind != "send":
+            continue
+        assert next_kind == "recv" and len(peer) == len(own)
+        count = len(own) // width
+        for d_own, d_peer in zip(_decode_elements(own, count, CODEC),
+                                 _decode_elements(peer, count, CODEC)):
+            target = -(d_own + d_peer) % mod
+            near = [r for shift in (-mod, 0, mod) for r in ordered[
+                bisect.bisect_left(ordered, target + shift - WINDOW):
+                bisect.bisect_right(ordered, target + shift + WINDOW)]]
+            assert len(near) == 1, "an opened element matches no dealer mask"
+            r = near[0]
+            found.setdefault(r, []).append((d_own + d_peer + r) % mod)
+    return found
+
+
+def assert_each_mask_opened_once(masks, events):
+    found = opened_per_mask(masks, events)
+    assert found, "the session opened nothing"
+    reused = [values for values in found.values() if len(set(values)) > 1]
+    assert not reused, f"{len(reused)} masks opened against two values"
+    again = [values for values in found.values() if len(values) > 1]
+    assert not again, f"{len(again)} masks opened twice"
+
+
+def test_rsqrt_opens_each_mask_once(openings):
+    rng = random.Random(5)
+    pairs = []
+    for x in (0.6, 1.3, 2.7, 3.1, 5.5, 9.0):
+        c, s = flood_share(x, draw_flood_mask(DEFAULT_CONFIG.flood, rng),
+                           CODEC)
+        pairs.append((c.value, s.value))
+    run_shared_rsqrt(pairs, CODEC, DEFAULT_CONFIG.seed, DEFAULT_CONFIG.newton,
+                     dealer_seed=6)
+    assert_each_mask_opened_once(*openings)
+
+
+def test_smu_opens_each_mask_once(openings):
+    run_smu_shared([0.5 * i - 1.5 for i in range(7)], GELU_PARAMS,
+                   DEFAULT_CONFIG.with_site(E_m=128), seed=7)
+    assert_each_mask_opened_once(*openings)
+
+
+def test_softmax_star_opens_each_mask_once(openings):
+    rng = random.Random(8)
+    rows = [rng.gauss(1.5, 0.8) for _ in range(12)]
+    run_softmax_star_shared(rows, DEFAULT_CONFIG, seed=8, iterations=4,
+                            row_len=4)
+    assert_each_mask_opened_once(*openings)
+
+
+def test_layernorm_opens_each_mask_once(openings):
+    rng = random.Random(9)
+    rows = [rng.gauss(0.0, 1.0) for _ in range(12)]
+    run_layernorm_shared(rows, [1.0] * 4, [0.0] * 4, DEFAULT_CONFIG, seed=9,
+                         iterations=4)
+    assert_each_mask_opened_once(*openings)
+
+
+def test_encoder_opens_each_mask_once(openings):
+    cfg = ToyEncoderConfig()
+    rng = random.Random(10)
+    rows = [[0.8 + 0.4 * rng.random() for _ in range(cfg.model_dim)]
+            for _ in range(cfg.seq_len)]
+    toy_encoder_infer(cfg, rows, mode="shared")
+    assert_each_mask_opened_once(*openings)

@@ -13,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import FixedBits, chi2_uniform_stat, mul_pairs, quantize
 from rootshare.errors import ConfigError, ProtocolError, RangeError, UsageError
 from rootshare.ring import (CLIENT, SERVER, DealerState,
-                            FixedPointCodec, RingShare, _decode_elements,
+                            FixedPointCodec, Masked, RingShare,
+                            _decode_elements,
                             _encode_elements, beaver_mul_batch,
                             linear_combine, make_shares, matmul_shared,
                             reconstruct, reconstruct_raw, run_session,
@@ -408,12 +409,45 @@ def _both_halves(dealer, count):
 
 
 def test_triple_product_identity(codec):
+    # every c share of every dealer kind reconstructs its masks' product
     mod = codec.modulus
-    (ac, bc, cc), (as_, bs, cs) = _both_halves(DealerState(codec, seed=7), 20)
-    for k in range(20):
-        a = (ac[k] + as_[k]) % mod
-        b = (bc[k] + bs[k]) % mod
-        assert (cc[k] + cs[k]) % mod == (a * b) % mod
+    sc, ss = DealerState(codec, seed=7).pair_streams()
+
+    def full(method, *args):
+        return [[(u + v) % mod for u, v in zip(own, peer)] for own, peer in
+                zip(getattr(sc, method)(*args), getattr(ss, method)(*args))]
+
+    a, b, c = full("take", 20)
+    assert c == [x * y % mod for x, y in zip(a, b)]
+    a, c = full("take_squares", 20)
+    assert c == [x * x % mod for x in a]
+    b, a, ab, aa = full("take_fixed_mask", 5, 4, True)
+    assert ab == [x * b[t // 4] % mod for t, x in enumerate(a)]
+    assert aa == [x * x % mod for x in a]
+    assert len(full("take_fixed_mask", 5, 4)) == 3
+
+
+def test_correlated_products_open_each_operand_once(codec):
+    # x^2 opens x; x times one y per row of 3 then reuses x's opening and
+    # opens only y: 6 + 2 elements in 2 rounds for 12 products
+    xs = [quantize(v, codec) for v in (1.5, -2.0, 0.25, 3.0, -0.5, 1.0)]
+    ys = [quantize(v, codec) for v in (2.0, -1.25)]
+    halves = split_values(xs + ys, codec, random.Random(12))
+
+    def party_fn(party, values, channel, triples):
+        b, a, ab, aa = triples.take_fixed_mask(2, 3, squares=True)
+        x = Masked(values[:6], a)
+        squares = beaver_mul_batch(party, (x,), (x,), (aa,), channel, codec)
+        return squares + beaver_mul_batch(
+            party, (x,), (Masked(values[6:], b),), (ab,), channel, codec)
+
+    got, st_c, st_s = run_session(party_fn, *halves,
+                                  DealerState(codec, seed=13))
+    want = [x * x for x in xs] + [x * ys[t // 3] for t, x in enumerate(xs)]
+    assert got == pytest.approx(want, abs=4 * 2.0 ** -codec.f)
+    for st in (st_c, st_s):
+        assert (st.rounds, st.frames) == (2, 2)
+        assert st.payload_bytes == 8 * codec.element_bytes
 
 
 # ----------------------------------------------------------------- dealer

@@ -267,8 +267,9 @@ def test_newton_shared_tracks_plain():
 
 
 def test_newton_shared_comm_cost():
-    # 3 multiplications per iteration in 2 rounds, one frame each; every
-    # multiplication opens 2 elements
+    # 3 multiplications per iteration in 2 rounds, one frame each. Round 1
+    # opens y, and x/2 in the first iteration only; round 2 opens 2
+    # elements: 3n + 1 elements per element
     codec = FixedPointCodec()
     rng = random.Random(43)
     n = 4
@@ -277,7 +278,7 @@ def test_newton_shared_comm_cost():
     for st in (st_c, st_s):
         assert st.rounds == 2 * n
         assert st.frames == 2 * n
-        assert st.payload_bytes == 3 * n * 2 * codec.element_bytes
+        assert st.payload_bytes == (3 * n + 1) * codec.element_bytes
 
 
 # ------------------------------------------------------- full pipeline
@@ -292,13 +293,13 @@ def test_pipeline_worked_example():
         dealer_seed=0)
     assert results[0] == 0.5679473876953125
     assert abs(results[0] - 1.0 / math.sqrt(3.1)) <= 1e-4
-    # the flooded conversion is free: 2 rounds per iteration, opening 4
-    # and then 2 elements
+    # the flooded conversion is free: 2 rounds per iteration, opening x/2
+    # and y, then 2 elements in the first, and y, then 2 elements after it
     for st in (st_c, st_s):
         assert st.rounds == 8
         assert st.frames == 8
-        assert st.bytes_sent == 224
-        assert st.payload_bytes == 4 * 6 * codec.element_bytes
+        assert st.bytes_sent == 136
+        assert st.payload_bytes == (4 + 3 * 3) * codec.element_bytes
 
 
 def test_flooded_seed_with_conversion_costs_nothing():
@@ -338,14 +339,14 @@ def test_pipeline_socket_matches_inproc_bytes_and_values():
 
 def test_batch_over_the_frame_cap_fails_at_once_on_both_parties(
         monkeypatch):
-    # the fused Newton round opens 4 ring elements per element, the largest
-    # frame of a flooded rsqrt; with the cap set to fit m elements, m pass
-    # and m + 1 fail on both parties at their first send, without waiting
-    # for a receive to time out
+    # the first Newton round (x/2 and y) and every second round open 2 ring
+    # elements per element, the largest frame of a flooded rsqrt; with the
+    # cap set to fit m elements, m pass and m + 1 fail on both parties at
+    # their first send, without waiting for a receive to time out
     codec = FixedPointCodec()
     m = 3
     monkeypatch.setattr(transport, "MAX_FRAME_BYTES",
-                        4 * m * codec.element_bytes)
+                        2 * m * codec.element_bytes)
     rng = random.Random(56)
     pairs = []
     for x in (0.8, 1.6, 2.7, 3.1):
