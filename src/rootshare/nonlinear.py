@@ -98,7 +98,8 @@ def scalar_mul_values(party: str, values, coef, codec: FixedPointCodec):
     list. Costs nothing: public-by-shared products stay local.
     """
     if isinstance(coef, (int, float)):
-        coef = [float(coef)] * len(values)
+        scaled = codec.encode(float(coef))
+        return truncate_local(party, [v * scaled for v in values], codec)
     if len(coef) != len(values):
         raise UsageError("coefficient list length mismatch")
     return truncate_local(party, [v * codec.encode(c)
@@ -107,14 +108,16 @@ def scalar_mul_values(party: str, values, coef, codec: FixedPointCodec):
 
 def add_public_values(party: str, values, const, codec: FixedPointCodec):
     """Add public reals to shares; only the server's half moves."""
-    if isinstance(const, (int, float)):
-        const = [float(const)] * len(values)
-    if len(const) != len(values):
+    scalar = isinstance(const, (int, float))
+    if not scalar and len(const) != len(values):
         raise UsageError("constant list length mismatch")
     if party != SERVER:
         return list(values)
-    mod = codec.modulus
-    return [(v + codec.encode(c)) % mod for v, c in zip(values, const)]
+    ones = codec.modulus - 1
+    if scalar:
+        shift = codec.encode(float(const))
+        return [(v + shift) & ones for v in values]
+    return [(v + codec.encode(c)) & ones for v, c in zip(values, const)]
 
 
 def _square(party: str, values, triples, channel, codec: FixedPointCodec):

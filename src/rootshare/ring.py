@@ -17,7 +17,7 @@ import sys
 import threading
 from array import array
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import islice
 from operator import add, mul
 
 from .errors import ConfigError, ProtocolError, RangeError, UsageError
@@ -149,19 +149,21 @@ def truncate_local(party: str, values, codec: FixedPointCodec,
     about |value| / 2^(l-1) of a large wrap error, where value is the ring
     magnitude being truncated. The client rounds (adds half before the
     shift); the server shifts the negated complement. Inputs may be any
-    integers; they are reduced mod 2^l first.
+    integers; they are reduced mod 2^l first, as v & (2^l - 1). The client
+    reduces before adding half: reducing after would change the result
+    wherever v mod 2^l >= 2^l - 2^(shift-1).
     """
     t = codec.f if shift is None else shift
     if t < 0:
         raise UsageError("shift must be non-negative")
     if t == 0:
         return list(values)
-    mod = codec.modulus
+    ones = codec.modulus - 1
     if party == CLIENT:
         half = 1 << (t - 1)
-        return [(v % mod + half) >> t for v in values]
+        return [((v & ones) + half) >> t for v in values]
     if party == SERVER:
-        return [(mod - ((-v % mod) >> t)) % mod for v in values]
+        return [-((-v & ones) >> t) & ones for v in values]
     raise UsageError(f"unknown party {party!r}")
 
 
@@ -263,8 +265,8 @@ class DealerState:
 
     def _other_half(self, full, own):
         """The peer's half of shared values: full - own, as _elements."""
-        mod = self.codec.modulus
-        return _elements([(x - y) % mod for x, y in zip(full, own)],
+        ones = self.codec.modulus - 1
+        return _elements([(x - y) & ones for x, y in zip(full, own)],
                          self.codec)
 
     def _generate(self, kind: tuple):
@@ -446,8 +448,8 @@ def beaver_mul_batch(party: str, x_values, y_values, triples,
         groups.append(group)
     fresh = {id(op): op for pair in zip(x_values, y_values) for op in pair
              if op.diff is None}.values()
-    mod = codec.modulus
-    own = _elements([(u - r) % mod for op in fresh
+    ones = codec.modulus - 1
+    own = _elements([(u - r) & ones for op in fresh
                      for u, r in zip(op.values, op.mask)], codec)
     channel.send_frame(_encode_elements(own, codec))
     peer = _decode_elements(channel.recv_frame(), len(own), codec)
@@ -458,16 +460,19 @@ def beaver_mul_batch(party: str, x_values, y_values, triples,
         op.diff = list(map(add, islice(own, start, end),
                            islice(peer, start, end)))
         start = end
-    products = []
+    out = []
     for x, y, c, group in zip(x_values, y_values, triples, groups):
         dy, ry = _repeat(y.diff, group), _repeat(y.mask, group)
+        # one product batch is held at a time, and only until truncated
         if party == SERVER:
-            products.append(cc + dx * s + d * r + dx * d for cc, dx, s, d, r
-                            in zip(c, x.diff, ry, dy, x.mask))
+            out += truncate_local(party, [
+                cc + dx * s + d * r + dx * d for cc, dx, s, d, r
+                in zip(c, x.diff, ry, dy, x.mask)], codec)
         else:
-            products.append(cc + dx * s + d * r for cc, dx, s, d, r
-                            in zip(c, x.diff, ry, dy, x.mask))
-    return truncate_local(party, chain.from_iterable(products), codec)
+            out += truncate_local(party, [
+                cc + dx * s + d * r for cc, dx, s, d, r
+                in zip(c, x.diff, ry, dy, x.mask)], codec)
+    return out
 
 
 def matmul_shared(party: str, a_values, b_values, triple,

@@ -21,12 +21,13 @@ share flooding buys.
 
 import math
 import random
+from array import array
 from dataclasses import dataclass
 
-from .errors import ConfigError, RangeError
+from .errors import ConfigError, RangeError, UnsupportedValueError
 from .floatbits import BIAS, L, compose, decompose, pack_integer, \
     to_binary32, unpack_integer
-from .ring import CLIENT, DealerState, FixedPointCodec, Masked, \
+from .ring import CLIENT, SERVER, DealerState, FixedPointCodec, Masked, \
     beaver_mul_batch, run_session, truncate_local
 
 MAGIC_K1 = 0x5F3759DF
@@ -93,26 +94,42 @@ def seed_local(x: float) -> float:
     return compose(unpack_integer(MAGIC_K1 - (i_x >> 1)))
 
 
-def _packed_magnitude(value: float) -> int:
-    mag = abs(value)
-    if mag < MIN_MAGNITUDE:
-        mag = MIN_MAGNITUDE
-    return pack_integer(decompose(to_binary32(mag))).i
+def _seed_integers(floats, offset: int) -> list:
+    """offset minus a quarter of the packed binary32 magnitude of each
+    float, the magnitudes floored at MIN_MAGNITUDE.
+
+    The bit pattern of a positive normal binary32 is exactly its packed
+    integer M + E*L, so the batch is rounded to binary32 as one array and
+    read back as unsigned 32-bit words. An array stores an overflow as
+    infinity silently, so the exponent range is checked on the batch.
+    """
+    bits = array("I", array("f", [max(abs(x), MIN_MAGNITUDE)
+                                  for x in floats]).tobytes())
+    if bits and not (L <= min(bits) and max(bits) < 255 * L):
+        raise UnsupportedValueError(
+            "a seed magnitude is not a normal binary32 value")
+    return [offset - (b >> 2) for b in bits]
+
+
+def _seed_offset(party: str, params: SeedParams, flooded: bool) -> int:
+    """The constant a party adds to its seed integers: none on the
+    client; K2, plus the flooding compensation when flooded, on the
+    server."""
+    if party == CLIENT:
+        return 0
+    return params.K2 + params.comp if flooded else params.K2
 
 
 def seed_share_client(fc: float, params: SeedParams = SeedParams()) -> int:
     """Client half of the seed: minus a quarter of its packed magnitude."""
-    return -(_packed_magnitude(fc) >> 2)
+    return _seed_integers([fc], 0)[0]
 
 
 def seed_share_server(fs: float, params: SeedParams = SeedParams(),
                       flooded: bool = True) -> int:
     """Server half: quarter-shifted packed magnitude plus the merge constant
     K2, plus the flooding compensation when the shares are flooded."""
-    o = -(_packed_magnitude(fs) >> 2) + params.K2
-    if flooded:
-        o += params.comp
-    return o
+    return _seed_integers([fs], _seed_offset(SERVER, params, flooded))[0]
 
 
 def seed_shares(fc: float, fs: float, params: SeedParams = SeedParams(),
@@ -149,10 +166,14 @@ def bits_to_value_batch(party: str, o_values, channel,
             (params.E_f + LINEARIZE_MANTISSA) * L / 2)
         v0 = 2.0 ** (p0 / L - BIAS)
         slope = v0 * math.log(2.0) / L
-        if party == CLIENT:
-            return [codec.encode(slope * o) for o in o_values]
-        offset = v0 - slope * p0
-        return [codec.encode(slope * o + offset) for o in o_values]
+        offset = 0.0 if party == CLIENT else v0 - slope * p0
+        if o_values:
+            # the map increases with o, so its extremes are the outputs
+            # nearest the range limits; encode raises RangeError there
+            codec.encode(slope * min(o_values) + offset)
+            codec.encode(slope * max(o_values) + offset)
+        scale, ones = codec.scale, codec.modulus - 1
+        return [round((slope * o + offset) * scale) & ones for o in o_values]
     if party == CLIENT:
         x_vals = [codec.encode(2.0 ** ((o + params.C0) / L))
                   for o in o_values]
@@ -192,7 +213,7 @@ def newton_shared_batch(party: str, x_values, y_values, n: int, triples,
     Round 2 takes an ordinary triple. That is 2 ring elements per element
     in each round, but 1 in round 1 after the first iteration.
     """
-    mod = codec.modulus
+    ones = codec.modulus - 1
     m = len(y_values)
     y = list(y_values)
     if not n:
@@ -206,7 +227,7 @@ def newton_shared_batch(party: str, x_values, y_values, n: int, triples,
         product = beaver_mul_batch(party, pair[:m], pair[m:],
                                    triples.take(m), channel, codec)
         half_y = truncate_local(party, y, codec, 1)
-        y = [(u + h - p) % mod for u, h, p in zip(y, half_y, product)]
+        y = [(u + h - p) & ones for u, h, p in zip(y, half_y, product)]
     return y
 
 
@@ -221,16 +242,13 @@ def rsqrt_shared_batch(party: str, values, channel, codec: FixedPointCodec,
     because its truncations need a wrap-normalized (uniform-client) pair
     and callers may supply structured splits.
     """
-    if party == CLIENT:
-        o_values = [seed_share_client(codec.decode(v), params) for v in values]
-    else:
-        o_values = [seed_share_server(codec.decode(v), params, flooded)
-                    for v in values]
+    o_values = _seed_integers(map(codec.decode, values),
+                              _seed_offset(party, params, flooded))
     seeds = bits_to_value_batch(party, o_values, channel, codec, params,
                                 triples, flooded)
-    mod = codec.modulus
+    ones = codec.modulus - 1
     zeros = triples.take_zeros(len(values))
-    arith = [(v + z) % mod for v, z in zip(values, zeros)]
+    arith = [(v + z) & ones for v, z in zip(values, zeros)]
     return newton_shared_batch(party, arith, seeds, newton.iterations,
                                triples, channel, codec)
 

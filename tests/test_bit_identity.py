@@ -1,0 +1,67 @@
+"""Golden digests of protocol outputs with their exact counts.
+
+A change that only makes the protocol cheaper to compute must leave every
+output bit and every counted byte, frame and round as it was. These pins
+record the SHA-256 of the output ring integers of two fixed runs, and
+their exact `CommStats`, so such a change proves that it is bit-identical
+inside the suite.
+"""
+
+import hashlib
+import random
+
+from rootshare import ActivationSampler, CommStats, ToyEncoderConfig, \
+    draw_flood_mask, flood_share, run_shared_rsqrt, toy_encoder_infer
+from rootshare.config import DEFAULT_CONFIG
+
+RSQRT_ELEMENTS = 2000
+RSQRT_INPUT_SEED = 7
+RSQRT_DEALER_SEED = 911
+RSQRT_DIGEST = (
+    "b8a4068c567b05e51fa8fa9e91fdeef7e3075a2ea46f79e574a8c033eb8c5a59")
+RSQRT_STATS = (CommStats(208032, 208000, 8, 8),
+               CommStats(208032, 208000, 8, 8))
+ENCODER_DIGEST = (
+    "e8a7d17d6f82ec3185e142080b25ef413f57c2ca3819c2174af0b37f94ce1c08")
+ENCODER_STATS = (CommStats(71584, 71360, 56, 61),
+                 CommStats(74356, 74112, 61, 61))
+
+
+def _ring_digest(outputs, codec):
+    """SHA-256 of the ring integers behind decoded outputs.
+
+    Decoding divides a signed ring integer by 2^f, which a float holds
+    exactly below 2^53, so each output maps back to one integer.
+    """
+    limit = 2.0 ** (53 - codec.f)
+    assert all(abs(y) < limit for y in outputs)
+    ring = [round(y * codec.scale) % codec.modulus for y in outputs]
+    return hashlib.sha256(",".join(map(str, ring)).encode()).hexdigest()
+
+
+def test_rsqrt_outputs_and_counts_are_pinned():
+    cfg = DEFAULT_CONFIG
+    sampler = ActivationSampler(cfg.sampler_log2_mean, cfg.sampler_log2_std,
+                                seed=RSQRT_INPUT_SEED)
+    mask_rng = random.Random(RSQRT_INPUT_SEED + 1)
+    pairs = []
+    for x in sampler.sample(RSQRT_ELEMENTS):
+        c, s = flood_share(x, draw_flood_mask(cfg.flood, mask_rng), cfg.codec)
+        pairs.append((c.value, s.value))
+    ys, stats_c, stats_s = run_shared_rsqrt(
+        pairs, cfg.codec, cfg.seed, cfg.newton,
+        dealer_seed=RSQRT_DEALER_SEED)
+    assert (stats_c, stats_s) == RSQRT_STATS
+    assert _ring_digest(ys, cfg.codec) == RSQRT_DIGEST
+
+
+def test_encoder_outputs_and_counts_are_pinned():
+    # criterion 9's fixture
+    cfg = ToyEncoderConfig(seq_len=8, model_dim=16)
+    rng = random.Random(0)
+    x = [[0.8 + 0.4 * rng.random() for _ in range(cfg.model_dim)]
+         for _ in range(cfg.seq_len)]
+    got, info = toy_encoder_infer(cfg, x, mode="shared")
+    assert (info["client"], info["server"]) == ENCODER_STATS
+    flat = [v for row in got for v in row]
+    assert _ring_digest(flat, DEFAULT_CONFIG.codec) == ENCODER_DIGEST

@@ -276,6 +276,28 @@ def test_truncate_local_error_bound(codec, data):
     assert (tc + ts - nearest) % mod in (0, 1)
 
 
+@PROPERTY
+@given(RINGS, st.data())
+def test_truncate_local_matches_its_definition(codec, data):
+    # Both parties' rules, pinned as arithmetic on v mod 2^l, at the
+    # values where a reduction in the wrong place shows: v = 0 and -1,
+    # and the top 2^(shift-1) residues, where adding half carries out of
+    # the ring; inputs need not be reduced.
+    mod = codec.modulus
+    shift = data.draw(st.integers(1, codec.f))
+    top = st.integers(mod - (1 << (shift - 1)), mod - 1)
+    residue = st.one_of(st.integers(0, mod - 1), st.sampled_from([0, mod - 1]),
+                        top)
+    values = data.draw(st.lists(
+        st.builds(lambda r, k: r + k * mod, residue, st.integers(-2, 2)),
+        min_size=1, max_size=8))
+    unit = 1 << shift
+    assert truncate_local(CLIENT, values, codec, shift) == [
+        (v % mod + unit // 2) // unit for v in values]
+    assert truncate_local(SERVER, values, codec, shift) == [
+        (mod - (-v % mod) // unit) % mod for v in values]
+
+
 def test_truncate_wrap_rate_within_documented_bound():
     # failure probability scales as value / 2^(l-1); measurable at l=32
     codec = FixedPointCodec(l=32, f=12)

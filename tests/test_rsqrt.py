@@ -11,13 +11,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rootshare import transport
-from rootshare.errors import ConfigError, RangeError, TransportError
-from rootshare.floatbits import BIAS, L
+from rootshare.errors import ConfigError, RangeError, TransportError, \
+    UnsupportedValueError
+from rootshare.floatbits import BIAS, L, decompose, pack_integer, to_binary32
 from rootshare.flood import (ActivationSampler, FloodConfig, draw_flood_mask,
                              flood_share)
 from rootshare.ring import (CLIENT, SERVER, DealerState, FixedPointCodec,
                             make_shares, run_session)
-from rootshare.rsqrt import (MAGIC_K1, NewtonConfig, SeedParams,
+from rootshare.rsqrt import (MAGIC_K1, MIN_MAGNITUDE, NewtonConfig,
+                             SeedParams, _seed_integers, _seed_offset,
                              bits_to_value_batch, closeness_sweep,
                              newton_plain, newton_shared_batch,
                              rsqrt_shared_batch, run_shared_rsqrt, seed_local,
@@ -127,6 +129,55 @@ def test_tiny_share_magnitudes_are_floored():
     assert isinstance(o, int)
 
 
+def _reference_seed(value, party, params, flooded):
+    """One seed integer the per-element way: round to binary32, split the
+    fields, pack them."""
+    mag = max(abs(value), MIN_MAGNITUDE)
+    o = -(pack_integer(decompose(to_binary32(mag))).i >> 2)
+    if party == SERVER:
+        o += params.K2 + (params.comp if flooded else 0)
+    return o
+
+
+# f = 40 puts the smallest ring steps below the 2^-30 floor
+SEED_RINGS = st.sampled_from([FixedPointCodec(), FixedPointCodec(l=32, f=12),
+                              FixedPointCodec(l=64, f=40)])
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(SEED_RINGS, st.sampled_from([CLIENT, SERVER]), st.booleans(),
+       st.data())
+def test_seed_batch_matches_per_element_reference(codec, party, flooded,
+                                                  data):
+    half = codec.modulus // 2
+    signed = st.one_of(st.integers(-half, half - 1),
+                       st.integers(-(1 << 12), 1 << 12),
+                       st.sampled_from([0, -1, 1, -half, half - 1]))
+    values = data.draw(st.lists(signed, max_size=20))
+    ring = [v % codec.modulus for v in values]
+    params = SeedParams()
+    o = _seed_integers(map(codec.decode, ring),
+                       _seed_offset(party, params, flooded))
+    assert o == [_reference_seed(codec.decode(v), party, params, flooded)
+                 for v in ring]
+    if party == CLIENT:
+        one = [seed_share_client(codec.decode(v), params) for v in ring]
+    else:
+        one = [seed_share_server(codec.decode(v), params, flooded)
+               for v in ring]
+    assert o == one
+
+
+@pytest.mark.parametrize("value", [2.0 ** 128, 1e39, math.inf, math.nan])
+def test_seed_rejects_magnitudes_outside_binary32(value):
+    with pytest.raises(UnsupportedValueError):
+        _reference_seed(value, CLIENT, SeedParams(), True)
+    with pytest.raises(UnsupportedValueError):
+        seed_share_client(value)
+    with pytest.raises(UnsupportedValueError):
+        _seed_integers([1.0, value], 0)
+
+
 # --------------------------------------------- bit-to-value conversion
 
 def _bits_to_value(o_c, o_s, codec, params, dealer_seed, flooded=True):
@@ -139,6 +190,19 @@ def _bits_to_value(o_c, o_s, codec, params, dealer_seed, flooded=True):
     (got,), st_c, st_s = run_session(party_fn, [o_c], [o_s],
                                      DealerState(codec, seed=dealer_seed))
     return got, st_c, st_s
+
+
+def test_flooded_conversion_rejects_values_outside_the_ring():
+    # the conversion encodes a batch in one pass; an element anywhere in
+    # it that maps outside the signed range still raises
+    codec = FixedPointCodec(l=32, f=12)
+    p = SeedParams()
+    o = seed_share_server(8195.098, p)
+    for party in (CLIENT, SERVER):
+        assert len(bits_to_value_batch(party, [o], None, codec, p)) == 1
+        for batch in ([o, 10 ** 30], [-10 ** 30, o, o]):
+            with pytest.raises(RangeError):
+                bits_to_value_batch(party, batch, None, codec, p)
 
 
 def test_masked_open_matches_exponential_form():
