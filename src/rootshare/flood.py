@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigError, ConstructionError, RangeError
 from .floatbits import decompose, to_binary32
-from .ring import CLIENT, SERVER, FixedPointCodec, RingShare, _decode_elements, \
-    _encode_elements
+from .ring import CLIENT, SERVER, FixedPointCodec, RingShare, _lanes
 
 
 @dataclass(frozen=True)
@@ -73,16 +72,16 @@ def flood_reshare_batch(party: str, values, channel, codec: FixedPointCodec,
     len(values) ring elements, one round, server to client only. The
     reconstructed values are unchanged.
     """
-    mod = codec.modulus
+    lanes = _lanes(codec, len(values))
     if party == SERVER:
         if rng is None:
             raise ConfigError("the server side of a reshare needs an rng")
         masks = [codec.encode(draw_flood_mask(cfg, rng)) for _ in values]
-        deltas = [(v - m) % mod for v, m in zip(values, masks)]
-        channel.send_frame(_encode_elements(deltas, codec))
+        deltas = lanes.sub(lanes.pack(values), lanes.pack(masks))
+        channel.send_frame(deltas.to_bytes(lanes.size, "little"))
         return masks
-    deltas = _decode_elements(channel.recv_frame(), len(values), codec)
-    return [(v + d) % mod for v, d in zip(values, deltas)]
+    deltas = lanes.read(channel.recv_frame())
+    return lanes.unpack(lanes.add(lanes.pack(values), deltas))
 
 
 def adversarial_split(x: float, gap: int, rng: random.Random | None = None,

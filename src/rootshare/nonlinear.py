@@ -107,13 +107,14 @@ def scalar_mul_values(party: str, values, coef, codec: FixedPointCodec):
 
 
 def add_public_values(party: str, values, const, codec: FixedPointCodec):
-    """Add public reals to shares; only the server's half moves."""
+    """Add public reals to shares; only the server's half moves. Both halves
+    come back reduced mod 2^l."""
     scalar = isinstance(const, (int, float))
     if not scalar and len(const) != len(values):
         raise UsageError("constant list length mismatch")
-    if party != SERVER:
-        return list(values)
     ones = codec.modulus - 1
+    if party != SERVER:
+        return [v & ones for v in values]
     if scalar:
         shift = codec.encode(float(const))
         return [(v + shift) & ones for v in values]

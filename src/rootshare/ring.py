@@ -9,7 +9,9 @@ of the product of their masks. A fresh pair costs one round and two ring
 elements on the wire; a square, or a product with an operand opened
 before, costs less. Each product truncates the doubled scale away with a
 local probabilistic shift. run_session runs one protocol for both parties
-over a fresh channel and decodes its outputs.
+over a fresh channel and decodes its outputs. Every step but the products
+works on a whole batch at once, held as one integer (_Lanes), so the shares
+that pass between steps are reduced ring elements, 0 <= v < 2^l.
 """
 
 import random
@@ -17,8 +19,7 @@ import sys
 import threading
 from array import array
 from dataclasses import dataclass
-from itertools import islice
-from operator import add, mul
+from functools import lru_cache
 
 from .errors import ConfigError, ProtocolError, RangeError, UsageError
 from .transport import run_pair
@@ -27,9 +28,10 @@ CLIENT = "client"
 SERVER = "server"
 PARTIES = (CLIENT, SERVER)
 
-# Unsigned array typecodes by item size on this host: ring elements of
-# that byte width go through the wire codec as one array.
-_ARRAY_CODES = {array(code).itemsize: code for code in ("I", "Q")}
+# Unsigned array typecodes by item size. On a little-endian host such an
+# array's bytes are its elements' lane form; other widths and hosts use lists.
+_ARRAY_CODES = {array(code).itemsize: code for code in ("I", "Q")
+                if sys.byteorder == "little"}
 
 
 @dataclass(frozen=True)
@@ -67,10 +69,8 @@ class FixedPointCodec:
         return v % self.modulus
 
     def decode(self, v: int) -> float:
-        v %= self.modulus
-        if v >= self.modulus // 2:
-            v -= self.modulus
-        return v / self.scale
+        half = 1 << (self.l - 1)
+        return ((v + half) % self.modulus - half) / self.scale
 
 
 @dataclass(frozen=True)
@@ -140,6 +140,77 @@ def linear_combine(shares, coeffs, constant: int, codec: FixedPointCodec) -> Rin
     return RingShare(party, acc % codec.modulus)
 
 
+class _Lanes:
+    """Batches of `count` ring elements in lane form: one int holding
+    element k in bits [8wk, 8w(k + 1)), w = codec.element_bytes, whose
+    little-endian bytes are the batch's frame payload. add, sub and neg
+    work mod 2^l on every lane at once by the high-bit trick: the low
+    8w - 1 bits are summed, where no carry leaves a lane, and the top bit
+    is set by exclusive-or. Shift masks are multiples of `one`, 1 per lane.
+    """
+
+    def __init__(self, codec: FixedPointCodec, count: int):
+        width = codec.element_bytes
+        self.codec, self.count, self.size = codec, count, width * count
+        self.one = int.from_bytes((b"\1" + bytes(width - 1)) * count,
+                                  "little")
+        self.ones = self.one * (codec.modulus - 1)
+        self.high = self.one << (8 * width - 1)
+        self.low = self.high - self.one
+
+    def pack(self, *parts) -> int:
+        """Lane form of reduced ring elements, `count` in all parts."""
+        width = self.codec.element_bytes
+        code = _ARRAY_CODES.get(width)
+        return int.from_bytes(b"".join(
+            array(code, part) if code else
+            b"".join(v.to_bytes(width, "little") for v in part)
+            for part in parts), "little")
+
+    def read(self, payload) -> int:
+        """Lane form of a frame payload of `count` elements."""
+        if len(payload) != self.size:
+            raise ProtocolError(f"expected {self.count} elements "
+                                f"({self.size} bytes), got {len(payload)}")
+        return int.from_bytes(payload, "little")
+
+    def unpack(self, x: int):
+        """Elements of a lane form: an array of the element width, or a
+        list where no array typecode has it."""
+        width = self.codec.element_bytes
+        code = _ARRAY_CODES.get(width)
+        payload = x.to_bytes(self.size, "little")
+        if code is None:
+            return [int.from_bytes(payload[k * width:(k + 1) * width],
+                                   "little") for k in range(self.count)]
+        return array(code, payload)
+
+    def decode(self, x: int) -> list:
+        """Fixed-point reals of a lane form, read through one signed view
+        of its bytes where an array typecode has the ring's width."""
+        codec = self.codec
+        code = _ARRAY_CODES.get(codec.element_bytes)
+        if code is None or codec.l % 8:
+            return [codec.decode(v) for v in self.unpack(x)]
+        scale = codec.scale
+        signed = array(code.lower(), x.to_bytes(self.size, "little"))
+        return [v / scale for v in signed]
+
+    def add(self, x: int, y: int) -> int:
+        low = self.low
+        return (((x & low) + (y & low)) ^ ((x ^ y) & self.high)) & self.ones
+
+    def sub(self, x: int, y: int) -> int:
+        return (((x | self.high) - (y & self.low))
+                ^ (~(x ^ y) & self.high)) & self.ones
+
+    def neg(self, x: int) -> int:
+        return ((self.high - (x & self.low)) ^ (~x & self.high)) & self.ones
+
+
+_lanes = lru_cache(maxsize=32)(_Lanes)     # masks made once per (codec, count)
+
+
 def truncate_local(party: str, values, codec: FixedPointCodec,
                    shift: int | None = None) -> list:
     """Local probabilistic truncation of one party's shares by 2^shift
@@ -147,64 +218,28 @@ def truncate_local(party: str, values, codec: FixedPointCodec,
 
     Correct within one unit of the truncated scale, except with probability
     about |value| / 2^(l-1) of a large wrap error, where value is the ring
-    magnitude being truncated. The client rounds (adds half before the
-    shift); the server shifts the negated complement. Inputs may be any
-    integers; they are reduced mod 2^l first, as v & (2^l - 1). The client
-    reduces before adding half: reducing after would change the result
-    wherever v mod 2^l >= 2^l - 2^(shift-1).
+    magnitude being truncated. The client rounds: it takes
+    (v >> shift) + bit_(shift-1)(v). The server shifts the negated
+    complement. Inputs may be any integers; they are reduced mod 2^l first,
+    as v & (2^l - 1). The client reduces before rounding: reducing after
+    would change the result wherever v mod 2^l >= 2^l - 2^(shift-1).
     """
     t = codec.f if shift is None else shift
-    if t < 0:
-        raise UsageError("shift must be non-negative")
+    if not 0 <= t <= codec.l:
+        raise UsageError(f"shift {t} outside 0..l = {codec.l}")
     if t == 0:
         return list(values)
+    if party not in PARTIES:
+        raise UsageError(f"unknown party {party!r}")
     ones = codec.modulus - 1
+    lanes = _lanes(codec, len(values))
+    x = lanes.pack([v & ones for v in values])
+    kept = lanes.one * ((1 << (codec.l - t)) - 1)
     if party == CLIENT:
-        half = 1 << (t - 1)
-        return [((v & ones) + half) >> t for v in values]
-    if party == SERVER:
-        return [-((-v & ones) >> t) & ones for v in values]
-    raise UsageError(f"unknown party {party!r}")
-
-
-def _elements(values, codec: FixedPointCodec):
-    """Reduced ring elements held as one array of the codec's element width,
-    or as a list when no array typecode has that width."""
-    code = _ARRAY_CODES.get(codec.element_bytes)
-    return list(values) if code is None else array(code, values)
-
-
-def _encode_elements(values, codec: FixedPointCodec) -> bytes:
-    """Little-endian frame payload of ring elements. An array from
-    _elements is taken as already reduced; anything else is reduced here."""
-    width = codec.element_bytes
-    mod = codec.modulus
-    code = _ARRAY_CODES.get(width)
-    if code is None:
-        return b"".join((v % mod).to_bytes(width, "little") for v in values)
-    if isinstance(values, array) and values.typecode == code:
-        elements = array(code, values) if sys.byteorder == "big" else values
+        x = ((x >> t) & kept) + ((x >> (t - 1)) & lanes.one)
     else:
-        elements = array(code, [v % mod for v in values])
-    if sys.byteorder == "big":
-        elements.byteswap()
-    return elements.tobytes()
-
-
-def _decode_elements(payload: bytes, count: int, codec: FixedPointCodec):
-    """Frame payload as ring elements, in the container _elements uses."""
-    width = codec.element_bytes
-    if len(payload) != count * width:
-        raise ProtocolError(
-            f"expected {count} elements ({count * width} bytes), got {len(payload)}")
-    code = _ARRAY_CODES.get(width)
-    if code is None:
-        return [int.from_bytes(payload[k * width:(k + 1) * width], "little")
-                for k in range(count)]
-    elements = array(code, payload)
-    if sys.byteorder == "big":
-        elements.byteswap()
-    return elements
+        x = lanes.neg((lanes.neg(x) >> t) & kept)
+    return list(lanes.unpack(x))
 
 
 def _repeat(values, group: int):
@@ -248,7 +283,7 @@ class DealerState:
         self._pending: dict = {}
 
     def _draws(self, count: int):
-        """count uniform l-bit draws, held as _elements holds them.
+        """count uniform l-bit draws.
 
         At l = 32 or 64 on a little-endian host one wide getrandbits call
         reads the same 32-bit generator words, least significant first, as
@@ -261,13 +296,17 @@ class DealerState:
             return array(_ARRAY_CODES[l // 8],
                          wide.to_bytes(l // 8 * count, "little"))
         draw = self._rng.getrandbits
-        return _elements((draw(l) for _ in range(count)), self.codec)
+        return [draw(l) for _ in range(count)]
 
     def _other_half(self, full, own):
-        """The peer's half of shared values: full - own, as _elements."""
+        """The peer's half of reduced shared values: full - own."""
+        lanes = _lanes(self.codec, len(own))
+        return lanes.unpack(lanes.sub(lanes.pack(full), lanes.pack(own)))
+
+    def _product_half(self, a, b, own):
+        """The peer's half of the elementwise products a * b mod 2^l."""
         ones = self.codec.modulus - 1
-        return _elements([(x - y) & ones for x, y in zip(full, own)],
-                         self.codec)
+        return self._other_half([x * y & ones for x, y in zip(a, b)], own)
 
     def _generate(self, kind: tuple):
         """(client half, server half) of one batch of the given kind.
@@ -288,13 +327,13 @@ class DealerState:
             a, b, a_c, b_c, c_c = (r[i::5] for i in range(5))
             return (a_c, b_c, c_c), (
                 self._other_half(a, a_c), self._other_half(b, b_c),
-                self._other_half(map(mul, a, b), c_c))
+                self._product_half(a, b, c_c))
         if kind[0] == "square":
             self.issued += kind[1]
             r = self._draws(3 * kind[1])
             a, a_c, c_c = (r[i::3] for i in range(3))
             return (a_c, c_c), (self._other_half(a, a_c),
-                                self._other_half(map(mul, a, a), c_c))
+                                self._product_half(a, a, c_c))
         if kind[0] == "fixed":
             _, count, group, squares = kind
             size = count * group
@@ -302,16 +341,17 @@ class DealerState:
             a, a_c, ab_c = (self._draws(size) for _ in range(3))
             client = [b_c, a_c, ab_c]
             server = [self._other_half(b, b_c), self._other_half(a, a_c),
-                      self._other_half(map(mul, a, _repeat(b, group)), ab_c)]
+                      self._product_half(a, _repeat(b, group), ab_c)]
             if squares:
                 client.append(self._draws(size))
-                server.append(self._other_half(map(mul, a, a), client[-1]))
+                server.append(self._product_half(a, a, client[-1]))
             self.issued += size * (len(client) - 2)
             return tuple(client), tuple(server)
         if kind[0] == "zero":
             self.issued += kind[1]
             r = self._draws(kind[1])
-            return r, _elements([(-x) % mod for x in r], self.codec)
+            lanes = _lanes(self.codec, kind[1])
+            return r, lanes.unpack(lanes.neg(lanes.pack(r)))
         m, k, n = kind[1:]
         self.issued += 1
         a = self._draws(m * k)
@@ -428,8 +468,10 @@ def beaver_mul_batch(party: str, x_values, y_values, triples,
 
     With D_u = u - r_u public for both operands, each product is
     z = c + D_x r_y + D_y r_x, plus D_x D_y on the server, then truncated.
-    The plain form is the case where both operands are fresh. Returns the
-    products' ring integers at scale 2^f, concatenated in order.
+    The server forms it as c + D_x (r_y + D_y) + D_y r_x; a square (x is
+    y) is c + D (2r), or c + D (2r + D) on the server. The plain form is
+    the case where both operands are fresh. Operands are reduced ring
+    elements. Returns the products' ring integers at scale 2^f, in order.
     """
     if not (x_values and isinstance(x_values[0], Masked)):
         a_values, b_values, c_values = triples
@@ -448,30 +490,28 @@ def beaver_mul_batch(party: str, x_values, y_values, triples,
         groups.append(group)
     fresh = {id(op): op for pair in zip(x_values, y_values) for op in pair
              if op.diff is None}.values()
-    ones = codec.modulus - 1
-    own = _elements([(u - r) & ones for op in fresh
-                     for u, r in zip(op.values, op.mask)], codec)
-    channel.send_frame(_encode_elements(own, codec))
-    peer = _decode_elements(channel.recv_frame(), len(own), codec)
-    start = 0
+    lanes = _lanes(codec, sum(len(op.values) for op in fresh))
+    own = lanes.sub(lanes.pack(*(op.values for op in fresh)),
+                    lanes.pack(*(op.mask for op in fresh)))
+    channel.send_frame(own.to_bytes(lanes.size, "little"))
+    diff = lanes.unpack(lanes.add(own, lanes.read(channel.recv_frame())))
     for op in fresh:
-        end = start + len(op.values)
-        # D stays unreduced (below 2^(l+1)); the truncation reduces z
-        op.diff = list(map(add, islice(own, start, end),
-                           islice(peer, start, end)))
-        start = end
+        op.diff, diff = diff[:len(op.values)], diff[len(op.values):]
     out = []
     for x, y, c, group in zip(x_values, y_values, triples, groups):
-        dy, ry = _repeat(y.diff, group), _repeat(y.mask, group)
-        # one product batch is held at a time, and only until truncated
+        lanes = _lanes(codec, len(y.values))
+        ry = lanes.pack(y.mask)
+        s = lanes.add(ry, ry) if x is y else ry
         if party == SERVER:
-            out += truncate_local(party, [
-                cc + dx * s + d * r + dx * d for cc, dx, s, d, r
-                in zip(c, x.diff, ry, dy, x.mask)], codec)
+            s = lanes.add(s, lanes.pack(y.diff))
+        s = _repeat(lanes.unpack(s), group)
+        # one product batch is held at a time, and only until truncated
+        if x is y:
+            z = [cc + d * t for cc, d, t in zip(c, x.diff, s)]
         else:
-            out += truncate_local(party, [
-                cc + dx * s + d * r for cc, dx, s, d, r
-                in zip(c, x.diff, ry, dy, x.mask)], codec)
+            z = [cc + dx * t + d * r for cc, dx, t, d, r
+                 in zip(c, x.diff, s, _repeat(y.diff, group), x.mask)]
+        out += truncate_local(party, z, codec)
     return out
 
 
@@ -487,18 +527,17 @@ def matmul_shared(party: str, a_values, b_values, triple,
     if len(a_values) != m * k or len(b_values) != k * n:
         raise UsageError("matrix share sizes disagree with the given shape")
     ra, rb, rc = triple
-    mod = codec.modulus
-    d_own = [(x - r) % mod for x, r in zip(a_values, ra)]
-    e_own = [(x - r) % mod for x, r in zip(b_values, rb)]
-    channel.send_frame(_encode_elements(d_own + e_own, codec))
-    peer = _decode_elements(channel.recv_frame(), m * k + k * n, codec)
-    d = [(u + v) % mod for u, v in zip(d_own, peer[:m * k])]
-    e = [(u + v) % mod for u, v in zip(e_own, peer[m * k:])]
+    lanes = _lanes(codec, m * k + k * n)
+    own = lanes.sub(lanes.pack(a_values, b_values), lanes.pack(ra, rb))
+    channel.send_frame(own.to_bytes(lanes.size, "little"))
+    de = lanes.unpack(lanes.add(own, lanes.read(channel.recv_frame())))
+    d, e = de[:m * k], de[m * k:]
     if party == SERVER:
         # the server also adds D E, folded in as D (R_b + E)
-        rb = [(r + v) % mod for r, v in zip(rb, e)]
-    db = _mat_mul_mod(d, rb, m, k, n, mod)
-    ae = _mat_mul_mod(ra, e, m, k, n, mod)
+        lanes = _lanes(codec, k * n)
+        rb = lanes.unpack(lanes.add(lanes.pack(rb), lanes.pack(e)))
+    db = _mat_mul_mod(d, rb, m, k, n, codec.modulus)
+    ae = _mat_mul_mod(ra, e, m, k, n, codec.modulus)
     return truncate_local(party, [c + u + v for c, u, v in zip(rc, db, ae)],
                           codec)
 
@@ -523,7 +562,6 @@ def run_session(party_fn, client_values, server_values, dealer: DealerState,
     (out_c, stats_c), (out_s, stats_s) = run_pair(
         party(CLIENT, client_values, stream_c),
         party(SERVER, server_values, stream_s), transport=transport)
-    codec = dealer.codec
-    mod = codec.modulus
-    decoded = [codec.decode((c + s) % mod) for c, s in zip(out_c, out_s)]
+    lanes = _lanes(dealer.codec, len(out_c))
+    decoded = lanes.decode(lanes.add(lanes.pack(out_c), lanes.pack(out_s)))
     return decoded, stats_c, stats_s

@@ -28,7 +28,7 @@ from .errors import ConfigError, RangeError, UnsupportedValueError
 from .floatbits import BIAS, L, compose, decompose, pack_integer, \
     to_binary32, unpack_integer
 from .ring import CLIENT, SERVER, DealerState, FixedPointCodec, Masked, \
-    beaver_mul_batch, run_session, truncate_local
+    _lanes, beaver_mul_batch, run_session, truncate_local
 
 MAGIC_K1 = 0x5F3759DF
 MIN_MAGNITUDE = 2.0 ** -30
@@ -213,11 +213,11 @@ def newton_shared_batch(party: str, x_values, y_values, n: int, triples,
     Round 2 takes an ordinary triple. That is 2 ring elements per element
     in each round, but 1 in round 1 after the first iteration.
     """
-    ones = codec.modulus - 1
     m = len(y_values)
     y = list(y_values)
     if not n:
         return y
+    lanes = _lanes(codec, m)
     b, a, ab, aa = triples.take_fixed_mask(m, n, squares=True)
     half_x = Masked(truncate_local(party, x_values, codec, 1), b)
     for k in range(n):
@@ -227,7 +227,8 @@ def newton_shared_batch(party: str, x_values, y_values, n: int, triples,
         product = beaver_mul_batch(party, pair[:m], pair[m:],
                                    triples.take(m), channel, codec)
         half_y = truncate_local(party, y, codec, 1)
-        y = [(u + h - p) & ones for u, h, p in zip(y, half_y, product)]
+        y = lanes.unpack(lanes.sub(lanes.add(
+            lanes.pack(y), lanes.pack(half_y)), lanes.pack(product)))
     return y
 
 
@@ -242,13 +243,14 @@ def rsqrt_shared_batch(party: str, values, channel, codec: FixedPointCodec,
     because its truncations need a wrap-normalized (uniform-client) pair
     and callers may supply structured splits.
     """
-    o_values = _seed_integers(map(codec.decode, values),
+    lanes = _lanes(codec, len(values))
+    x = lanes.pack(values)
+    o_values = _seed_integers(lanes.decode(x),
                               _seed_offset(party, params, flooded))
     seeds = bits_to_value_batch(party, o_values, channel, codec, params,
                                 triples, flooded)
-    ones = codec.modulus - 1
-    zeros = triples.take_zeros(len(values))
-    arith = [(v + z) & ones for v, z in zip(values, zeros)]
+    zeros = lanes.pack(triples.take_zeros(len(values)))
+    arith = lanes.unpack(lanes.add(x, zeros))
     return newton_shared_batch(party, arith, seeds, newton.iterations,
                                triples, channel, codec)
 

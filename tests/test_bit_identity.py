@@ -13,6 +13,8 @@ import random
 from rootshare import ActivationSampler, CommStats, ToyEncoderConfig, \
     draw_flood_mask, flood_share, run_shared_rsqrt, toy_encoder_infer
 from rootshare.config import DEFAULT_CONFIG
+from rootshare.ring import DealerState, FixedPointCodec, Masked, \
+    beaver_mul_batch, run_session, split_values, truncate_local
 
 RSQRT_ELEMENTS = 2000
 RSQRT_INPUT_SEED = 7
@@ -65,3 +67,48 @@ def test_encoder_outputs_and_counts_are_pinned():
     assert (info["client"], info["server"]) == ENCODER_STATS
     flat = [v for row in got for v in row]
     assert _ring_digest(flat, DEFAULT_CONFIG.codec) == ENCODER_DIGEST
+
+
+L32_CODEC = FixedPointCodec(l=32, f=12)
+L32_ELEMENTS = 600
+L32_ROW = 4
+L32_INPUT_SEED = 32
+L32_DEALER_SEED = 3212
+L32_DIGEST = (
+    "738ab137dc32491df6dd18678cd8a82ea14bdc076c8dcdd141fbe62096ccb09a")
+L32_STATS = (CommStats(10212, 10200, 3, 3),
+             CommStats(10212, 10200, 3, 3))
+
+
+def test_l32_products_and_truncation_are_pinned():
+    # 4-byte elements: plain, square and fixed-mask Beaver products, then
+    # one truncation of raw ring integers, the ring's edge values among them
+    codec = L32_CODEC
+    n, rows = L32_ELEMENTS, L32_ELEMENTS // L32_ROW
+    rng = random.Random(L32_INPUT_SEED)
+    plain = [rng.uniform(-40.0, 40.0) for _ in range(2 * n + rows)]
+    edges = [0, 1, 1 << (codec.l - 1), codec.modulus - 1]
+    raw = edges + [rng.getrandbits(codec.l) for _ in range(n)]
+    shares = {}
+
+    def party_fn(party, values, channel, triples):
+        x, y, r = values[:n], values[n:2 * n], values[2 * n:]
+        out = list(beaver_mul_batch(party, x, y, triples.take(n), channel,
+                                    codec))
+        a, aa = triples.take_squares(n)
+        sq = Masked(x, a)
+        out += beaver_mul_batch(party, (sq,), (sq,), (aa,), channel, codec)
+        b, a, ab = triples.take_fixed_mask(rows, L32_ROW)
+        out += beaver_mul_batch(party, (Masked(y, a),), (Masked(r, b),),
+                                (ab,), channel, codec)
+        out += truncate_local(party, raw, codec)
+        shares[party] = out
+        return out
+
+    _, stats_c, stats_s = run_session(
+        party_fn, *split_values(plain, codec, rng),
+        DealerState(codec, seed=L32_DEALER_SEED))
+    assert (stats_c, stats_s) == L32_STATS
+    text = ";".join(",".join(map(str, shares[party]))
+                    for party in ("client", "server"))
+    assert hashlib.sha256(text.encode()).hexdigest() == L32_DIGEST

@@ -19,7 +19,7 @@ from rootshare.config import DEFAULT_CONFIG
 from rootshare.flood import draw_flood_mask, flood_share
 from rootshare.nonlinear import GELU_PARAMS, run_layernorm_shared, \
     run_smu_shared, run_softmax_star_shared
-from rootshare.ring import CLIENT, DealerState, _decode_elements
+from rootshare.ring import CLIENT, DealerState, _lanes
 from rootshare.rsqrt import run_shared_rsqrt
 from rootshare.transport import Endpoint
 
@@ -81,9 +81,9 @@ def opened_per_mask(masks, events):
         if kind != "send":
             continue
         assert next_kind == "recv" and len(peer) == len(own)
-        count = len(own) // width
-        for d_own, d_peer in zip(_decode_elements(own, count, CODEC),
-                                 _decode_elements(peer, count, CODEC)):
+        lanes = _lanes(CODEC, len(own) // width)
+        for d_own, d_peer in zip(lanes.unpack(lanes.read(own)),
+                                 lanes.unpack(lanes.read(peer))):
             target = -(d_own + d_peer) % mod
             near = [r for shift in (-mod, 0, mod) for r in ordered[
                 bisect.bisect_left(ordered, target + shift - WINDOW):

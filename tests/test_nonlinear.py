@@ -114,8 +114,11 @@ def test_scalar_mul_and_public_add_are_local():
         scalar_mul_values(CLIENT, vc, [0.5, 2.0], codec),
         scalar_mul_values("server", vs, [0.5, 2.0], codec))
     assert per_element == pytest.approx([1.0, -3.0], abs=2 ** -14)
-    # public constants enter on the server side only
+    # public constants enter on the server side only; an unreduced client
+    # half, such as a row sum, comes back reduced for the lane packing
     assert add_public_values(CLIENT, vs, 1.0, codec) == vs
+    assert add_public_values(CLIENT, [v + 3 * codec.modulus for v in vs],
+                             1.0, codec) == vs
     shifted = recombine(vc, add_public_values("server", vs, 1.0, codec))
     assert shifted == pytest.approx([3.0, -0.5], abs=2 ** -14)
 

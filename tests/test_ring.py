@@ -14,8 +14,7 @@ from conftest import FixedBits, chi2_uniform_stat, mul_pairs, quantize
 from rootshare.errors import ConfigError, ProtocolError, RangeError, UsageError
 from rootshare.ring import (CLIENT, SERVER, DealerState,
                             FixedPointCodec, Masked, RingShare,
-                            _decode_elements,
-                            _encode_elements, beaver_mul_batch,
+                            _lanes, beaver_mul_batch,
                             linear_combine, make_shares, matmul_shared,
                             reconstruct, reconstruct_raw, run_session,
                             split_values, truncate_local)
@@ -63,21 +62,24 @@ def test_range_errors():
        st.lists(st.one_of(st.integers(), st.integers(-2 ** 66, 2 ** 66)),
                 max_size=40))
 def test_element_codec_roundtrip(l, values):
-    # widths 4 and 8 go through array('I')/array('Q') and decode to an
-    # array; the frames must be the little-endian int.to_bytes frames
-    # every other width uses
+    # the lane form's bytes are the frame: at every width, the
+    # little-endian int.to_bytes frames of the reduced elements; widths 4
+    # and 8 go through array('I')/array('Q') and decode to an array
     codec = FixedPointCodec(l=l, f=2)
     width, mod = codec.element_bytes, codec.modulus
-    payload = _encode_elements(values, codec)
-    assert payload == b"".join((v % mod).to_bytes(width, "little")
-                               for v in values)
-    assert list(_decode_elements(payload, len(values), codec)) == [
-        v % mod for v in values]
+    lanes = _lanes(codec, len(values))
+    reduced = [v % mod for v in values]
+    x = lanes.pack(reduced)
+    payload = x.to_bytes(lanes.size, "little")
+    assert payload == b"".join(v.to_bytes(width, "little") for v in reduced)
+    assert lanes.read(payload) == x
+    assert list(lanes.unpack(x)) == reduced
+    assert isinstance(lanes.unpack(x), array) == (width in (4, 8))
     with pytest.raises(ProtocolError):
-        _decode_elements(payload + b"\0", len(values), codec)
+        lanes.read(payload + b"\0")
     if values:
         with pytest.raises(ProtocolError):
-            _decode_elements(payload[:-1], len(values), codec)
+            lanes.read(payload[:-1])
 
 
 def test_codec_parameter_validation():
@@ -247,6 +249,8 @@ def test_truncate_shift_zero_is_identity(codec):
     with pytest.raises(UsageError):
         truncate_local(CLIENT, [12345], codec, -1)
     with pytest.raises(UsageError):
+        truncate_local(CLIENT, [12345], codec, codec.l + 1)
+    with pytest.raises(UsageError):
         truncate_local("nobody", [12345], codec)
 
 
@@ -319,6 +323,58 @@ def test_truncate_wrap_rate_negligible_at_l64(codec):
     fails = sum(1 for got in _trunc_pairs(raw, masks, codec)
                 if abs(got - (raw >> 16)) > 2)
     assert fails / trials < 1e-4
+
+
+# -------------------------------------------------------------- lane form
+
+# 8- and 4-byte lanes (array typecodes), and 5- and 2-byte lanes (lists);
+# at l = 28 and 12 a lane is wider than the ring
+LANE_CODECS = (FixedPointCodec(), FixedPointCodec(l=32, f=12),
+               FixedPointCodec(l=28, f=8), FixedPointCodec(l=40, f=16),
+               FixedPointCodec(l=12, f=4))
+
+
+def _check_lanes(codec, xs, ys, shift):
+    """Lane add, sub, neg, decode and both truncation rules of reduced
+    batches against their per-element definitions."""
+    mod, unit = codec.modulus, 1 << shift
+    lanes = _lanes(codec, len(xs))
+    x, y = lanes.pack(xs), lanes.pack(ys)
+    assert list(lanes.unpack(lanes.add(x, y))) == [
+        (u + v) % mod for u, v in zip(xs, ys)]
+    assert list(lanes.unpack(lanes.sub(x, y))) == [
+        (u - v) % mod for u, v in zip(xs, ys)]
+    assert list(lanes.unpack(lanes.neg(x))) == [-u % mod for u in xs]
+    assert lanes.decode(x) == [codec.decode(u) for u in xs]
+    assert truncate_local(CLIENT, xs, codec, shift) == [
+        (u >> shift) + (u >> (shift - 1) & 1) for u in xs]
+    assert truncate_local(SERVER, xs, codec, shift) == [
+        -(-u % mod // unit) % mod for u in xs]
+
+
+@pytest.mark.parametrize("codec", LANE_CODECS, ids=lambda c: f"l{c.l}")
+def test_lanes_at_ring_edges(codec):
+    # batches of 0 and 1 elements, and every pair of edge values
+    mod = codec.modulus
+    edges = [0, 1, mod // 2, mod - 1]
+    for shift in (1, codec.f):
+        _check_lanes(codec, [], [], shift)
+        for u in edges:
+            for v in edges:
+                _check_lanes(codec, [u], [v], shift)
+        _check_lanes(codec, edges * 4, [v for v in edges for _ in edges],
+                     shift)
+
+
+@PROPERTY
+@given(st.sampled_from(LANE_CODECS), st.data())
+def test_lanes_match_elementwise_arithmetic(codec, data):
+    mod = codec.modulus
+    element = st.one_of(st.integers(0, mod - 1),
+                        st.sampled_from([0, 1, mod // 2, mod - 1]))
+    xs = data.draw(st.lists(element, max_size=24))
+    ys = data.draw(st.lists(element, min_size=len(xs), max_size=len(xs)))
+    _check_lanes(codec, xs, ys, data.draw(st.integers(1, codec.f)))
 
 
 # --------------------------------------------------------- multiplication
