@@ -12,7 +12,7 @@ from .ring import CLIENT, SERVER, PARTIES, DealerState, FixedPointCodec, \
 from .floatbits import FloatBits, SignedBitsInteger, compose, decompose, \
     pack_integer, share_to_float, to_binary32, unpack_integer
 from .transport import CommStats, Endpoint, InprocEndpoint, SocketEndpoint, \
-    open_inproc, open_socket, open_socket_pair, run_pair
+    open_inproc, open_socket_pair, run_pair
 from .flood import ActivationSampler, FloodConfig, adversarial_split, \
     draw_flood_mask, flood_mask, flood_reshare_batch, flood_share, \
     shares_from_floats

@@ -9,8 +9,10 @@ of the product of their masks. A fresh pair costs one round and two ring
 elements on the wire; a square, or a product with an operand opened
 before, costs less. Each product truncates the doubled scale away with a
 local probabilistic shift. run_session runs one protocol for both parties
-over a fresh channel and decodes its outputs. Every step but the products
-works on a whole batch at once, held as one integer (_Lanes), so the shares
+over a fresh channel and decodes its outputs. Every step but the
+elementwise products works on a whole batch at once, held as one integer
+(_Lanes); a matrix product takes one big-integer multiply-add per inner
+index and output row, on rows held in wide lanes (_WideRows). The shares
 that pass between steps are reduced ring elements, 0 <= v < 2^l.
 """
 
@@ -20,6 +22,8 @@ import threading
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
+from operator import mul
 
 from .errors import ConfigError, ProtocolError, RangeError, UsageError
 from .transport import run_pair
@@ -212,7 +216,7 @@ _lanes = lru_cache(maxsize=32)(_Lanes)     # masks made once per (codec, count)
 
 
 def truncate_local(party: str, values, codec: FixedPointCodec,
-                   shift: int | None = None) -> list:
+                   shift: int | None = None):
     """Local probabilistic truncation of one party's shares by 2^shift
     (default 2^f).
 
@@ -223,6 +227,8 @@ def truncate_local(party: str, values, codec: FixedPointCodec,
     complement. Inputs may be any integers; they are reduced mod 2^l first,
     as v & (2^l - 1). The client reduces before rounding: reducing after
     would change the result wherever v mod 2^l >= 2^l - 2^(shift-1).
+    Returns the shares as _Lanes.unpack gives them: an array of the element
+    width, or a list where no array typecode has it.
     """
     t = codec.f if shift is None else shift
     if not 0 <= t <= codec.l:
@@ -239,7 +245,7 @@ def truncate_local(party: str, values, codec: FixedPointCodec,
         x = ((x >> t) & kept) + ((x >> (t - 1)) & lanes.one)
     else:
         x = lanes.neg((lanes.neg(x) >> t) & kept)
-    return list(lanes.unpack(x))
+    return lanes.unpack(x)
 
 
 def _repeat(values, group: int):
@@ -247,18 +253,70 @@ def _repeat(values, group: int):
     return values if group == 1 else [v for v in values for _ in range(group)]
 
 
-def _mat_mul_mod(a, b, m, k, n, mod):
-    """Row-major integer matmul mod 2^l."""
-    out = [0] * (m * n)
+class _WideRows:
+    """Rows of n ring elements in wide lanes: one int per row, element j
+    in lane j, `words` ring words wide. A lane holds a sum of `terms`
+    products of l-bit values plus one more l-bit value, so no carry leaves
+    it, and its width is a multiple of the element width, so the low words
+    of a row's lanes are every `words`-th element of an array view.
+    """
+
+    def __init__(self, codec: FixedPointCodec, n: int, terms: int):
+        width = codec.element_bytes
+        top = terms * (codec.modulus - 1) ** 2 + codec.modulus - 1
+        self.codec, self.words = codec, -(-top.bit_length() // (8 * width))
+        self.size = width * self.words * n
+        self.ones = int.from_bytes(
+            ((codec.modulus - 1).to_bytes(width, "little")
+             + bytes(width * (self.words - 1))) * n, "little")
+
+    def pack(self, rows: int, *parts) -> list:
+        """`rows` wide rows of reduced ring elements, n to a row, in all
+        parts."""
+        width, words = self.codec.element_bytes, self.words
+        code = _ARRAY_CODES.get(width)
+        if code:
+            flat = array(code, b"".join(array(code, part) for part in parts))
+            wide = array(code, bytes(len(flat) * width * words))
+            wide[::words] = flat
+            data = memoryview(wide).cast("B")
+        else:
+            pad = bytes(width * (words - 1))
+            data = b"".join(v.to_bytes(width, "little") + pad
+                            for part in parts for v in part)
+        size = self.size
+        return [int.from_bytes(data[i * size:(i + 1) * size], "little")
+                for i in range(rows)]
+
+    def unpack(self, rows):
+        """Row-major elements of wide rows, each lane read mod 2^l: an
+        array of the element width, or a list where no typecode has it."""
+        width, words = self.codec.element_bytes, self.words
+        ones, size = self.ones, self.size
+        data = b"".join((row & ones).to_bytes(size, "little") for row in rows)
+        code = _ARRAY_CODES.get(width)
+        if code:
+            return array(code, data)[::words]
+        return [int.from_bytes(data[j:j + width], "little")
+                for j in range(0, len(data), width * words)]
+
+
+def _mat_mul_mod(a_parts, b_parts, c, m: int, k: int, n: int,
+                 codec: FixedPointCodec):
+    """Sum over parts j of A_j B_j, plus C, mod 2^l, row-major and flat:
+    each A_j is m x k, each B_j is k x n, and C is m x n or None for zero.
+
+    With B = [B_1; B_2; ...] held as wide rows, row i of the result is
+    row i of [A_1 | A_2 | ...] times those rows: one big-int product of
+    n lanes per inner index, instead of n products of elements.
+    """
+    wide = _WideRows(codec, n, k * len(b_parts))
+    rows = wide.pack(k * len(b_parts), *b_parts)
+    acc = [0] * m if c is None else wide.pack(m, c)
     for i in range(m):
-        row = a[i * k:(i + 1) * k]
-        base = i * n
-        for j in range(n):
-            acc = 0
-            for t in range(k):
-                acc += row[t] * b[t * n + j]
-            out[base + j] = acc % mod
-    return out
+        left = chain.from_iterable(a[i * k:(i + 1) * k] for a in a_parts)
+        acc[i] = sum(map(mul, left, rows), acc[i])
+    return wide.unpack(acc)
 
 
 class DealerState:
@@ -320,7 +378,6 @@ class DealerState:
         (group per element of b, element-major) and a_t * b[t // group],
         plus a_t^2 when squares are asked for. A zero share is (r, -r).
         """
-        mod = self.codec.modulus
         if kind[0] == "scalar":
             self.issued += kind[1]
             r = self._draws(5 * kind[1])
@@ -356,7 +413,7 @@ class DealerState:
         self.issued += 1
         a = self._draws(m * k)
         b = self._draws(k * n)
-        c = _mat_mul_mod(a, b, m, k, n, mod)
+        c = _mat_mul_mod((a,), (b,), None, m, k, n, self.codec)
         a_c, b_c, c_c = (self._draws(size) for size in (m * k, k * n, m * n))
         return (a_c, b_c, c_c), tuple(
             self._other_half(full, own)
@@ -471,7 +528,8 @@ def beaver_mul_batch(party: str, x_values, y_values, triples,
     The server forms it as c + D_x (r_y + D_y) + D_y r_x; a square (x is
     y) is c + D (2r), or c + D (2r + D) on the server. The plain form is
     the case where both operands are fresh. Operands are reduced ring
-    elements. Returns the products' ring integers at scale 2^f, in order.
+    elements. Returns the products' ring integers at scale 2^f, in order,
+    in the form truncate_local returns.
     """
     if not (x_values and isinstance(x_values[0], Masked)):
         a_values, b_values, c_values = triples
@@ -497,7 +555,7 @@ def beaver_mul_batch(party: str, x_values, y_values, triples,
     diff = lanes.unpack(lanes.add(own, lanes.read(channel.recv_frame())))
     for op in fresh:
         op.diff, diff = diff[:len(op.values)], diff[len(op.values):]
-    out = []
+    out = None
     for x, y, c, group in zip(x_values, y_values, triples, groups):
         lanes = _lanes(codec, len(y.values))
         ry = lanes.pack(y.mask)
@@ -511,7 +569,8 @@ def beaver_mul_batch(party: str, x_values, y_values, triples,
         else:
             z = [cc + dx * t + d * r for cc, dx, t, d, r
                  in zip(c, x.diff, s, _repeat(y.diff, group), x.mask)]
-        out += truncate_local(party, z, codec)
+        part = truncate_local(party, z, codec)
+        out = part if out is None else out + part
     return out
 
 
@@ -521,8 +580,11 @@ def matmul_shared(party: str, a_values, b_values, triple,
     """Shared matrix product via one matrix Beaver triple, one round.
 
     a_values is this party's share of A (m x k, row-major flat), b_values of
-    B (k x n). Each party opens A - R_a and B - R_b in a single frame of
-    m*k + k*n ring elements; outputs are truncated to scale 2^f.
+    B (k x n). Each party opens D = A - R_a and E = B - R_b in a single
+    frame of m*k + k*n ring elements, then forms its share in one pass of
+    wide rows, C + [D | R_a] [R_b' ; E] mod 2^l, where R_b' = R_b + E on
+    the server (which so adds D E) and R_b on the client. Outputs are
+    truncated to scale 2^f.
     """
     if len(a_values) != m * k or len(b_values) != k * n:
         raise UsageError("matrix share sizes disagree with the given shape")
@@ -533,13 +595,10 @@ def matmul_shared(party: str, a_values, b_values, triple,
     de = lanes.unpack(lanes.add(own, lanes.read(channel.recv_frame())))
     d, e = de[:m * k], de[m * k:]
     if party == SERVER:
-        # the server also adds D E, folded in as D (R_b + E)
         lanes = _lanes(codec, k * n)
         rb = lanes.unpack(lanes.add(lanes.pack(rb), lanes.pack(e)))
-    db = _mat_mul_mod(d, rb, m, k, n, codec.modulus)
-    ae = _mat_mul_mod(ra, e, m, k, n, codec.modulus)
-    return truncate_local(party, [c + u + v for c, u, v in zip(rc, db, ae)],
-                          codec)
+    return truncate_local(
+        party, _mat_mul_mod((d, ra), (rb, e), rc, m, k, n, codec), codec)
 
 
 def run_session(party_fn, client_values, server_values, dealer: DealerState,

@@ -224,39 +224,6 @@ class SocketEndpoint(Endpoint):
         self._sock.close()
 
 
-def open_socket(listen=None, connect=None, party: str = "",
-                timeout: float = 30.0) -> SocketEndpoint:
-    """Open one side of a TCP channel.
-
-    Exactly one of listen/connect must be a (host, port) pair. The listen
-    form blocks until a single peer connects. With port 0 the chosen port is
-    not reported back, so same-process tests should use open_socket_pair.
-    """
-    if (listen is None) == (connect is None):
-        raise UsageError("pass exactly one of listen= or connect=")
-    if listen is not None:
-        acceptor = socketlib.socket(socketlib.AF_INET, socketlib.SOCK_STREAM)
-        acceptor.setsockopt(socketlib.SOL_SOCKET, socketlib.SO_REUSEADDR, 1)
-        try:
-            acceptor.bind(listen)
-            acceptor.listen(1)
-            acceptor.settimeout(timeout)
-            sock, _ = acceptor.accept()
-        except OSError as exc:
-            raise TransportError(f"listen failed on {listen}: {exc}") from exc
-        finally:
-            acceptor.close()
-        return SocketEndpoint(sock, party or "server", timeout)
-    sock = socketlib.socket(socketlib.AF_INET, socketlib.SOCK_STREAM)
-    try:
-        sock.settimeout(timeout)
-        sock.connect(connect)
-    except OSError as exc:
-        sock.close()
-        raise TransportError(f"connect failed to {connect}: {exc}") from exc
-    return SocketEndpoint(sock, party or "client", timeout)
-
-
 def open_socket_pair(host: str = "127.0.0.1", timeout: float = 30.0):
     """Loopback (client, server) endpoints on an OS-chosen port."""
     acceptor = socketlib.socket(socketlib.AF_INET, socketlib.SOCK_STREAM)
@@ -271,13 +238,22 @@ def open_socket_pair(host: str = "127.0.0.1", timeout: float = 30.0):
 
     thread = threading.Thread(target=_accept, daemon=True)
     thread.start()
-    client = open_socket(connect=(host, port), party="client", timeout=timeout)
-    thread.join(timeout)
-    acceptor.close()
+    sock = socketlib.socket(socketlib.AF_INET, socketlib.SOCK_STREAM)
+    try:
+        sock.settimeout(timeout)
+        sock.connect((host, port))
+        thread.join(timeout)
+    except OSError as exc:
+        sock.close()
+        raise TransportError(f"connect failed to {host}:{port}: {exc}") \
+            from exc
+    finally:
+        acceptor.close()
     if "sock" not in result:
-        client.close()
+        sock.close()
         raise TransportError("loopback accept did not complete")
-    return client, SocketEndpoint(result["sock"], "server", timeout)
+    return (SocketEndpoint(sock, "client", timeout),
+            SocketEndpoint(result["sock"], "server", timeout))
 
 
 def run_pair(client_fn, server_fn, transport: str = "inproc",

@@ -2,7 +2,7 @@
 
 A change that only makes the protocol cheaper to compute must leave every
 output bit and every counted byte, frame and round as it was. These pins
-record the SHA-256 of the output ring integers of two fixed runs, and
+record the SHA-256 of the output ring integers of fixed runs, and
 their exact `CommStats`, so such a change proves that it is bit-identical
 inside the suite.
 """
@@ -10,11 +10,14 @@ inside the suite.
 import hashlib
 import random
 
+import pytest
+
 from rootshare import ActivationSampler, CommStats, ToyEncoderConfig, \
     draw_flood_mask, flood_share, run_shared_rsqrt, toy_encoder_infer
 from rootshare.config import DEFAULT_CONFIG
 from rootshare.ring import DealerState, FixedPointCodec, Masked, \
-    beaver_mul_batch, run_session, split_values, truncate_local
+    beaver_mul_batch, matmul_shared, run_session, split_values, \
+    truncate_local
 
 RSQRT_ELEMENTS = 2000
 RSQRT_INPUT_SEED = 7
@@ -112,3 +115,49 @@ def test_l32_products_and_truncation_are_pinned():
     text = ";".join(",".join(map(str, shares[party]))
                     for party in ("client", "server"))
     assert hashlib.sha256(text.encode()).hexdigest() == L32_DIGEST
+
+
+# (l, f) with a 4-byte array typecode, and with 5-byte lanes (lists)
+MATRIX_CODECS = (FixedPointCodec(l=32, f=12), FixedPointCodec(l=40, f=16))
+MATRIX_SHAPES = ((1, 1, 1), (3, 5, 4), (8, 16, 32), (2, 64, 3))
+MATRIX_INPUT_SEED = 4096
+MATRIX_DEALER_SEED = 6464
+MATRIX_DIGESTS = {
+    32: "a1e62ce84ac5f51f0d63abccd5bf4a0136da1f57b5af95f997c7035d113a1b23",
+    40: "bcc3d043d28e7929964b7b20bf801bebbb3a8b65224af1f3d871d30ead81aac3"}
+MATRIX_STATS = {32: (CommStats(4004, 3988, 4, 4),) * 2,
+                40: (CommStats(5001, 4985, 4, 4),) * 2}
+
+
+@pytest.mark.parametrize("codec", MATRIX_CODECS, ids=lambda c: f"l{c.l}")
+def test_matrix_products_and_triples_are_pinned(codec):
+    # matmul_shared's outputs and each party's half of the dealer's matrix
+    # triples, at shapes up to k = 64, on raw ring operands whose shares
+    # include the ring's edge values
+    sizes = [m * k + k * n for m, k, n in MATRIX_SHAPES]
+    rng = random.Random(MATRIX_INPUT_SEED)
+    edges = [0, 1, 1 << (codec.l - 1), codec.modulus - 1]
+    client = edges + [rng.getrandbits(codec.l)
+                      for _ in range(sum(sizes) - len(edges))]
+    server = [rng.getrandbits(codec.l) for _ in range(sum(sizes))]
+    record = {}
+
+    def party_fn(party, values, channel, triples):
+        out, seen = [], []
+        for m, k, n in MATRIX_SHAPES:
+            a, b = values[:m * k], values[m * k:m * k + k * n]
+            values = values[m * k + k * n:]
+            triple = triples.take_matrix(m, k, n)
+            seen += [list(part) for part in triple]
+            out += matmul_shared(party, a, b, triple, m, k, n, channel,
+                                 codec)
+        record[party] = seen + [list(out)]
+        return out
+
+    _, stats_c, stats_s = run_session(
+        party_fn, client, server, DealerState(codec, seed=MATRIX_DEALER_SEED))
+    assert (stats_c, stats_s) == MATRIX_STATS[codec.l]
+    text = ";".join(",".join(map(str, part)) for party in ("client", "server")
+                    for part in record[party])
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        MATRIX_DIGESTS[codec.l]

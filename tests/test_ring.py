@@ -14,7 +14,7 @@ from conftest import FixedBits, chi2_uniform_stat, mul_pairs, quantize
 from rootshare.errors import ConfigError, ProtocolError, RangeError, UsageError
 from rootshare.ring import (CLIENT, SERVER, DealerState,
                             FixedPointCodec, Masked, RingShare,
-                            _lanes, beaver_mul_batch,
+                            _lanes, _mat_mul_mod, beaver_mul_batch,
                             linear_combine, make_shares, matmul_shared,
                             reconstruct, reconstruct_raw, run_session,
                             split_values, truncate_local)
@@ -296,9 +296,9 @@ def test_truncate_local_matches_its_definition(codec, data):
         st.builds(lambda r, k: r + k * mod, residue, st.integers(-2, 2)),
         min_size=1, max_size=8))
     unit = 1 << shift
-    assert truncate_local(CLIENT, values, codec, shift) == [
+    assert list(truncate_local(CLIENT, values, codec, shift)) == [
         (v % mod + unit // 2) // unit for v in values]
-    assert truncate_local(SERVER, values, codec, shift) == [
+    assert list(truncate_local(SERVER, values, codec, shift)) == [
         (mod - (-v % mod) // unit) % mod for v in values]
 
 
@@ -346,9 +346,9 @@ def _check_lanes(codec, xs, ys, shift):
         (u - v) % mod for u, v in zip(xs, ys)]
     assert list(lanes.unpack(lanes.neg(x))) == [-u % mod for u in xs]
     assert lanes.decode(x) == [codec.decode(u) for u in xs]
-    assert truncate_local(CLIENT, xs, codec, shift) == [
+    assert list(truncate_local(CLIENT, xs, codec, shift)) == [
         (u >> shift) + (u >> (shift - 1) & 1) for u in xs]
-    assert truncate_local(SERVER, xs, codec, shift) == [
+    assert list(truncate_local(SERVER, xs, codec, shift)) == [
         -(-u % mod // unit) % mod for u in xs]
 
 
@@ -652,6 +652,58 @@ def test_zero_share_rerandomizes_without_changing_value(codec):
 
 
 # ----------------------------------------------------------------- matmul
+
+def _reference_mat_mul(a_parts, b_parts, c, m, k, n, codec):
+    """Per-element sum over the parts of A_j B_j, plus C, mod 2^l."""
+    out = []
+    for i in range(m):
+        for j in range(n):
+            acc = 0 if c is None else c[i * n + j]
+            for a, b in zip(a_parts, b_parts):
+                acc += sum(a[i * k + t] * b[t * n + j] for t in range(k))
+            out.append(acc % codec.modulus)
+    return out
+
+
+@pytest.mark.parametrize("codec", LANE_CODECS, ids=lambda c: f"l{c.l}")
+@pytest.mark.parametrize("k", [1, 2, 64, 65, 129])
+def test_lane_mat_mul_at_the_carry_bound(codec, k):
+    # all-ones operands fill every lane to its bound: (k + k) products of
+    # 2^l - 1 plus c = 2^l - 1, as matmul_shared forms them
+    top = codec.modulus - 1
+    m, n = 2, 3
+    a, b, c = [top] * (m * k), [top] * (k * n), [top] * (m * n)
+    got = _mat_mul_mod((a, a), (b, b), c, m, k, n, codec)
+    assert list(got) == _reference_mat_mul((a, a), (b, b), c, m, k, n,
+                                           codec)
+    got = _mat_mul_mod((a,), (b,), None, m, k, n, codec)
+    assert list(got) == _reference_mat_mul((a,), (b,), None, m, k, n,
+                                           codec)
+
+
+@PROPERTY
+@given(st.sampled_from(LANE_CODECS), st.data())
+def test_lane_mat_mul_matches_per_element_sums(codec, data):
+    # operands all ones, or uniform with the ring's edge values mixed in;
+    # empty shapes too
+    top = codec.modulus - 1
+    m, n = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 5))
+    k, parts = data.draw(st.integers(0, 64)), data.draw(st.integers(1, 2))
+    rng = data.draw(st.randoms(use_true_random=False))
+
+    def matrix(size):
+        if data.draw(st.booleans()):
+            return [top] * size
+        return [rng.choice((rng.getrandbits(codec.l), 0, 1, top))
+                for _ in range(size)]
+
+    a_parts = [matrix(m * k) for _ in range(parts)]
+    b_parts = [matrix(k * n) for _ in range(parts)]
+    c = matrix(m * n) if data.draw(st.booleans()) else None
+    got = _mat_mul_mod(a_parts, b_parts, c, m, k, n, codec)
+    assert list(got) == _reference_mat_mul(a_parts, b_parts, c, m, k, n,
+                                           codec)
+
 
 def test_matmul_shared_matches_plain(codec):
     rng = random.Random(10)
