@@ -10,7 +10,7 @@ from .ring import CLIENT, SERVER, PARTIES, DealerState, FixedPointCodec, \
     make_shares, matmul_shared, reconstruct, reconstruct_raw, run_session, \
     split_values, truncate_local
 from .floatbits import FloatBits, SignedBitsInteger, compose, decompose, \
-    pack_integer, share_to_float, to_binary32, unpack_integer
+    pack_integer, to_binary32, unpack_integer
 from .transport import CommStats, Endpoint, InprocEndpoint, SocketEndpoint, \
     open_inproc, open_socket_pair, run_pair
 from .flood import ActivationSampler, FloodConfig, adversarial_split, \
@@ -19,13 +19,13 @@ from .flood import ActivationSampler, FloodConfig, adversarial_split, \
 from .rsqrt import MAGIC_K1, NewtonConfig, SeedParams, SweepRow, \
     bits_to_value_batch, closeness_sweep, newton_plain, newton_shared_batch, \
     rsqrt_shared_batch, run_shared_rsqrt, seed_local, seed_share_client, \
-    seed_share_server, seed_shares
+    seed_share_server
 from .config import DEFAULT_CONFIG, ProtocolConfig, config_from_mapping, \
     load_config_file
 from .nonlinear import GELU_PARAMS, RELU_PARAMS, SmuParams, gelu_plain, \
     layernorm_plain, layernorm_shared, relu_plain, run_layernorm_shared, \
     run_smu_shared, run_softmax_star_shared, smu_plain, smu_shared_batch, \
-    softmax_plain, softmax_star_plain, softmax_star_shared
+    softmax_star_plain, softmax_star_shared
 from .bench import AblationRow, EncoderSites, LutCostModel, ReportRow, \
     ToyEncoderConfig, comm_report, count_rsqrt_element_bytes, crypten_seed, \
     crypten_seed_cost, flood_ablation, generate_weights, load_weights_csv, \

@@ -60,7 +60,6 @@ def lut_cost(model: LutCostModel, calls: int):
 # Series of x^(-1/2) about 1: coefficient k is (-1)^k * C(2k, k) / 4^k.
 TAYLOR_COEFFS = (1.0, -0.5, 0.375, -0.3125, 0.2734375, -0.24609375,
                  0.2255859375, -0.20947265625)
-TAYLOR_LOW_ORDER = 2
 TAYLOR_HIGH_ORDER = 7
 
 

@@ -41,8 +41,12 @@ class ProtocolConfig:
 
 DEFAULT_CONFIG = ProtocolConfig()
 
-_INT_KEYS = {"l", "f", "E_f", "E_m", "iterations"}
-_FLOAT_KEYS = {"b", "F", "mask_spread", "sampler_log2_mean", "sampler_log2_std"}
+# Each key's ProtocolConfig field (None for the bundle's own) and type.
+_KEYS = {"l": ("codec", int), "f": ("codec", int), "b": ("seed", float),
+         "E_f": ("seed", int), "E_m": ("seed", int), "F": ("flood", float),
+         "mask_spread": ("flood", float), "iterations": ("newton", int),
+         "sampler_log2_mean": (None, float),
+         "sampler_log2_std": (None, float)}
 _KEY_ALIASES = {"n": "iterations"}
 
 
@@ -54,43 +58,21 @@ def config_from_mapping(mapping: dict) -> ProtocolConfig:
     E_f and E_m the seed's reference exponents. Unknown keys raise
     ConfigError so typos never silently fall back to defaults.
     """
-    values = {}
+    changes = {}
     for raw_key, raw_value in mapping.items():
         key = _KEY_ALIASES.get(raw_key, raw_key)
-        if key in _INT_KEYS:
-            try:
-                values[key] = int(raw_value)
-            except (TypeError, ValueError):
-                raise ConfigError(f"{raw_key} needs an integer, got {raw_value!r}")
-        elif key in _FLOAT_KEYS:
-            try:
-                values[key] = float(raw_value)
-            except (TypeError, ValueError):
-                raise ConfigError(f"{raw_key} needs a number, got {raw_value!r}")
-        else:
+        if key not in _KEYS:
             raise ConfigError(f"unknown configuration key {raw_key!r}")
-
-    base = DEFAULT_CONFIG
-    codec = FixedPointCodec(
-        l=values.get("l", base.codec.l),
-        f=values.get("f", base.codec.f),
-    )
-    seed = SeedParams(
-        b=values.get("b", base.seed.b),
-        E_f=values.get("E_f", base.seed.E_f),
-        E_m=values.get("E_m", base.seed.E_m),
-    )
-    flood = FloodConfig(
-        F=values.get("F", base.flood.F),
-        mask_spread=values.get("mask_spread", base.flood.mask_spread),
-    )
-    newton = NewtonConfig(
-        iterations=values.get("iterations", base.newton.iterations))
-    return ProtocolConfig(
-        codec=codec, seed=seed, newton=newton, flood=flood,
-        sampler_log2_mean=values.get("sampler_log2_mean", base.sampler_log2_mean),
-        sampler_log2_std=values.get("sampler_log2_std", base.sampler_log2_std),
-    )
+        owner, kind = _KEYS[key]
+        try:
+            changes.setdefault(owner, {})[key] = kind(raw_value)
+        except (TypeError, ValueError):
+            need = "an integer" if kind is int else "a number"
+            raise ConfigError(f"{raw_key} needs {need}, got {raw_value!r}")
+    own = changes.pop(None, {})
+    return replace(DEFAULT_CONFIG, **own, **{
+        owner: replace(getattr(DEFAULT_CONFIG, owner), **fields)
+        for owner, fields in changes.items()})
 
 
 def load_config_file(path: str) -> ProtocolConfig:

@@ -97,15 +97,3 @@ def unpack_integer(i: int, sign: int = 0) -> FloatBits:
     if E == 0 or E >= 255:
         raise RangeError(f"packed integer {i} has non-normal exponent {E}")
     return FloatBits(sign, E, i & (L - 1))
-
-
-def share_to_float(share, codec) -> float:
-    """Nearest binary32 to the signed fixed-point reading of one share.
-
-    A share decoding to zero has no binary32 decomposition; callers that
-    feed the seed pipeline floor magnitudes instead of calling this.
-    """
-    x = codec.decode(share.value)
-    if x == 0.0:
-        raise UnsupportedValueError("share decodes to zero")
-    return to_binary32(x)

@@ -69,13 +69,6 @@ def relu_plain(x: float) -> float:
     return x if x > 0.0 else 0.0
 
 
-def softmax_plain(row):
-    shift = max(row)
-    exps = [math.exp(v - shift) for v in row]
-    total = sum(exps)
-    return [v / total for v in exps]
-
-
 def softmax_star_plain(row, eps: float = SOFTMAX_EPS):
     """Normalized positive weights: relu(x_i) / (sum relu + eps)."""
     r = [relu_plain(v) for v in row]

@@ -12,8 +12,10 @@ local probabilistic shift. run_session runs one protocol for both parties
 over a fresh channel and decodes its outputs. Every step but the
 elementwise products works on a whole batch at once, held as one integer
 (_Lanes); a matrix product takes one big-integer multiply-add per inner
-index and output row, on rows held in wide lanes (_WideRows). The shares
-that pass between steps are reduced ring elements, 0 <= v < 2^l.
+index and output row, on rows held in lanes wide enough for its sums.
+Every Beaver product, elementwise or matrix, opens its operands through
+one step (_open). The shares that pass between steps are reduced ring
+elements, 0 <= v < 2^l.
 """
 
 import random
@@ -21,7 +23,7 @@ import sys
 import threading
 from array import array
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain
 from operator import mul
 
@@ -146,30 +148,59 @@ def linear_combine(shares, coeffs, constant: int, codec: FixedPointCodec) -> Rin
 
 class _Lanes:
     """Batches of `count` ring elements in lane form: one int holding
-    element k in bits [8wk, 8w(k + 1)), w = codec.element_bytes, whose
-    little-endian bytes are the batch's frame payload. add, sub and neg
+    element k in lane k, bits [8vk, 8v(k + 1)). A lane holds a sum of
+    `terms` products of l-bit values plus one more l-bit value, so no
+    carry leaves it: v is the least multiple of w = codec.element_bytes
+    with room for that. Ring-wide lanes (terms = 0, v = w) are the
+    little-endian bytes of the batch's frame payload, and add, sub and neg
     work mod 2^l on every lane at once by the high-bit trick: the low
-    8w - 1 bits are summed, where no carry leaves a lane, and the top bit
-    is set by exclusive-or. Shift masks are multiples of `one`, 1 per lane.
+    8v - 1 bits are summed, where no carry leaves a lane, and the top bit
+    is set by exclusive-or. Shift masks are multiples of `one`, 1 per
+    lane. Wide lanes are only packed, multiplied and read back.
     """
 
-    def __init__(self, codec: FixedPointCodec, count: int):
+    def __init__(self, codec: FixedPointCodec, count: int, terms: int = 0):
         width = codec.element_bytes
-        self.codec, self.count, self.size = codec, count, width * count
-        self.one = int.from_bytes((b"\1" + bytes(width - 1)) * count,
-                                  "little")
-        self.ones = self.one * (codec.modulus - 1)
-        self.high = self.one << (8 * width - 1)
-        self.low = self.high - self.one
+        top = terms * (codec.modulus - 1) ** 2 + codec.modulus - 1
+        self.words = -(-top.bit_length() // (8 * width))
+        self.codec, self.count, self.lane = codec, count, width * self.words
+        self.size = self.lane * count
+
+    # The masks are made on first use, so lanes that are only packed and
+    # read, such as the dealer's wide draws, hold none of them.
+    @cached_property
+    def one(self) -> int:
+        return int.from_bytes((b"\1" + bytes(self.lane - 1)) * self.count,
+                              "little")
+
+    ones = cached_property(lambda self: self.one * (self.codec.modulus - 1))
+    high = cached_property(lambda self: self.one << (8 * self.lane - 1))
+    low = cached_property(lambda self: self.high - self.one)
+
+    def _payload(self, parts):
+        """Lane-form bytes of reduced ring elements."""
+        width, words = self.codec.element_bytes, self.words
+        code = _ARRAY_CODES.get(width)
+        if code is None:
+            return b"".join(v.to_bytes(self.lane, "little")
+                            for part in parts for v in part)
+        data = b"".join(array(code, part) for part in parts)
+        if words == 1:
+            return data
+        wide = array(code, bytes(len(data) * words))
+        wide[::words] = array(code, data)
+        return memoryview(wide).cast("B")
 
     def pack(self, *parts) -> int:
         """Lane form of reduced ring elements, `count` in all parts."""
-        width = self.codec.element_bytes
-        code = _ARRAY_CODES.get(width)
-        return int.from_bytes(b"".join(
-            array(code, part) if code else
-            b"".join(v.to_bytes(width, "little") for v in part)
-            for part in parts), "little")
+        return int.from_bytes(self._payload(parts), "little")
+
+    def rows(self, rows: int, *parts) -> list:
+        """Lane forms of `rows` runs of `count` reduced ring elements, one
+        run after another in all parts."""
+        data, size = self._payload(parts), self.size
+        return [int.from_bytes(data[i * size:(i + 1) * size], "little")
+                for i in range(rows)]
 
     def read(self, payload) -> int:
         """Lane form of a frame payload of `count` elements."""
@@ -178,16 +209,21 @@ class _Lanes:
                                 f"({self.size} bytes), got {len(payload)}")
         return int.from_bytes(payload, "little")
 
-    def unpack(self, x: int):
-        """Elements of a lane form: an array of the element width, or a
-        list where no array typecode has it."""
-        width = self.codec.element_bytes
+    def unpack(self, *forms):
+        """Elements of lane forms, in order: an array of the element width,
+        or a list where no array typecode has it. Wide lanes are read mod
+        2^l."""
+        width, words, size = self.codec.element_bytes, self.words, self.size
+        if words > 1:
+            forms = [x & self.ones for x in forms]
+        payload = (forms[0].to_bytes(size, "little") if len(forms) == 1 else
+                   b"".join(x.to_bytes(size, "little") for x in forms))
         code = _ARRAY_CODES.get(width)
-        payload = x.to_bytes(self.size, "little")
         if code is None:
-            return [int.from_bytes(payload[k * width:(k + 1) * width],
-                                   "little") for k in range(self.count)]
-        return array(code, payload)
+            return [int.from_bytes(payload[j:j + width], "little")
+                    for j in range(0, len(payload), self.lane)]
+        elements = array(code, payload)
+        return elements[::words] if words > 1 else elements
 
     def decode(self, x: int) -> list:
         """Fixed-point reals of a lane form, read through one signed view
@@ -253,70 +289,22 @@ def _repeat(values, group: int):
     return values if group == 1 else [v for v in values for _ in range(group)]
 
 
-class _WideRows:
-    """Rows of n ring elements in wide lanes: one int per row, element j
-    in lane j, `words` ring words wide. A lane holds a sum of `terms`
-    products of l-bit values plus one more l-bit value, so no carry leaves
-    it, and its width is a multiple of the element width, so the low words
-    of a row's lanes are every `words`-th element of an array view.
-    """
-
-    def __init__(self, codec: FixedPointCodec, n: int, terms: int):
-        width = codec.element_bytes
-        top = terms * (codec.modulus - 1) ** 2 + codec.modulus - 1
-        self.codec, self.words = codec, -(-top.bit_length() // (8 * width))
-        self.size = width * self.words * n
-        self.ones = int.from_bytes(
-            ((codec.modulus - 1).to_bytes(width, "little")
-             + bytes(width * (self.words - 1))) * n, "little")
-
-    def pack(self, rows: int, *parts) -> list:
-        """`rows` wide rows of reduced ring elements, n to a row, in all
-        parts."""
-        width, words = self.codec.element_bytes, self.words
-        code = _ARRAY_CODES.get(width)
-        if code:
-            flat = array(code, b"".join(array(code, part) for part in parts))
-            wide = array(code, bytes(len(flat) * width * words))
-            wide[::words] = flat
-            data = memoryview(wide).cast("B")
-        else:
-            pad = bytes(width * (words - 1))
-            data = b"".join(v.to_bytes(width, "little") + pad
-                            for part in parts for v in part)
-        size = self.size
-        return [int.from_bytes(data[i * size:(i + 1) * size], "little")
-                for i in range(rows)]
-
-    def unpack(self, rows):
-        """Row-major elements of wide rows, each lane read mod 2^l: an
-        array of the element width, or a list where no typecode has it."""
-        width, words = self.codec.element_bytes, self.words
-        ones, size = self.ones, self.size
-        data = b"".join((row & ones).to_bytes(size, "little") for row in rows)
-        code = _ARRAY_CODES.get(width)
-        if code:
-            return array(code, data)[::words]
-        return [int.from_bytes(data[j:j + width], "little")
-                for j in range(0, len(data), width * words)]
-
-
 def _mat_mul_mod(a_parts, b_parts, c, m: int, k: int, n: int,
                  codec: FixedPointCodec):
     """Sum over parts j of A_j B_j, plus C, mod 2^l, row-major and flat:
     each A_j is m x k, each B_j is k x n, and C is m x n or None for zero.
 
-    With B = [B_1; B_2; ...] held as wide rows, row i of the result is
-    row i of [A_1 | A_2 | ...] times those rows: one big-int product of
-    n lanes per inner index, instead of n products of elements.
+    With B = [B_1; B_2; ...] held as rows of wide lanes, row i of the
+    result is row i of [A_1 | A_2 | ...] times those rows: one big-int
+    product of n lanes per inner index, instead of n products of elements.
     """
-    wide = _WideRows(codec, n, k * len(b_parts))
-    rows = wide.pack(k * len(b_parts), *b_parts)
-    acc = [0] * m if c is None else wide.pack(m, c)
+    lanes = _Lanes(codec, n, k * len(b_parts))
+    rows = lanes.rows(k * len(b_parts), *b_parts)
+    acc = [0] * m if c is None else lanes.rows(m, c)
     for i in range(m):
         left = chain.from_iterable(a[i * k:(i + 1) * k] for a in a_parts)
         acc[i] = sum(map(mul, left, rows), acc[i])
-    return wide.unpack(acc)
+    return lanes.unpack(*acc)
 
 
 class DealerState:
@@ -343,16 +331,15 @@ class DealerState:
     def _draws(self, count: int):
         """count uniform l-bit draws.
 
-        At l = 32 or 64 on a little-endian host one wide getrandbits call
-        reads the same 32-bit generator words, least significant first, as
-        count single draws would, so it yields the same values and leaves
-        the generator in the same state.
+        At l = 32 or 64 one wide getrandbits call reads the same 32-bit
+        generator words, least significant first, as count single draws
+        would, so its lanes are the same values and it leaves the
+        generator in the same state.
         """
         l = self.codec.l
-        if l in (32, 64) and sys.byteorder == "little":
-            wide = self._rng.getrandbits(l * count)
-            return array(_ARRAY_CODES[l // 8],
-                         wide.to_bytes(l // 8 * count, "little"))
+        if l in (32, 64):
+            return _lanes(self.codec, count).unpack(
+                self._rng.getrandbits(l * count))
         draw = self._rng.getrandbits
         return [draw(l) for _ in range(count)]
 
@@ -494,9 +481,9 @@ class Masked:
     """An operand of Beaver products: this party's shares of u and of the
     dealer mask r it is opened against.
 
-    beaver_mul_batch opens it once, as the public D = u - r, in the first
-    call it enters, and keeps D in diff: every later product with it
-    reuses that opening, so each mask is opened against one value only.
+    _open opens it once, as the public D = u - r, in the first product it
+    enters, and keeps D in diff: every later product with it reuses that
+    opening, so each mask is opened against one value only.
     """
 
     __slots__ = ("values", "mask", "diff")
@@ -507,6 +494,21 @@ class Masked:
         self.values = values
         self.mask = mask
         self.diff = None
+
+
+def _open(operands, channel, codec: FixedPointCodec):
+    """Open every Masked operand not opened yet, in one round: each party
+    sends u - r for all of them in one frame, in order and once however
+    often an operand appears, and keeps the public D = u - r in its diff.
+    """
+    fresh = {id(op): op for op in operands if op.diff is None}.values()
+    lanes = _lanes(codec, sum(len(op.values) for op in fresh))
+    own = lanes.sub(lanes.pack(*(op.values for op in fresh)),
+                    lanes.pack(*(op.mask for op in fresh)))
+    channel.send_frame(own.to_bytes(lanes.size, "little"))
+    diff = lanes.unpack(lanes.add(own, lanes.read(channel.recv_frame())))
+    for op in fresh:
+        op.diff, diff = diff[:len(op.values)], diff[len(op.values):]
 
 
 def beaver_mul_batch(party: str, x_values, y_values, triples,
@@ -520,8 +522,9 @@ def beaver_mul_batch(party: str, x_values, y_values, triples,
     Masked operands, product i being x_values[i] * y_values[i], and
     triples the tuple of this party's shares c of each product's mask
     product r_x * r_y. A y operand with one element per row of x is
-    broadcast along the row. Every operand not opened yet is opened in
-    this call's single frame, once, however many products use it.
+    broadcast along the row. Every operand not opened yet is opened by
+    _open, in this call's single frame, once, however many products use
+    it.
 
     With D_u = u - r_u public for both operands, each product is
     z = c + D_x r_y + D_y r_x, plus D_x D_y on the server, then truncated.
@@ -546,15 +549,7 @@ def beaver_mul_batch(party: str, x_values, y_values, triples,
             raise UsageError("batch inputs must have equal lengths, or y "
                              "one element per row of x")
         groups.append(group)
-    fresh = {id(op): op for pair in zip(x_values, y_values) for op in pair
-             if op.diff is None}.values()
-    lanes = _lanes(codec, sum(len(op.values) for op in fresh))
-    own = lanes.sub(lanes.pack(*(op.values for op in fresh)),
-                    lanes.pack(*(op.mask for op in fresh)))
-    channel.send_frame(own.to_bytes(lanes.size, "little"))
-    diff = lanes.unpack(lanes.add(own, lanes.read(channel.recv_frame())))
-    for op in fresh:
-        op.diff, diff = diff[:len(op.values)], diff[len(op.values):]
+    _open(chain.from_iterable(zip(x_values, y_values)), channel, codec)
     out = None
     for x, y, c, group in zip(x_values, y_values, triples, groups):
         lanes = _lanes(codec, len(y.values))
@@ -580,25 +575,23 @@ def matmul_shared(party: str, a_values, b_values, triple,
     """Shared matrix product via one matrix Beaver triple, one round.
 
     a_values is this party's share of A (m x k, row-major flat), b_values of
-    B (k x n). Each party opens D = A - R_a and E = B - R_b in a single
-    frame of m*k + k*n ring elements, then forms its share in one pass of
-    wide rows, C + [D | R_a] [R_b' ; E] mod 2^l, where R_b' = R_b + E on
+    B (k x n). Each party opens Masked(A, R_a) and Masked(B, R_b) by
+    _open, as D = A - R_a and E = B - R_b in a single frame of m*k + k*n
+    ring elements, then forms its share in one pass of wide lanes,
+    C + [D | R_a] [R_b' ; E] mod 2^l, where R_b' = R_b + E on
     the server (which so adds D E) and R_b on the client. Outputs are
     truncated to scale 2^f.
     """
     if len(a_values) != m * k or len(b_values) != k * n:
         raise UsageError("matrix share sizes disagree with the given shape")
     ra, rb, rc = triple
-    lanes = _lanes(codec, m * k + k * n)
-    own = lanes.sub(lanes.pack(a_values, b_values), lanes.pack(ra, rb))
-    channel.send_frame(own.to_bytes(lanes.size, "little"))
-    de = lanes.unpack(lanes.add(own, lanes.read(channel.recv_frame())))
-    d, e = de[:m * k], de[m * k:]
+    a, b = Masked(a_values, ra), Masked(b_values, rb)
+    _open((a, b), channel, codec)
     if party == SERVER:
         lanes = _lanes(codec, k * n)
-        rb = lanes.unpack(lanes.add(lanes.pack(rb), lanes.pack(e)))
-    return truncate_local(
-        party, _mat_mul_mod((d, ra), (rb, e), rc, m, k, n, codec), codec)
+        rb = lanes.unpack(lanes.add(lanes.pack(rb), lanes.pack(b.diff)))
+    return truncate_local(party, _mat_mul_mod(
+        (a.diff, ra), (rb, b.diff), rc, m, k, n, codec), codec)
 
 
 def run_session(party_fn, client_values, server_values, dealer: DealerState,

@@ -132,19 +132,6 @@ def seed_share_server(fs: float, params: SeedParams = SeedParams(),
     return _seed_integers([fs], _seed_offset(SERVER, params, flooded))[0]
 
 
-def seed_shares(fc: float, fs: float, params: SeedParams = SeedParams(),
-                flooded: bool = True):
-    """Both parties' seed integers, each from its own share only.
-
-    Pure local bit arithmetic: zero bytes, zero rounds. Share signs are
-    ignored (the magnitudes carry the exponent information; the sign
-    structure under flooding is systematic and absorbed by K2, the
-    compensation, and the Newton refinement).
-    """
-    return (seed_share_client(fc, params),
-            seed_share_server(fs, params, flooded))
-
-
 def bits_to_value_batch(party: str, o_values, channel,
                         codec: FixedPointCodec, params: SeedParams,
                         triples=None, flooded: bool = True):

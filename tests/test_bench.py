@@ -8,7 +8,7 @@ import pytest
 
 from rootshare import nonlinear
 from rootshare.bench import (REPORT_COLUMNS, REPORT_SCENARIOS, TAYLOR_COEFFS,
-                             TAYLOR_HIGH_ORDER, TAYLOR_LOW_ORDER,
+                             TAYLOR_HIGH_ORDER,
                              LutCostModel, ToyEncoderConfig, comm_report,
                              count_rsqrt_element_bytes, crypten_seed,
                              crypten_seed_cost, flood_ablation,
@@ -55,7 +55,6 @@ def test_taylor_coefficients_are_central_binomials():
     for k, c in enumerate(TAYLOR_COEFFS):
         want = (-1) ** k * math.comb(2 * k, k) / 4 ** k
         assert c == want
-    assert TAYLOR_LOW_ORDER == 2
     assert TAYLOR_HIGH_ORDER == 7
 
 

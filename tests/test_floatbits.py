@@ -14,8 +14,7 @@ from hypothesis import given, settings, strategies as st
 from rootshare.errors import RangeError, UnsupportedValueError
 from rootshare.floatbits import (BIAS, L, FloatBits, SignedBitsInteger,
                                  compose, decompose, pack_integer,
-                                 share_to_float, to_binary32, unpack_integer)
-from rootshare.ring import FixedPointCodec, RingShare
+                                 to_binary32, unpack_integer)
 
 
 def test_golden_vector_7_25():
@@ -109,19 +108,3 @@ def test_field_validation():
         unpack_integer(123)
     with pytest.raises(RangeError):
         unpack_integer(255 * L)
-
-
-def test_share_to_float_reads_signed_fixed_point():
-    codec = FixedPointCodec()
-    share = RingShare("server", codec.encode(3.1))
-    assert share_to_float(share, codec) == to_binary32(codec.decode(share.value))
-    neg = RingShare("client", codec.encode(-8191.998))
-    got = share_to_float(neg, codec)
-    assert got < 0
-    assert got == to_binary32(codec.decode(neg.value))
-
-
-def test_share_to_float_rejects_zero_share():
-    codec = FixedPointCodec()
-    with pytest.raises(UnsupportedValueError):
-        share_to_float(RingShare("client", 0), codec)

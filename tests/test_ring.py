@@ -4,7 +4,6 @@ Beaver multiplication, exercised at both supported ring widths."""
 import math
 import random
 import struct
-import sys
 from array import array
 
 import pytest
@@ -532,9 +531,10 @@ def test_correlated_products_open_each_operand_once(codec):
 
 @pytest.mark.parametrize("l", [32, 40, 64])
 def test_dealer_draws_match_single_draws(l, monkeypatch):
-    # at l = 32 and 64 (little-endian host) one wide getrandbits call
-    # stands in for a batch of single draws; l = 40 keeps the loop. The
-    # values and the generator state after must be the single draws' own
+    # at l = 32 and 64 one wide getrandbits call stands in for a batch of
+    # single draws, on any host, as its lanes are read little-endian;
+    # l = 40 keeps the loop. The values and the generator state after must
+    # be the single draws' own
     count = 37
     dealer = DealerState(FixedPointCodec(l=l, f=8), seed=11)
     calls = []
@@ -550,7 +550,7 @@ def test_dealer_draws_match_single_draws(l, monkeypatch):
     got = dealer._draws(count)
     assert list(got) == want
     assert dealer._rng.getstate() == reference.getstate()
-    wide = l in (32, 64) and sys.byteorder == "little"
+    wide = l in (32, 64)
     assert calls == ([l * count] if wide else [l] * count)
     assert isinstance(got, array) == (l != 40)
 
@@ -728,6 +728,41 @@ def test_matmul_shared_matches_plain(codec):
     for st in (st_c, st_s):
         assert st.rounds == 1
         assert st.payload_bytes == (m * k + k * n) * codec.element_bytes
+
+
+@pytest.mark.parametrize("codec", [FixedPointCodec(), FixedPointCodec(l=32, f=12),
+                                   FixedPointCodec(l=40, f=16)],
+                         ids=lambda c: f"l{c.l}")
+def test_matmul_shared_frame(codec):
+    # each party sends one frame: the int.to_bytes encoding of A - R_a,
+    # then of B - R_b, element by element; l = 40 has no array typecode
+    mod, width = codec.modulus, codec.element_bytes
+    m, k, n = 2, 3, 4
+    rng = random.Random(14)
+    a = [quantize(rng.uniform(-4, 4), codec) for _ in range(m * k)]
+    b = [quantize(rng.uniform(-4, 4), codec) for _ in range(k * n)]
+    shares = [make_shares(v, codec, rng) for v in a + b]
+    frames = {}
+
+    def party_fn(party, values, channel, triples):
+        ra, rb, rc = triples.take_matrix(m, k, n)
+        channel.start_transcript()
+        out = matmul_shared(party, values[:m * k], values[m * k:],
+                            (ra, rb, rc), m, k, n, channel, codec)
+        payload = b"".join(((v - r) % mod).to_bytes(width, "little")
+                           for v, r in zip(values, list(ra) + list(rb)))
+        frames[party] = (channel.transcript(),
+                         struct.pack("<I", len(payload)) + payload)
+        return out
+
+    got, _, _ = run_session(party_fn, [p[0].value for p in shares],
+                            [p[1].value for p in shares],
+                            DealerState(codec, seed=15))
+    for sent, want in frames.values():
+        assert sent == want
+    expect = [sum(a[i * k + t] * b[t * n + j] for t in range(k))
+              for i in range(m) for j in range(n)]
+    assert got == pytest.approx(expect, abs=(k + 2) * 2.0 ** -codec.f)
 
 
 def test_matmul_shape_validation(codec):

@@ -23,8 +23,7 @@ from rootshare.rsqrt import (MAGIC_K1, MIN_MAGNITUDE, NewtonConfig,
                              bits_to_value_batch, closeness_sweep,
                              newton_plain, newton_shared_batch,
                              rsqrt_shared_batch, run_shared_rsqrt, seed_local,
-                             seed_share_client, seed_share_server,
-                             seed_shares)
+                             seed_share_client, seed_share_server)
 from rootshare.transport import open_inproc
 
 
@@ -96,7 +95,7 @@ def test_seed_local_rejects_nonpositive():
 # ------------------------------------------------------- two-party seed
 
 def test_seed_shares_are_plain_integers():
-    o_c, o_s = seed_shares(-8191.998, 8195.098)
+    o_c, o_s = seed_share_client(-8191.998), seed_share_server(8195.098)
     assert isinstance(o_c, int) and isinstance(o_s, int)
 
 
@@ -210,7 +209,7 @@ def test_masked_open_matches_exponential_form():
     # up to fixed-point quantization, for a flooded pair
     codec = FixedPointCodec()
     p = SeedParams()
-    o_c, o_s = seed_shares(-8191.998, 8195.098)
+    o_c, o_s = seed_share_client(-8191.998), seed_share_server(8195.098)
     got, _, _ = _bits_to_value(o_c, o_s, codec, p, 33, flooded=False)
     want = 2.0 ** ((o_c + o_s) / L - BIAS)
     assert got == pytest.approx(want, abs=3 * 2.0 ** -codec.f)
@@ -221,7 +220,7 @@ def test_masked_open_balanced_split_tracks_one_party_seed():
     # the two differ only in how the mantissa sum rounds
     codec = FixedPointCodec()
     p = SeedParams()
-    o_c, o_s = seed_shares(2.0, 2.0, p, flooded=False)
+    o_c, o_s = seed_share_client(2.0, p), seed_share_server(2.0, p, False)
     got, _, _ = _bits_to_value(o_c, o_s, codec, p, 34, flooded=False)
     # the two masked factors are fixed-point encoded, so the shared value
     # sits within a few grid steps of the local evaluation of o_c + o_s
@@ -231,7 +230,7 @@ def test_masked_open_balanced_split_tracks_one_party_seed():
 
 def test_masked_open_costs_one_round_two_elements():
     codec = FixedPointCodec()
-    o_c, o_s = seed_shares(-8191.998, 8195.098)
+    o_c, o_s = seed_share_client(-8191.998), seed_share_server(8195.098)
     _, st_c, st_s = _bits_to_value(o_c, o_s, codec, SeedParams(), 35,
                                    flooded=False)
     for st in (st_c, st_s):
