@@ -88,15 +88,23 @@ def scalar_mul_values(party: str, values, coef, codec: FixedPointCodec):
     """Multiply shares by public reals, one truncation per element.
 
     coef is either one float applied across the batch or a per-element
-    list. Costs nothing: public-by-shared products stay local.
+    list, whose distinct values are encoded once each. Costs nothing:
+    public-by-shared products stay local.
     """
     if isinstance(coef, (int, float)):
         scaled = codec.encode(float(coef))
         return truncate_local(party, [v * scaled for v in values], codec)
     if len(coef) != len(values):
         raise UsageError("coefficient list length mismatch")
-    return truncate_local(party, [v * codec.encode(c)
+    encoded = _encode_each(coef, codec)
+    return truncate_local(party, [v * encoded[c]
                                   for v, c in zip(values, coef)], codec)
+
+
+def _encode_each(reals, codec: FixedPointCodec) -> dict:
+    """Ring encoding of each distinct public real, in first-seen order, so
+    an out-of-range list raises the RangeError of its first bad value."""
+    return {c: codec.encode(c) for c in dict.fromkeys(reals)}
 
 
 def add_public_values(party: str, values, const, codec: FixedPointCodec):
@@ -111,7 +119,8 @@ def add_public_values(party: str, values, const, codec: FixedPointCodec):
     if scalar:
         shift = codec.encode(float(const))
         return [(v + shift) & ones for v in values]
-    return [(v + codec.encode(c)) & ones for v, c in zip(values, const)]
+    encoded = _encode_each(const, codec)
+    return [(v + encoded[c]) & ones for v, c in zip(values, const)]
 
 
 def _square(party: str, values, triples, channel, codec: FixedPointCodec):

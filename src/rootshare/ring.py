@@ -7,15 +7,17 @@ correlated masks: each operand is opened once as a masked difference, and
 every product of opened operands is then local, given the dealer's share
 of the product of their masks. A fresh pair costs one round and two ring
 elements on the wire; a square, or a product with an operand opened
-before, costs less. Each product truncates the doubled scale away with a
-local probabilistic shift. run_session runs one protocol for both parties
-over a fresh channel and decodes its outputs. Every step but the
-elementwise products works on a whole batch at once, held as one integer
-(_Lanes); a matrix product takes one big-integer multiply-add per inner
-index and output row, on rows held in lanes wide enough for its sums.
-Every Beaver product, elementwise or matrix, opens its operands through
-one step (_open). The shares that pass between steps are reduced ring
-elements, 0 <= v < 2^l.
+before, costs less. A local probabilistic shift truncates the doubled
+scale away; _truncate is the one place that rule is written. run_session
+runs one protocol for both parties over a fresh channel and decodes its
+outputs. Every step but the elementwise products works on a whole batch
+at once, held as one integer (_Lanes); a matrix product takes one
+big-integer multiply-add per inner index and output row, on rows held in
+lanes wide enough for its sums. Every Beaver product, elementwise or
+matrix, opens its operands through one step (_open), and each Beaver call
+reduces its products as it forms them and truncates all of them as one
+lane form. The shares that pass between steps are reduced ring elements,
+0 <= v < 2^l.
 """
 
 import random
@@ -251,6 +253,16 @@ class _Lanes:
 _lanes = lru_cache(maxsize=32)(_Lanes)     # masks made once per (codec, count)
 
 
+def _truncate(party: str, x: int, lanes: _Lanes, t: int) -> int:
+    """The truncation rule on the lane form x of reduced ring elements,
+    by 2^t, 1 <= t <= l: the client takes (v >> t) + bit_(t-1)(v), the
+    server shifts the negated complement, -((-v mod 2^l) >> t)."""
+    kept = lanes.one * ((1 << (lanes.codec.l - t)) - 1)
+    if party == CLIENT:
+        return ((x >> t) & kept) + ((x >> (t - 1)) & lanes.one)
+    return lanes.neg((lanes.neg(x) >> t) & kept)
+
+
 def truncate_local(party: str, values, codec: FixedPointCodec,
                    shift: int | None = None):
     """Local probabilistic truncation of one party's shares by 2^shift
@@ -261,8 +273,10 @@ def truncate_local(party: str, values, codec: FixedPointCodec,
     magnitude being truncated. The client rounds: it takes
     (v >> shift) + bit_(shift-1)(v). The server shifts the negated
     complement. Inputs may be any integers; they are reduced mod 2^l first,
-    as v & (2^l - 1). The client reduces before rounding: reducing after
-    would change the result wherever v mod 2^l >= 2^l - 2^(shift-1).
+    as v & (2^l - 1), then packed and truncated by _truncate, the one place
+    the rule is written; callers holding reduced lane forms call _truncate
+    directly. The client reduces before rounding: reducing after would
+    change the result wherever v mod 2^l >= 2^l - 2^(shift-1).
     Returns the shares as _Lanes.unpack gives them: an array of the element
     width, or a list where no array typecode has it.
     """
@@ -275,18 +289,21 @@ def truncate_local(party: str, values, codec: FixedPointCodec,
         raise UsageError(f"unknown party {party!r}")
     ones = codec.modulus - 1
     lanes = _lanes(codec, len(values))
-    x = lanes.pack([v & ones for v in values])
-    kept = lanes.one * ((1 << (codec.l - t)) - 1)
-    if party == CLIENT:
-        x = ((x >> t) & kept) + ((x >> (t - 1)) & lanes.one)
-    else:
-        x = lanes.neg((lanes.neg(x) >> t) & kept)
-    return lanes.unpack(x)
+    return lanes.unpack(
+        _truncate(party, lanes.pack([v & ones for v in values]), lanes, t))
 
 
 def _repeat(values, group: int):
-    """Each element of values repeated group times in a row."""
-    return values if group == 1 else [v for v in values for _ in range(group)]
+    """Each element of values repeated group times in a row, as a list or
+    array like values."""
+    if group == 1:
+        return values
+    if not isinstance(values, (list, array)):
+        values = list(values)
+    out = values * group
+    for j in range(group):
+        out[j::group] = values
+    return out
 
 
 def _mat_mul_mod(a_parts, b_parts, c, m: int, k: int, n: int,
@@ -527,12 +544,13 @@ def beaver_mul_batch(party: str, x_values, y_values, triples,
     it.
 
     With D_u = u - r_u public for both operands, each product is
-    z = c + D_x r_y + D_y r_x, plus D_x D_y on the server, then truncated.
-    The server forms it as c + D_x (r_y + D_y) + D_y r_x; a square (x is
-    y) is c + D (2r), or c + D (2r + D) on the server. The plain form is
-    the case where both operands are fresh. Operands are reduced ring
-    elements. Returns the products' ring integers at scale 2^f, in order,
-    in the form truncate_local returns.
+    z = c + D_x r_y + D_y r_x, plus D_x D_y on the server. The server forms
+    it as c + D_x (r_y + D_y) + D_y r_x; a square (x is y) is c + D (2r),
+    or c + D (2r + D) on the server. The plain form is the case where both
+    operands are fresh. Operands are reduced ring elements. Each product is
+    reduced as it is formed, and all of the call's products are truncated
+    together, as one lane form. Returns the products' ring integers at
+    scale 2^f, in order, in the form truncate_local returns.
     """
     if not (x_values and isinstance(x_values[0], Masked)):
         a_values, b_values, c_values = triples
@@ -550,23 +568,25 @@ def beaver_mul_batch(party: str, x_values, y_values, triples,
                              "one element per row of x")
         groups.append(group)
     _open(chain.from_iterable(zip(x_values, y_values)), channel, codec)
-    out = None
+    ones = codec.modulus - 1
+    z = []
     for x, y, c, group in zip(x_values, y_values, triples, groups):
-        lanes = _lanes(codec, len(y.values))
-        ry = lanes.pack(y.mask)
-        s = lanes.add(ry, ry) if x is y else ry
-        if party == SERVER:
-            s = lanes.add(s, lanes.pack(y.diff))
-        s = _repeat(lanes.unpack(s), group)
-        # one product batch is held at a time, and only until truncated
+        s = y.mask
+        if party == SERVER or x is y:
+            lanes = _lanes(codec, len(s))
+            s = lanes.pack(s)
+            s = lanes.add(s, s) if x is y else s
+            if party == SERVER:
+                s = lanes.add(s, lanes.pack(y.diff))
+            s = lanes.unpack(s)
+        s = _repeat(s, group)
         if x is y:
-            z = [cc + d * t for cc, d, t in zip(c, x.diff, s)]
+            z += [(cc + d * t) & ones for cc, d, t in zip(c, x.diff, s)]
         else:
-            z = [cc + dx * t + d * r for cc, dx, t, d, r
-                 in zip(c, x.diff, s, _repeat(y.diff, group), x.mask)]
-        part = truncate_local(party, z, codec)
-        out = part if out is None else out + part
-    return out
+            z += [(cc + dx * t + d * r) & ones for cc, dx, t, d, r
+                  in zip(c, x.diff, s, _repeat(y.diff, group), x.mask)]
+    lanes = _lanes(codec, len(z))
+    return lanes.unpack(_truncate(party, lanes.pack(z), lanes, codec.f))
 
 
 def matmul_shared(party: str, a_values, b_values, triple,
@@ -590,8 +610,10 @@ def matmul_shared(party: str, a_values, b_values, triple,
     if party == SERVER:
         lanes = _lanes(codec, k * n)
         rb = lanes.unpack(lanes.add(lanes.pack(rb), lanes.pack(b.diff)))
-    return truncate_local(party, _mat_mul_mod(
-        (a.diff, ra), (rb, b.diff), rc, m, k, n, codec), codec)
+    lanes = _lanes(codec, m * n)
+    c = lanes.pack(_mat_mul_mod((a.diff, ra), (rb, b.diff), rc, m, k, n,
+                                codec))
+    return lanes.unpack(_truncate(party, c, lanes, codec.f))
 
 
 def run_session(party_fn, client_values, server_values, dealer: DealerState,

@@ -28,10 +28,11 @@ from .errors import ConfigError, RangeError, UnsupportedValueError
 from .floatbits import BIAS, L, compose, decompose, pack_integer, \
     to_binary32, unpack_integer
 from .ring import CLIENT, SERVER, DealerState, FixedPointCodec, Masked, \
-    _lanes, beaver_mul_batch, run_session, truncate_local
+    _lanes, _truncate, beaver_mul_batch, run_session
 
 MAGIC_K1 = 0x5F3759DF
 MIN_MAGNITUDE = 2.0 ** -30
+_MIN_BITS = array("I", array("f", [MIN_MAGNITUDE]).tobytes())[0]
 
 # Expected mantissa fraction of a flooded share, used only to center the
 # flooded seed's linearization.
@@ -100,11 +101,15 @@ def _seed_integers(floats, offset: int) -> list:
 
     The bit pattern of a positive normal binary32 is exactly its packed
     integer M + E*L, so the batch is rounded to binary32 as one array and
-    read back as unsigned 32-bit words. An array stores an overflow as
-    infinity silently, so the exponent range is checked on the batch.
+    read back as unsigned 32-bit words. MIN_MAGNITUDE is a binary32 value
+    and rounding is monotone, so flooring the words at its bit pattern,
+    only where one is below it, is flooring the floats. An array stores an
+    overflow as infinity silently, so the exponent range is checked on the
+    batch.
     """
-    bits = array("I", array("f", [max(abs(x), MIN_MAGNITUDE)
-                                  for x in floats]).tobytes())
+    bits = array("I", array("f", list(map(abs, floats))).tobytes())
+    if bits and min(bits) < _MIN_BITS:
+        bits = array("I", [max(b, _MIN_BITS) for b in bits])
     if bits and not (L <= min(bits) and max(bits) < 255 * L):
         raise UnsupportedValueError(
             "a seed magnitude is not a normal binary32 value")
@@ -198,7 +203,8 @@ def newton_shared_batch(party: str, x_values, y_values, n: int, triples,
     iteration's round 1; each round 1 opens only y, against a fresh mask
     a_k, and forms y*y from (a_k, a_k^2) and (x/2)*y from (b, a_k, a_k b).
     Round 2 takes an ordinary triple. That is 2 ring elements per element
-    in each round, but 1 in round 1 after the first iteration.
+    in each round, but 1 in round 1 after the first iteration. Shares
+    are reduced ring elements.
     """
     m = len(y_values)
     y = list(y_values)
@@ -206,16 +212,17 @@ def newton_shared_batch(party: str, x_values, y_values, n: int, triples,
         return y
     lanes = _lanes(codec, m)
     b, a, ab, aa = triples.take_fixed_mask(m, n, squares=True)
-    half_x = Masked(truncate_local(party, x_values, codec, 1), b)
+    half_x = Masked(lanes.unpack(
+        _truncate(party, lanes.pack(x_values), lanes, 1)), b)
     for k in range(n):
         y_k = Masked(y, a[k::n])
         pair = beaver_mul_batch(party, (y_k, half_x), (y_k, y_k),
                                 (aa[k::n], ab[k::n]), channel, codec)
         product = beaver_mul_batch(party, pair[:m], pair[m:],
                                    triples.take(m), channel, codec)
-        half_y = truncate_local(party, y, codec, 1)
+        packed = lanes.pack(y)
         y = lanes.unpack(lanes.sub(lanes.add(
-            lanes.pack(y), lanes.pack(half_y)), lanes.pack(product)))
+            packed, _truncate(party, packed, lanes, 1)), lanes.pack(product)))
     return y
 
 

@@ -4,13 +4,17 @@ A change that only makes the protocol cheaper to compute must leave every
 output bit and every counted byte, frame and round as it was. These pins
 record the SHA-256 of the output ring integers of fixed runs, and
 their exact `CommStats`, so such a change proves that it is bit-identical
-inside the suite.
+inside the suite. Without pytest, `python3 tests/test_bit_identity.py`
+(with `src` on the path) checks all five pins.
 """
 
 import hashlib
 import random
 
-import pytest
+try:
+    import pytest
+except ImportError:
+    pytest = None
 
 from rootshare import ActivationSampler, CommStats, ToyEncoderConfig, \
     draw_flood_mask, flood_share, run_shared_rsqrt, toy_encoder_infer
@@ -129,7 +133,14 @@ MATRIX_STATS = {32: (CommStats(4004, 3988, 4, 4),) * 2,
                 40: (CommStats(5001, 4985, 4, 4),) * 2}
 
 
-@pytest.mark.parametrize("codec", MATRIX_CODECS, ids=lambda c: f"l{c.l}")
+def _each_matrix_codec(test):
+    if pytest is None:
+        return test
+    return pytest.mark.parametrize("codec", MATRIX_CODECS,
+                                   ids=lambda c: f"l{c.l}")(test)
+
+
+@_each_matrix_codec
 def test_matrix_products_and_triples_are_pinned(codec):
     # matmul_shared's outputs and each party's half of the dealer's matrix
     # triples, at shapes up to k = 64, on raw ring operands whose shares
@@ -161,3 +172,12 @@ def test_matrix_products_and_triples_are_pinned(codec):
                     for part in record[party])
     assert hashlib.sha256(text.encode()).hexdigest() == \
         MATRIX_DIGESTS[codec.l]
+
+
+if __name__ == "__main__":
+    test_rsqrt_outputs_and_counts_are_pinned()
+    test_encoder_outputs_and_counts_are_pinned()
+    test_l32_products_and_truncation_are_pinned()
+    for matrix_codec in MATRIX_CODECS:
+        test_matrix_products_and_triples_are_pinned(matrix_codec)
+    print("5 golden digests pass")

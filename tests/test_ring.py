@@ -11,9 +11,11 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import FixedBits, chi2_uniform_stat, mul_pairs, quantize
 from rootshare.errors import ConfigError, ProtocolError, RangeError, UsageError
-from rootshare.ring import (CLIENT, SERVER, DealerState,
+from rootshare import ring
+from rootshare.ring import (CLIENT, PARTIES, SERVER, DealerState,
                             FixedPointCodec, Masked, RingShare,
-                            _lanes, _mat_mul_mod, beaver_mul_batch,
+                            _lanes, _mat_mul_mod, _truncate,
+                            beaver_mul_batch,
                             linear_combine, make_shares, matmul_shared,
                             reconstruct, reconstruct_raw, run_session,
                             split_values, truncate_local)
@@ -62,8 +64,9 @@ def test_range_errors():
                 max_size=40))
 def test_element_codec_roundtrip(l, values):
     # the lane form's bytes are the frame: at every width, the
-    # little-endian int.to_bytes frames of the reduced elements; widths 4
-    # and 8 go through array('I')/array('Q') and decode to an array
+    # little-endian int.to_bytes frames of the reduced elements; widths
+    # with an array typecode on this host (4 and 8 on a little-endian one)
+    # go through array('I')/array('Q') and decode to an array
     codec = FixedPointCodec(l=l, f=2)
     width, mod = codec.element_bytes, codec.modulus
     lanes = _lanes(codec, len(values))
@@ -73,7 +76,8 @@ def test_element_codec_roundtrip(l, values):
     assert payload == b"".join(v.to_bytes(width, "little") for v in reduced)
     assert lanes.read(payload) == x
     assert list(lanes.unpack(x)) == reduced
-    assert isinstance(lanes.unpack(x), array) == (width in (4, 8))
+    assert isinstance(lanes.unpack(x), array) == (
+        width in ring._ARRAY_CODES)
     with pytest.raises(ProtocolError):
         lanes.read(payload + b"\0")
     if values:
@@ -527,6 +531,108 @@ def test_correlated_products_open_each_operand_once(codec):
         assert st.payload_bytes == 8 * codec.element_bytes
 
 
+def _reference_product(party, kind, group, own, peer, codec):
+    """One product batch of one party formed per element from its own
+    shares, the opened differences read off both parties' shares, and
+    truncated on its own by truncate_local, checked against the rule."""
+    mod = codec.modulus
+    _, xm, _, ym, c = own
+
+    def opened(part):
+        return [(u + v - r - s) % mod for u, v, r, s in
+                zip(own[part], peer[part], own[part + 1], peer[part + 1])]
+
+    dx, dy = opened(0), opened(2)
+    server = party == SERVER
+    if kind == "square":
+        z = [cc + d * 2 * r + (d * d if server else 0)
+             for cc, d, r in zip(c, dx, xm)]
+    else:
+        z = [c[t] + dx[t] * ym[t // group] + dy[t // group] * xm[t]
+             + (dx[t] * dy[t // group] if server else 0)
+             for t in range(len(c))]
+    out, unit = list(truncate_local(party, z, codec)), codec.scale
+    assert out == [(v % mod + unit // 2) // unit if not server
+                   else (mod - (-v % mod) // unit) % mod for v in z]
+    return out
+
+
+@PROPERTY
+@given(st.sampled_from(LANE_CODECS), st.data())
+def test_fused_products_match_per_kind_truncation(codec, data):
+    # one call mixing plain, square and fixed-mask products (group 1-4),
+    # empty batches and the ring's edge values among them, reduces and
+    # truncates all its products at once; each party's shares must be
+    # those of every product formed per element and each kind truncated
+    # apart. A lone plain product goes through the plain form when drawn
+    mod = codec.modulus
+    element = st.one_of(st.integers(0, mod - 1),
+                        st.sampled_from([0, 1, mod // 2, mod - 1]))
+    layout = []
+    for kind, rows, group in data.draw(st.lists(st.tuples(
+            st.sampled_from(["plain", "square", "fixed"]),
+            st.integers(0, 5), st.integers(1, 4)), min_size=1, max_size=4)):
+        group = group if kind == "fixed" else 1
+        layout.append((kind, rows * group,
+                       0 if kind == "square" else rows, group))
+    listed = layout[0][0] == "plain" and len(layout) == 1 and \
+        data.draw(st.booleans())
+    total = sum(nx + ny for _, nx, ny, _ in layout)
+    halves = [data.draw(st.lists(element, min_size=total, max_size=total))
+              for _ in PARTIES]
+    seen, got = {}, {}
+
+    def party_fn(party, values, channel, triples):
+        ops = []
+        for kind, nx, ny, group in layout:
+            xv, yv = values[:nx], values[nx:nx + ny]
+            values = values[nx + ny:]
+            if kind == "plain":
+                a, b, c = triples.take(nx)
+                x, y = Masked(xv, a), Masked(yv, b)
+            elif kind == "square":
+                a, c = triples.take_squares(nx)
+                x = y = Masked(xv, a)
+            else:
+                b, a, c = triples.take_fixed_mask(ny, group)
+                x, y = Masked(xv, a), Masked(yv, b)
+            ops.append((x, y, c))
+        seen[party] = [[list(part) for part in (x.values, x.mask, y.values,
+                                                y.mask, c)]
+                       for x, y, c in ops]
+        if listed:
+            ((x, y, c),) = ops
+            out = beaver_mul_batch(party, x.values, y.values,
+                                   (x.mask, y.mask, c), channel, codec)
+        else:
+            out = beaver_mul_batch(party, *zip(*ops), channel, codec)
+        got[party] = list(out)
+        return out
+
+    run_session(party_fn, *halves, DealerState(codec, seed=total))
+    for party, peer in (PARTIES, PARTIES[::-1]):
+        want = []
+        for (kind, _, _, group), own, other in zip(layout, seen[party],
+                                                   seen[peer]):
+            want += _reference_product(party, kind, group, own, other, codec)
+        assert got[party] == want
+
+
+@PROPERTY
+@given(st.sampled_from(LANE_CODECS), st.sampled_from(PARTIES), st.data())
+def test_truncate_local_is_the_lane_rule(codec, party, data):
+    # on reduced input, truncate_local is _truncate on the packed form, at
+    # every shift from 1 to l
+    mod = codec.modulus
+    values = data.draw(st.lists(st.one_of(
+        st.integers(0, mod - 1), st.sampled_from([0, 1, mod // 2, mod - 1])),
+        max_size=24))
+    shift = data.draw(st.integers(1, codec.l))
+    lanes = _lanes(codec, len(values))
+    assert list(truncate_local(party, values, codec, shift)) == list(
+        lanes.unpack(_truncate(party, lanes.pack(values), lanes, shift)))
+
+
 # ----------------------------------------------------------------- dealer
 
 @pytest.mark.parametrize("l", [32, 40, 64])
@@ -552,7 +658,8 @@ def test_dealer_draws_match_single_draws(l, monkeypatch):
     assert dealer._rng.getstate() == reference.getstate()
     wide = l in (32, 64)
     assert calls == ([l * count] if wide else [l] * count)
-    assert isinstance(got, array) == (l != 40)
+    assert isinstance(got, array) == (
+        dealer.codec.element_bytes in ring._ARRAY_CODES)
 
 
 def test_dealer_is_deterministic(codec):
