@@ -136,13 +136,16 @@ def smu_shared_batch(party: str, values, params: SmuParams, channel,
     """Smooth maximum unit on a batch of shares.
 
     Chain: t = x^2 (one square), s = (1-alpha) t + max(mu^2, 2^-12)
-    added server side, re-flood s, y = rsqrt(s) at this call site's seed
-    configuration, w = s * y = sqrt(s), out = (1+alpha)/2 x + w/2. The
-    additive floor keeps s strictly positive where mu = 0 would let the
-    shared inverse square root see zero; it perturbs the exact unit by at
-    most 2^-7 near the kink. Total multiplications: 2 + 3 * iterations, in
-    3 + 2 * iterations rounds; the square opens 1 ring element per
-    element, w opens 2.
+    added server side, re-flood s, sqrt(s)/2 = (s/2) * rsqrt(s) from the
+    inverse square root at this call site's seed configuration, out =
+    (1+alpha)/2 x + sqrt(s)/2. The additive floor keeps s strictly
+    positive where mu = 0 would let the shared inverse square root see
+    zero; it perturbs the exact unit by at most 2^-7 near the kink. Total
+    multiplications: 2 + 3 * iterations, in 3 + 2 * iterations rounds. The
+    last product reuses Newton's opening of s/2 and opens only y_n, so per
+    element each party sends 3 * iterations + 3 ring elements: 1 for the
+    square, 3 * iterations + 1 in Newton, 1 for y_n; the server adds one
+    more for its reshare.
     """
     codec = cfg.codec
     sq = _square(party, values, triples, channel, codec)
@@ -151,13 +154,12 @@ def smu_shared_batch(party: str, values, params: SmuParams, channel,
     floor = max(params.mu * params.mu, S_FLOOR)
     s = add_public_values(party, sq, floor, codec)
     s = flood_reshare_batch(party, s, channel, codec, cfg.flood, rng)
-    y = rsqrt_shared_batch(party, s, channel, codec, cfg.seed, cfg.newton,
-                           triples, flooded=True)
-    w = beaver_mul_batch(party, s, y, triples.take(len(values)), channel, codec)
-    half_w = scalar_mul_values(party, w, 0.5, codec)
+    half_root = rsqrt_shared_batch(party, s, channel, codec, cfg.seed,
+                                   cfg.newton, triples, flooded=True,
+                                   half_root=True)
     ax = scalar_mul_values(party, values, 0.5 * (1.0 + params.alpha), codec)
     mod = codec.modulus
-    return [(a + b) % mod for a, b in zip(ax, half_w)]
+    return [(a + b) % mod for a, b in zip(ax, half_root)]
 
 
 def _row_count(count: int, row_len: int) -> int:
@@ -234,7 +236,7 @@ def layernorm_shared(party: str, row_values, gamma, beta, channel,
     means = scalar_mul_values(party, _row_sums(row_values, rows, k), 1.0 / k,
                               codec)
     centered = [(v - means[j // k]) % mod for j, v in enumerate(row_values)]
-    b, a, ab, aa = triples.take_fixed_mask(rows, k, squares=True)
+    b, a, ab, aa = triples.take_fixed_mask(rows, k, squares=k)
     centered = Masked(centered, a)
     sq = beaver_mul_batch(party, (centered,), (centered,), (aa,), channel,
                           codec)

@@ -55,6 +55,10 @@ class FixedPointCodec:
         if not 2 <= self.f < self.l <= 64:
             raise ConfigError(
                 f"codec requires 2 <= f < l <= 64, got l={self.l} f={self.f}")
+        # (2^f, 2^(l-1), 2^l - 1), made once; not a field, so equality,
+        # hashing and repr see only l and f
+        object.__setattr__(self, "_consts", (
+            1 << self.f, 1 << (self.l - 1), (1 << self.l) - 1))
 
     @property
     def modulus(self) -> int:
@@ -69,16 +73,16 @@ class FixedPointCodec:
         return (self.l + 7) // 8
 
     def encode(self, x: float) -> int:
-        v = round(x * self.scale)
-        half = 1 << (self.l - 1)
+        scale, half, ones = self._consts
+        v = round(x * scale)
         if not -half <= v < half:
             raise RangeError(
                 f"{x!r} outside the representable range at l={self.l} f={self.f}")
-        return v % self.modulus
+        return v & ones
 
     def decode(self, v: int) -> float:
-        half = 1 << (self.l - 1)
-        return ((v + half) % self.modulus - half) / self.scale
+        scale, half, ones = self._consts
+        return (((v + half) & ones) - half) / scale
 
 
 @dataclass(frozen=True)
@@ -380,7 +384,8 @@ class DealerState:
         a, a_client, c_client per element. A fixed mask is one mask b of
         `count` elements shared by `group` products per element: masks a
         (group per element of b, element-major) and a_t * b[t // group],
-        plus a_t^2 when squares are asked for. A zero share is (r, -r).
+        plus a_t^2 for the leading `squares` slots of each group, squares
+        per element, element-major. A zero share is (r, -r).
         """
         if kind[0] == "scalar":
             self.issued += kind[1]
@@ -404,9 +409,11 @@ class DealerState:
             server = [self._other_half(b, b_c), self._other_half(a, a_c),
                       self._product_half(a, _repeat(b, group), ab_c)]
             if squares:
-                client.append(self._draws(size))
-                server.append(self._product_half(a, a, client[-1]))
-            self.issued += size * (len(client) - 2)
+                lead = a if squares == group else [
+                    v for t, v in enumerate(a) if t % group < squares]
+                client.append(self._draws(count * squares))
+                server.append(self._product_half(lead, lead, client[-1]))
+            self.issued += size + count * squares
             return tuple(client), tuple(server)
         if kind[0] == "zero":
             self.issued += kind[1]
@@ -479,10 +486,14 @@ class TripleStream:
         """This party's (a, c) for `count` squares: masks a, c = a^2."""
         return self._next(("square", count))
 
-    def take_fixed_mask(self, count: int, group: int, squares: bool = False):
+    def take_fixed_mask(self, count: int, group: int, squares: int = 0):
         """This party's (b, a, c) of one fixed mask b of `count` elements
         shared by `group` products per element: masks a, element-major,
-        and c_t = a_t * b[t // group]; with squares, also a_t^2 last."""
+        and c_t = a_t * b[t // group]. With squares > 0, also, last, a_t^2
+        for the leading `squares` slots of each group, element-major: slot
+        j < squares of element i at i * squares + j."""
+        if not 0 <= squares <= group:
+            raise UsageError(f"squares={squares} outside 0..group={group}")
         return self._next(("fixed", count, group, squares))
 
     def take_matrix(self, m: int, k: int, n: int):

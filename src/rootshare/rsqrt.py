@@ -14,9 +14,10 @@ rounds per iteration: one batch forms y^2 and (x/2) y together, a second
 multiplies them, and 3/2 y minus that product is local, so each element
 still costs three Beaver multiplications per iteration. x/2 is opened once
 per call and y once per iteration, so those three products open 3 ring
-elements per element after the first iteration, which opens 4. The
-iteration converges only when seed * sqrt(x) < sqrt(3), which is what
-share flooding buys.
+elements per element after the first iteration, which opens 4. Asked
+for sqrt(x)/2 instead, Newton multiplies x/2 by its last y, which opens
+only that y. The iteration converges only when seed * sqrt(x) < sqrt(3),
+which is what share flooding buys.
 """
 
 import math
@@ -193,7 +194,8 @@ def newton_plain(x: float, y0: float, n: int) -> float:
 
 
 def newton_shared_batch(party: str, x_values, y_values, n: int, triples,
-                        channel, codec: FixedPointCodec):
+                        channel, codec: FixedPointCodec, *,
+                        half_root: bool = False):
     """n shared Newton iterations on batches, two rounds each.
 
     The step y' = y * (3/2 - x/2 * y^2) is taken as y + y/2 - (y*y) *
@@ -205,32 +207,44 @@ def newton_shared_batch(party: str, x_values, y_values, n: int, triples,
     Round 2 takes an ordinary triple. That is 2 ring elements per element
     in each round, but 1 in round 1 after the first iteration. Shares
     are reduced ring elements.
+
+    With half_root, one more round returns (x/2) * y_n = sqrt(x)/2 in
+    place of y_n: the fixed mask takes one more slot a_n per element
+    (without a square), so the product reuses x/2's opening and opens
+    only y_n, 1 ring element per element.
     """
     m = len(y_values)
     y = list(y_values)
-    if not n:
+    if not (n or half_root):
         return y
     lanes = _lanes(codec, m)
-    b, a, ab, aa = triples.take_fixed_mask(m, n, squares=True)
+    group = n + 1 if half_root else n
+    # aa, the squares of the n iteration slots, is absent when n = 0
+    b, a, ab, *aa = triples.take_fixed_mask(m, group, squares=n)
     half_x = Masked(lanes.unpack(
         _truncate(party, lanes.pack(x_values), lanes, 1)), b)
     for k in range(n):
-        y_k = Masked(y, a[k::n])
+        y_k = Masked(y, a[k::group])
         pair = beaver_mul_batch(party, (y_k, half_x), (y_k, y_k),
-                                (aa[k::n], ab[k::n]), channel, codec)
+                                (aa[0][k::n], ab[k::group]), channel, codec)
         product = beaver_mul_batch(party, pair[:m], pair[m:],
                                    triples.take(m), channel, codec)
         packed = lanes.pack(y)
         y = lanes.unpack(lanes.sub(lanes.add(
             packed, _truncate(party, packed, lanes, 1)), lanes.pack(product)))
+    if half_root:
+        return beaver_mul_batch(party, (half_x,), (Masked(y, a[n::group]),),
+                                (ab[n::group],), channel, codec)
     return y
 
 
 def rsqrt_shared_batch(party: str, values, channel, codec: FixedPointCodec,
                        params: SeedParams, newton: NewtonConfig, triples,
-                       flooded: bool = True):
+                       flooded: bool = True, *, half_root: bool = False):
     """Full per-party pipeline on a batch of shares of positive values:
     local seed bits, value-domain conversion, shared Newton refinement.
+    With half_root it returns sqrt(x)/2 in place of 1/sqrt(x), as
+    newton_shared_batch does.
 
     The seed reads each party's own float view of its share, so it runs on
     the values as given; the Newton phase first adds dealer zero-shares,
@@ -246,7 +260,7 @@ def rsqrt_shared_batch(party: str, values, channel, codec: FixedPointCodec,
     zeros = lanes.pack(triples.take_zeros(len(values)))
     arith = lanes.unpack(lanes.add(x, zeros))
     return newton_shared_batch(party, arith, seeds, newton.iterations,
-                               triples, channel, codec)
+                               triples, channel, codec, half_root=half_root)
 
 
 def run_shared_rsqrt(share_pairs, codec: FixedPointCodec, params: SeedParams,

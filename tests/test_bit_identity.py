@@ -31,9 +31,9 @@ RSQRT_DIGEST = (
 RSQRT_STATS = (CommStats(208032, 208000, 8, 8),
                CommStats(208032, 208000, 8, 8))
 ENCODER_DIGEST = (
-    "e8a7d17d6f82ec3185e142080b25ef413f57c2ca3819c2174af0b37f94ce1c08")
-ENCODER_STATS = (CommStats(71584, 71360, 56, 61),
-                 CommStats(74356, 74112, 61, 61))
+    "16c5d458fd8e2eaa8b80bc2dc1b63a113798d317f8573f7d6a412ea142f1ceaa")
+ENCODER_STATS = (CommStats(69024, 68800, 56, 61),
+                 CommStats(71796, 71552, 61, 61))
 
 
 def _ring_digest(outputs, codec):

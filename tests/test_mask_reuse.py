@@ -95,12 +95,14 @@ def opened_per_mask(masks, events):
 
 
 def assert_each_mask_opened_once(masks, events):
+    """Check that no mask is opened twice; returns opened_per_mask."""
     found = opened_per_mask(masks, events)
     assert found, "the session opened nothing"
     reused = [values for values in found.values() if len(set(values)) > 1]
     assert not reused, f"{len(reused)} masks opened against two values"
     again = [values for values in found.values() if len(values) > 1]
     assert not again, f"{len(again)} masks opened twice"
+    return found
 
 
 def test_rsqrt_opens_each_mask_once(openings):
@@ -116,9 +118,14 @@ def test_rsqrt_opens_each_mask_once(openings):
 
 
 def test_smu_opens_each_mask_once(openings):
-    run_smu_shared([0.5 * i - 1.5 for i in range(7)], GELU_PARAMS,
-                   DEFAULT_CONFIG.with_site(E_m=128), seed=7)
-    assert_each_mask_opened_once(*openings)
+    xs = [0.5 * i - 1.5 for i in range(7)]
+    cfg = DEFAULT_CONFIG.with_site(E_m=128)
+    run_smu_shared(xs, GELU_PARAMS, cfg, seed=7)
+    found = assert_each_mask_opened_once(*openings)
+    # per element: the square, x/2 once, y and a plain pair per Newton
+    # iteration, and the last y; sqrt(s)/2 = (s/2) y reuses x/2's opening
+    n = cfg.newton.iterations
+    assert sum(map(len, found.values())) == (3 * n + 3) * len(xs)
 
 
 def test_softmax_star_opens_each_mask_once(openings):

@@ -85,6 +85,39 @@ def test_element_codec_roundtrip(l, values):
             lanes.read(payload[:-1])
 
 
+CODEC_SHAPES = [(64, 16), (32, 12), (40, 16), (12, 4)]
+
+
+@PROPERTY
+@given(st.sampled_from(CODEC_SHAPES), st.data())
+def test_encode_is_rounded_scale_mod_the_ring(shape, data):
+    # encode(x) = round(x 2^f) mod 2^l inside the signed window
+    # [-2^(l-1), 2^(l-1)) and RangeError outside it; decode is the signed
+    # read of any integer, reduced or not. The constants the codec keeps
+    # are not fields: equality, hashing and repr see only l and f
+    l, f = shape
+    codec = FixedPointCodec(l=l, f=f)
+    half, mod = 1 << (l - 1), 1 << l
+    top = float(half) / (1 << f)
+    edges = [top, -top, math.nextafter(top, 0.0),
+             math.nextafter(-top, -math.inf), 0.0, 2.0 ** -(f + 1)]
+    xs = data.draw(st.lists(st.one_of(
+        st.floats(-2 * top, 2 * top), st.sampled_from(edges)), max_size=20))
+    for x in xs:
+        v = round(x * (1 << f))
+        if -half <= v < half:
+            assert codec.encode(x) == v % mod
+        else:
+            with pytest.raises(RangeError):
+                codec.encode(x)
+    for v in data.draw(st.lists(st.integers(-mod, 2 * mod), max_size=20)):
+        assert codec.decode(v) == ((v + half) % mod - half) / (1 << f)
+    twin = FixedPointCodec(l=l, f=f)
+    assert twin == codec and hash(twin) == hash(codec) == hash((l, f))
+    assert repr(codec) == f"FixedPointCodec(l={l}, f={f})"
+    assert codec != FixedPointCodec(l=l, f=f + 1)
+
+
 def test_codec_parameter_validation():
     with pytest.raises(ConfigError):
         FixedPointCodec(l=65, f=16)
@@ -502,10 +535,36 @@ def test_triple_product_identity(codec):
     assert c == [x * y % mod for x, y in zip(a, b)]
     a, c = full("take_squares", 20)
     assert c == [x * x % mod for x in a]
-    b, a, ab, aa = full("take_fixed_mask", 5, 4, True)
+    b, a, ab, aa = full("take_fixed_mask", 5, 4, 4)
     assert ab == [x * b[t // 4] % mod for t, x in enumerate(a)]
     assert aa == [x * x % mod for x in a]
     assert len(full("take_fixed_mask", 5, 4)) == 3
+
+
+@PROPERTY
+@given(st.sampled_from(LANE_CODECS), st.integers(0, 4), st.integers(1, 4),
+       st.data())
+def test_fixed_mask_squares_only_leading_slots(codec, count, group, data):
+    # a fixed mask with `squares` = 0..group: the halves reconstruct b, a
+    # and a_t b[t // group], and a_t^2 for exactly the leading `squares`
+    # slots of each group, element-major; with none, no fourth part
+    squares = data.draw(st.integers(0, group))
+    mod = codec.modulus
+    dealer = DealerState(codec, seed=count * 16 + group * 4 + squares)
+    sc, ss = dealer.pair_streams()
+    parts = [[(u + v) % mod for u, v in zip(own, peer)] for own, peer in
+             zip(sc.take_fixed_mask(count, group, squares),
+                 ss.take_fixed_mask(count, group, squares))]
+    assert len(parts) == (4 if squares else 3)
+    b, a, ab = parts[:3]
+    assert (len(b), len(a)) == (count, count * group)
+    assert ab == [x * b[t // group] % mod for t, x in enumerate(a)]
+    if squares:
+        assert parts[3] == [x * x % mod for t, x in enumerate(a)
+                            if t % group < squares]
+    assert dealer.issued == count * group + count * squares
+    with pytest.raises(UsageError):
+        sc.take_fixed_mask(count, group, group + 1)
 
 
 def test_correlated_products_open_each_operand_once(codec):
@@ -516,7 +575,7 @@ def test_correlated_products_open_each_operand_once(codec):
     halves = split_values(xs + ys, codec, random.Random(12))
 
     def party_fn(party, values, channel, triples):
-        b, a, ab, aa = triples.take_fixed_mask(2, 3, squares=True)
+        b, a, ab, aa = triples.take_fixed_mask(2, 3, squares=3)
         x = Masked(values[:6], a)
         squares = beaver_mul_batch(party, (x,), (x,), (aa,), channel, codec)
         return squares + beaver_mul_batch(
