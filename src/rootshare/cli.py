@@ -31,16 +31,17 @@ def _parse_gaps(text: str):
 
 
 def _load_config(args, encoder: bool = False):
-    """The run's ProtocolConfig. The encoder takes its iteration counts from
-    EncoderSites, so for it an iteration setting is an error, not ignored."""
+    """The run's ProtocolConfig. The encoder takes one iteration count per
+    site from EncoderSites, so for it an iteration setting is an error, not
+    ignored."""
     mapping = read_config_file(args.config) if args.config else {}
     iterations = getattr(args, "iterations", None)
     if encoder and (iterations is not None
                     or {"n", "iterations"} & mapping.keys()):
         raise ConfigError(
-            "the encoder takes its Newton iteration counts from "
-            "EncoderSites.iterations; drop --iterations and the n or "
-            "iterations config key")
+            "the encoder takes a Newton iteration count per site from "
+            "EncoderSites (softmax, ffn, ln1, ln2); drop "
+            "--iterations and the n or iterations config key")
     return config_from_mapping(mapping).with_site(iterations=iterations)
 
 

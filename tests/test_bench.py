@@ -232,7 +232,7 @@ def test_encoder_shared_matches_plain():
     by = info["bytes"]
     assert by["total"] == info["client"].bytes_sent \
         + info["server"].bytes_sent
-    assert (by["matmul"], by["nonlinear"]) == (50224, 90596)
+    assert (by["matmul"], by["nonlinear"]) == (50224, 78692)
     assert by["matmul"] + by["nonlinear"] == by["total"]
     assert info["rounds"] == 61
 

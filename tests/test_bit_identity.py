@@ -31,9 +31,9 @@ RSQRT_DIGEST = (
 RSQRT_STATS = (CommStats(208032, 208000, 8, 8),
                CommStats(208032, 208000, 8, 8))
 ENCODER_DIGEST = (
-    "16c5d458fd8e2eaa8b80bc2dc1b63a113798d317f8573f7d6a412ea142f1ceaa")
-ENCODER_STATS = (CommStats(69024, 68800, 56, 61),
-                 CommStats(71796, 71552, 61, 61))
+    "baf2292ddd6ec710ae56d7c273b9ce5f0aa8b4a55edfbb8e2019118c7f15bc60")
+ENCODER_STATS = (CommStats(63072, 62848, 56, 61),
+                 CommStats(65844, 65600, 61, 61))
 
 
 def _ring_digest(outputs, codec):

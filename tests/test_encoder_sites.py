@@ -1,0 +1,150 @@
+"""The encoder's per-site (E_m, iterations) schedule, derived from its bands.
+
+`bench.ENCODER_SITE_BANDS` freezes the log2 band of each inverse-sqrt site's
+input. Each site's E_m must keep flooded inverse square roots within 1e-2
+over its band, each Newton count must be the fewest at which any E_m near
+the site's does so, and inputs drawn as the encoder benchmark draws them
+must stay inside the bands.
+"""
+
+import math
+import random
+
+import pytest
+
+from rootshare import bench, draw_flood_mask, flood_share, run_shared_rsqrt
+from rootshare.bench import ENCODER_SITE_BANDS, EncoderSites, \
+    ToyEncoderConfig, generate_weights, toy_encoder_infer
+from rootshare.config import DEFAULT_CONFIG
+from rootshare.nonlinear import LAYERNORM_EPS, S_FLOOR, SOFTMAX_EPS
+
+TOL = 1e-2
+MASKS_PER_POINT = 60
+
+
+def _window(band):
+    """1/8-octave points from 1/8 octave below the band to 1/8 above it,
+    rounded out to the 1/8-octave grid."""
+    lo, hi = band
+    return [k / 8 for k in range(math.floor(8 * lo - 1),
+                                 math.ceil(8 * hi + 1) + 1)]
+
+
+def _worst_flooded_error(E_m, iterations, band):
+    """Worst |y sqrt(x) - 1| of flooded inverse square roots over the
+    band's window, MASKS_PER_POINT flood masks at each point."""
+    site = DEFAULT_CONFIG.with_site(E_m, iterations)
+    rng = random.Random(E_m)
+    xs = [2.0 ** p for p in _window(band) for _ in range(MASKS_PER_POINT)]
+    pairs = []
+    for x in xs:
+        c, s = flood_share(x, draw_flood_mask(site.flood, rng), site.codec)
+        pairs.append((c.value, s.value))
+    ys, _, _ = run_shared_rsqrt(pairs, site.codec, site.seed, site.newton,
+                                dealer_seed=E_m + 1)
+    return max(abs(y * math.sqrt(x) - 1.0) for x, y in zip(xs, ys))
+
+
+def _counts():
+    """Each Newton count of EncoderSites, with the (band name, E_m) of every
+    site that runs at it."""
+    sites = EncoderSites()
+    num, den, n = sites.softmax
+    counts = {"softmax": (n, (("softmax_num", num), ("softmax_den", den)))}
+    for name in ("ffn", "ln1", "ln2"):
+        E_m, n = getattr(sites, name)
+        counts[name] = (n, ((name, E_m),))
+    return counts
+
+
+COUNTS = _counts()
+# Away from the best E_m a window's error grows in both directions (as
+# measured at n - 1 for every site), so the best lies within this distance
+# of the site's E_m.
+NEAR = 3
+
+
+@pytest.mark.parametrize("count", sorted(COUNTS))
+def test_each_site_covers_its_band(count):
+    n, sites = COUNTS[count]
+    for name, E_m in sites:
+        assert _worst_flooded_error(E_m, n, ENCODER_SITE_BANDS[name]) <= TOL
+
+
+@pytest.mark.parametrize("count", sorted(COUNTS))
+def test_one_iteration_fewer_leaves_a_band_uncovered_at_every_E_m(count):
+    n, sites = COUNTS[count]
+    assert any(all(_worst_flooded_error(e, n - 1, ENCODER_SITE_BANDS[name])
+                   > TOL for e in range(E_m - NEAR, E_m + NEAR + 1))
+               for name, E_m in sites)
+
+
+def _workload_sets(seed, sets, cfg):
+    """The encoder benchmark's input pool of a seed: each set seq_len rows
+    of model_dim draws 0.8 + 0.4 U from one random.Random(seed)."""
+    rng = random.Random(seed)
+    return [[[0.8 + 0.4 * rng.random() for _ in range(cfg.model_dim)]
+             for _ in range(cfg.seq_len)] for _ in range(sets)]
+
+
+def _record_site_inputs(weights, monkeypatch):
+    """Collect the rsqrt input of every element at each site of the plain
+    passes that follow, from the plain layers' own inputs."""
+    seen = {name: [] for name in ENCODER_SITE_BANDS}
+    softmax, layernorm, smu = (bench.softmax_star_plain,
+                               bench.layernorm_plain, bench.smu_plain)
+
+    def softmax_rec(row):
+        # the numerator is a smooth unit at RELU_PARAMS: s = x^2 + S_FLOOR
+        seen["softmax_num"].extend(v * v + S_FLOOR for v in row)
+        seen["softmax_den"].append(sum(max(v, 0.0) for v in row)
+                                   + SOFTMAX_EPS)
+        return softmax(row)
+
+    def layernorm_rec(row, gamma, beta):
+        mean = sum(row) / len(row)
+        var = sum((v - mean) ** 2 for v in row) / len(row)
+        site = "ln1" if gamma is weights["ln1_gamma"] else "ln2"
+        seen[site].append(var + LAYERNORM_EPS)
+        return layernorm(row, gamma, beta)
+
+    def smu_rec(v, params):
+        seen["ffn"].append((1.0 - params.alpha) * v * v
+                           + max(params.mu ** 2, S_FLOOR))
+        return smu(v, params)
+
+    monkeypatch.setattr(bench, "softmax_star_plain", softmax_rec)
+    monkeypatch.setattr(bench, "layernorm_plain", layernorm_rec)
+    monkeypatch.setattr(bench, "smu_plain", smu_rec)
+    return seen
+
+
+def test_a_16_seed_pool_stays_inside_the_frozen_bands(monkeypatch):
+    cfg = ToyEncoderConfig()
+    weights = generate_weights(cfg)
+    seen = _record_site_inputs(weights, monkeypatch)
+    for seed in range(16):
+        for rows in _workload_sets(seed, 16, cfg):
+            toy_encoder_infer(cfg, rows, mode="plain", weights=weights)
+    for name, (lo, hi) in ENCODER_SITE_BANDS.items():
+        xs = seen[name]
+        assert lo <= math.log2(min(xs)) <= math.log2(max(xs)) <= hi, name
+
+
+# (seed, set) of input sets drawn as the encoder benchmark draws them, on
+# which the encoder used to miss 1e-2: a layernorm-1 row with variance
+# near 2^-8.3, below that site's old window
+FORMER_MISSES = ((89, 1), (132, 2), (197, 8), (302, 1), (340, 14), (369, 3),
+                 (4006, 13))
+
+
+@pytest.mark.parametrize("seed,index", FORMER_MISSES)
+def test_former_misses_stay_within_tolerance(seed, index):
+    cfg = ToyEncoderConfig()
+    weights = generate_weights(cfg)
+    rows = _workload_sets(seed, index + 1, cfg)[index]
+    want = toy_encoder_infer(cfg, rows, mode="plain", weights=weights)
+    got, _ = toy_encoder_infer(cfg, rows, mode="shared", weights=weights)
+    worst = max(abs(g - w) for gr, wr in zip(got, want)
+                for g, w in zip(gr, wr))
+    assert worst <= TOL
