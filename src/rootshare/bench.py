@@ -138,7 +138,7 @@ def comm_report(scenario: str, cfg: ProtocolConfig = DEFAULT_CONFIG,
         counted = max(st_c.bytes_sent, st_s.bytes_sent) / row_len
         rounds = max(st_c.rounds, st_s.rounds)
         rows.append(ReportRow(scenario, "rootshare", "counted", "element",
-                              counted, rounds, 2 + 3 * n))
+                              counted, rounds, 1 + 3 * n))
         rows.append(ReportRow(scenario, "lut", "modeled", "element",
                               lut_cost(lut, 1)[0] / 8, 1, 0))
         t_muls = TAYLOR_HIGH_ORDER + 3 * n
@@ -154,7 +154,7 @@ def comm_report(scenario: str, cfg: ProtocolConfig = DEFAULT_CONFIG,
         _, st_c, st_s = run_softmax_star_shared(row, cfg, seed=seed)
         counted = max(st_c.bytes_sent, st_s.bytes_sent)
         rounds = max(st_c.rounds, st_s.rounds)
-        muls = (row_len * (2 + 3 * SOFTMAX_ITERATIONS)
+        muls = (row_len * (1 + 3 * SOFTMAX_ITERATIONS)
                 + (1 + 3 * SOFTMAX_ITERATIONS) + row_len)
         rows.append(ReportRow(scenario, "rootshare", "counted", "row",
                               counted, rounds, muls))

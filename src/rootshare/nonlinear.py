@@ -141,11 +141,12 @@ def smu_shared_batch(party: str, values, params: SmuParams, channel,
     (1+alpha)/2 x + sqrt(s)/2. The additive floor keeps s strictly
     positive where mu = 0 would let the shared inverse square root see
     zero; it perturbs the exact unit by at most 2^-7 near the kink. Total
-    multiplications: 2 + 3 * iterations, in 3 + 2 * iterations rounds. The
-    last product reuses Newton's opening of s/2 and opens only y_n, so per
-    element each party sends 3 * iterations + 3 ring elements: 1 for the
-    square, 3 * iterations + 1 in Newton, 1 for y_n; the server adds one
-    more for its reshare.
+    multiplications: 1 + 3 * iterations, in 3 + 2 * iterations rounds.
+    Newton takes its last step in product form, Q (3/2 - Q y) with Q =
+    (s/2) y, which is sqrt(s)/2 and opens y, Q and 1/2 - Q y once each,
+    so per element each party sends 3 * iterations + 2 ring elements: 1
+    for the square, 3 * iterations + 1 in Newton; the server adds one more
+    for its reshare.
     """
     codec = cfg.codec
     sq = _square(party, values, triples, channel, codec)

@@ -385,7 +385,9 @@ class DealerState:
         `count` elements shared by `group` products per element: masks a
         (group per element of b, element-major) and a_t * b[t // group],
         plus a_t^2 for the leading `squares` slots of each group, squares
-        per element, element-major. A zero share is (r, -r).
+        per element, element-major, and with a tail masks q and rho of
+        `count` elements, q * a_t for each group's last slot t and rho * q.
+        A zero share is (r, -r).
         """
         if kind[0] == "scalar":
             self.issued += kind[1]
@@ -401,7 +403,7 @@ class DealerState:
             return (a_c, c_c), (self._other_half(a, a_c),
                                 self._product_half(a, a, c_c))
         if kind[0] == "fixed":
-            _, count, group, squares = kind
+            _, count, group, squares, tail = kind
             size = count * group
             b, b_c = self._draws(count), self._draws(count)
             a, a_c, ab_c = (self._draws(size) for _ in range(3))
@@ -413,7 +415,15 @@ class DealerState:
                     v for t, v in enumerate(a) if t % group < squares]
                 client.append(self._draws(count * squares))
                 server.append(self._product_half(lead, lead, client[-1]))
-            self.issued += size + count * squares
+            if tail:
+                q, rho, q_c, rho_c, qa_c, rq_c = (self._draws(count)
+                                                  for _ in range(6))
+                client += [q_c, rho_c, qa_c, rq_c]
+                server += [self._other_half(q, q_c),
+                           self._other_half(rho, rho_c),
+                           self._product_half(q, a[group - 1::group], qa_c),
+                           self._product_half(rho, q, rq_c)]
+            self.issued += size + count * squares + 2 * count * tail
             return tuple(client), tuple(server)
         if kind[0] == "zero":
             self.issued += kind[1]
@@ -486,15 +496,18 @@ class TripleStream:
         """This party's (a, c) for `count` squares: masks a, c = a^2."""
         return self._next(("square", count))
 
-    def take_fixed_mask(self, count: int, group: int, squares: int = 0):
+    def take_fixed_mask(self, count: int, group: int, squares: int = 0,
+                        tail: bool = False):
         """This party's (b, a, c) of one fixed mask b of `count` elements
         shared by `group` products per element: masks a, element-major,
-        and c_t = a_t * b[t // group]. With squares > 0, also, last, a_t^2
-        for the leading `squares` slots of each group, element-major: slot
-        j < squares of element i at i * squares + j."""
+        and c_t = a_t * b[t // group]. With squares > 0, also a_t^2 for
+        the leading `squares` slots of each group, element-major: slot
+        j < squares of element i at i * squares + j. With tail, also, last,
+        masks q and rho of `count` elements, q * a_t for each group's last
+        slot t and rho * q."""
         if not 0 <= squares <= group:
             raise UsageError(f"squares={squares} outside 0..group={group}")
-        return self._next(("fixed", count, group, squares))
+        return self._next(("fixed", count, group, squares, bool(tail)))
 
     def take_matrix(self, m: int, k: int, n: int):
         """This party's (A, B, C) shares of one m x k by k x n triple."""

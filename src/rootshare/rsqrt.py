@@ -15,9 +15,11 @@ multiplies them, and 3/2 y minus that product is local, so each element
 still costs three Beaver multiplications per iteration. x/2 is opened once
 per call and y once per iteration, so those three products open 3 ring
 elements per element after the first iteration, which opens 4. Asked
-for sqrt(x)/2 instead, Newton multiplies x/2 by its last y, which opens
-only that y. The iteration converges only when seed * sqrt(x) < sqrt(3),
-which is what share flooding buys.
+for sqrt(x)/2 instead, Newton takes its last step in product form, Q =
+(x/2) y and Q (3/2 - Q y), which opens y, Q and 1/2 - Q y once each and
+so one element less than the step and a separate (x/2) y_n product. The
+iteration converges only when seed * sqrt(x) < sqrt(3), which is what
+share flooding buys.
 """
 
 import math
@@ -208,34 +210,52 @@ def newton_shared_batch(party: str, x_values, y_values, n: int, triples,
     in each round, but 1 in round 1 after the first iteration. Shares
     are reduced ring elements.
 
-    With half_root, one more round returns (x/2) * y_n = sqrt(x)/2 in
-    place of y_n: the fixed mask takes one more slot a_n per element
-    (without a square), so the product reuses x/2's opening and opens
-    only y_n, 1 ring element per element.
+    With half_root it returns sqrt(x)/2 = (x/2) y_n in place of y_n, the
+    last iteration in product form: Q = (x/2) y opens only y, T = Q y
+    only Q (mask q), and Q + Q r = Q (3/2 - Q y) only r = 1/2 - T (mask
+    rho), so n >= 1 iterations open 3n + 1 ring elements per element in
+    2n + 1 rounds. Only the last step takes that form, because a
+    product-form step does not correct the rounding before it as a Newton
+    step does. With n = 0 one product (x/2) y_0 opens x/2 and y_0.
     """
     m = len(y_values)
     y = list(y_values)
     if not (n or half_root):
         return y
     lanes = _lanes(codec, m)
-    group = n + 1 if half_root else n
-    # aa, the squares of the n iteration slots, is absent when n = 0
-    b, a, ab, *aa = triples.take_fixed_mask(m, group, squares=n)
+    # with half_root the last iteration takes the tail; each other one is
+    # a Newton step, with a square in its slot of the fixed mask
+    tail = half_root and n > 0
+    steps, group = n - tail, n or 1
+    b, a, ab, *rest = triples.take_fixed_mask(m, group, steps, tail)
     half_x = Masked(lanes.unpack(
         _truncate(party, lanes.pack(x_values), lanes, 1)), b)
-    for k in range(n):
+    for k in range(steps):
         y_k = Masked(y, a[k::group])
         pair = beaver_mul_batch(party, (y_k, half_x), (y_k, y_k),
-                                (aa[0][k::n], ab[k::group]), channel, codec)
+                                (rest[0][k::steps], ab[k::group]), channel,
+                                codec)
         product = beaver_mul_batch(party, pair[:m], pair[m:],
                                    triples.take(m), channel, codec)
         packed = lanes.pack(y)
         y = lanes.unpack(lanes.sub(lanes.add(
             packed, _truncate(party, packed, lanes, 1)), lanes.pack(product)))
-    if half_root:
-        return beaver_mul_batch(party, (half_x,), (Masked(y, a[n::group]),),
-                                (ab[n::group],), channel, codec)
-    return y
+    if not half_root:
+        return y
+    y_last = Masked(y, a[group - 1::group])
+    root = beaver_mul_batch(party, (half_x,), (y_last,),
+                            (ab[group - 1::group],), channel, codec)
+    if not tail:
+        return root
+    q, rho, qa, rho_q = rest[-4:]
+    root = Masked(root, q)
+    t = lanes.pack(beaver_mul_batch(party, (root,), (y_last,), (qa,),
+                                    channel, codec))
+    r = (lanes.sub(lanes.one * (codec.scale >> 1), t) if party == SERVER
+         else lanes.neg(t))
+    step = beaver_mul_batch(party, (root,), (Masked(lanes.unpack(r), rho),),
+                            (rho_q,), channel, codec)
+    return lanes.unpack(lanes.add(lanes.pack(root.values), lanes.pack(step)))
 
 
 def rsqrt_shared_batch(party: str, values, channel, codec: FixedPointCodec,

@@ -31,9 +31,9 @@ RSQRT_DIGEST = (
 RSQRT_STATS = (CommStats(208032, 208000, 8, 8),
                CommStats(208032, 208000, 8, 8))
 ENCODER_DIGEST = (
-    "baf2292ddd6ec710ae56d7c273b9ce5f0aa8b4a55edfbb8e2019118c7f15bc60")
-ENCODER_STATS = (CommStats(63072, 62848, 56, 61),
-                 CommStats(65844, 65600, 61, 61))
+    "00c45bfb6804b08875d4c7534d1349b25a091b2b44e99cbcc83073881efdf7e0")
+ENCODER_STATS = (CommStats(60512, 60288, 56, 61),
+                 CommStats(63284, 63040, 61, 61))
 
 
 def _ring_digest(outputs, codec):

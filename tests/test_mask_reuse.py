@@ -28,9 +28,11 @@ CODEC = DEFAULT_CONFIG.codec
 # mask lands this close to another opening's -D with negligible chance.
 WINDOW = 1 << (CODEC.f + 14)
 # Halves of each dealer kind that are masks, by position; the rest are
-# shares of mask products and zero shares, which are never opened.
+# shares of mask products and zero shares, which are never opened. A fixed
+# mask with a product-form tail ends in (q, rho, q a, rho q): two masks more.
 MASK_HALVES = {"scalar": (0, 1), "square": (0,), "fixed": (0, 1),
                "matrix": (0, 1), "zero": ()}
+TAIL_MASKS = (-4, -3)
 
 
 @pytest.fixture
@@ -45,7 +47,8 @@ def openings(monkeypatch):
     def recording_generate(self, kind):
         client, server = generate(self, kind)
         mod = self.codec.modulus
-        for half in MASK_HALVES[kind[0]]:
+        tail = kind[0] == "fixed" and kind[-1]
+        for half in MASK_HALVES[kind[0]] + (TAIL_MASKS if tail else ()):
             masks.extend((c + s) % mod
                          for c, s in zip(client[half], server[half]))
         return client, server
@@ -123,9 +126,10 @@ def test_smu_opens_each_mask_once(openings):
     run_smu_shared(xs, GELU_PARAMS, cfg, seed=7)
     found = assert_each_mask_opened_once(*openings)
     # per element: the square, x/2 once, y and a plain pair per Newton
-    # iteration, and the last y; sqrt(s)/2 = (s/2) y reuses x/2's opening
+    # iteration but the last, and y, Q and r of the last, which forms
+    # sqrt(s)/2 = Q + Q r and reopens neither x/2 nor Q
     n = cfg.newton.iterations
-    assert sum(map(len, found.values())) == (3 * n + 3) * len(xs)
+    assert sum(map(len, found.values())) == (3 * n + 2) * len(xs)
 
 
 def test_softmax_star_opens_each_mask_once(openings):

@@ -162,13 +162,14 @@ def test_shared_smu_zero_tensor_gives_half_mu():
 
 
 def test_shared_smu_comm_formula():
-    # per element and party: 2 + 3n multiplications, sent in 2 + 2n frames
-    # (Newton fuses two of its three per iteration). They open 3n + 3 ring
-    # elements: 1 for the square, 4 then 3 per iteration in Newton (x/2 is
-    # opened once, y once per iteration, and the product of the two takes
-    # 2), and 1 for the last y, whose product with x/2 is sqrt(s)/2. The
-    # server adds its reshare frame of one element per input; the flooded
-    # seed conversion adds nothing
+    # per element and party: 1 + 3n multiplications, sent in 2 + 2n frames
+    # (Newton fuses two of its three per iteration). They open 3n + 2 ring
+    # elements: 1 for the square, 4 then 3 per iteration in Newton but the
+    # last (x/2 is opened once, y once per iteration, and the product of
+    # the two takes 2), and 3 for the last, which forms sqrt(s)/2 in
+    # product form and opens y, Q = (s/2) y and r = 1/2 - Q y once each.
+    # The server adds its reshare frame of one element per input; the
+    # flooded seed conversion adds nothing
     cfg = DEFAULT_CONFIG.with_site(E_m=128, iterations=4)
     k = 5
     n = cfg.newton.iterations
@@ -177,8 +178,8 @@ def test_shared_smu_comm_formula():
     element = cfg.codec.element_bytes
     assert st_c.frames == 2 + 2 * n
     assert st_s.frames == 3 + 2 * n
-    assert st_c.payload_bytes == (3 * n + 3) * k * element
-    assert st_s.payload_bytes == ((3 * n + 3) * k + k) * element
+    assert st_c.payload_bytes == (3 * n + 2) * k * element
+    assert st_s.payload_bytes == ((3 * n + 2) * k + k) * element
     assert st_c.rounds == st_s.rounds == 3 + 2 * n
 
 

@@ -547,22 +547,30 @@ def test_triple_product_identity(codec):
 def test_fixed_mask_squares_only_leading_slots(codec, count, group, data):
     # a fixed mask with `squares` = 0..group: the halves reconstruct b, a
     # and a_t b[t // group], and a_t^2 for exactly the leading `squares`
-    # slots of each group, element-major; with none, no fourth part
+    # slots of each group, element-major; with none, no fourth part. A
+    # tail adds masks q and rho and q a_t for each group's last slot t and
+    # rho q: two products per element of b
     squares = data.draw(st.integers(0, group))
+    tail = data.draw(st.booleans())
     mod = codec.modulus
     dealer = DealerState(codec, seed=count * 16 + group * 4 + squares)
     sc, ss = dealer.pair_streams()
     parts = [[(u + v) % mod for u, v in zip(own, peer)] for own, peer in
-             zip(sc.take_fixed_mask(count, group, squares),
-                 ss.take_fixed_mask(count, group, squares))]
-    assert len(parts) == (4 if squares else 3)
+             zip(sc.take_fixed_mask(count, group, squares, tail),
+                 ss.take_fixed_mask(count, group, squares, tail))]
+    assert len(parts) == (4 if squares else 3) + 4 * tail
     b, a, ab = parts[:3]
     assert (len(b), len(a)) == (count, count * group)
     assert ab == [x * b[t // group] % mod for t, x in enumerate(a)]
     if squares:
         assert parts[3] == [x * x % mod for t, x in enumerate(a)
                             if t % group < squares]
-    assert dealer.issued == count * group + count * squares
+    if tail:
+        q, rho, qa, rho_q = parts[-4:]
+        assert (len(q), len(rho)) == (count, count)
+        assert qa == [x * y % mod for x, y in zip(q, a[group - 1::group])]
+        assert rho_q == [x * y % mod for x, y in zip(rho, q)]
+    assert dealer.issued == count * group + count * squares + 2 * count * tail
     with pytest.raises(UsageError):
         sc.take_fixed_mask(count, group, group + 1)
 

@@ -11,6 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rootshare import transport
+from rootshare.bench import ENCODER_SITE_BANDS, EncoderSites
+from rootshare.config import DEFAULT_CONFIG
 from rootshare.errors import ConfigError, RangeError, TransportError, \
     UnsupportedValueError
 from rootshare.floatbits import BIAS, L, decompose, pack_integer, to_binary32
@@ -342,6 +344,66 @@ def test_newton_shared_comm_cost():
         assert st.rounds == 2 * n
         assert st.frames == 2 * n
         assert st.payload_bytes == (3 * n + 1) * codec.element_bytes
+
+
+def _flooded_pairs(xs, cfg, rng):
+    pairs = []
+    for x in xs:
+        c, s = flood_share(x, draw_flood_mask(cfg.flood, rng), cfg.codec)
+        pairs.append((c.value, s.value))
+    return pairs
+
+
+def _half_root(pairs, cfg, dealer_seed):
+    """rsqrt_shared_batch(..., half_root=True) on flooded share pairs over a
+    fresh session."""
+    def party_fn(party, values, channel, triples):
+        return rsqrt_shared_batch(party, values, channel, cfg.codec, cfg.seed,
+                                  cfg.newton, triples, half_root=True)
+
+    return run_session(party_fn, [p[0] for p in pairs], [p[1] for p in pairs],
+                       DealerState(cfg.codec, seed=dealer_seed))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 4])
+def test_half_root_comm_cost(n):
+    # sqrt(x)/2 on flooded shares, whose seed is free: n >= 1 iterations
+    # open 3n + 1 elements per element in 2n + 1 rounds, one frame each,
+    # the last iteration in product form opening y, Q = (x/2) y and
+    # r = 1/2 - Q y; with n = 0 one product (x/2) y_0 opens 2 in 1 round
+    cfg = DEFAULT_CONFIG.with_site(E_m=128, iterations=n)
+    xs = (0.8, 1.6, 2.7, 3.1, 6.0)
+    _, st_c, st_s = _half_root(_flooded_pairs(xs, cfg, random.Random(58)),
+                               cfg, 59)
+    elements = 3 * n + 1 if n else 2
+    for st in (st_c, st_s):
+        assert (st.frames, st.rounds) == (2 * n + 1, 2 * n + 1)
+        assert st.payload_bytes == elements * len(xs) * cfg.codec.element_bytes
+
+
+# The smooth-unit sites of the encoder, which take sqrt(x)/2: name in
+# ENCODER_SITE_BANDS -> (E_m, iterations) in EncoderSites
+SMU_SITES = {"ffn": EncoderSites().ffn,
+             "softmax_num": EncoderSites().softmax[::2]}
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from(sorted(SMU_SITES)),
+       st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
+       st.integers(0, 2 ** 32 - 1))
+def test_half_root_within_tolerance_over_smooth_unit_bands(name, spots,
+                                                           seed):
+    # the product-form last step keeps sqrt(x)/2 within 1e-2 relative, at
+    # each smooth-unit site's (E_m, iterations), anywhere in its band and
+    # 1/8 octave beyond it
+    E_m, n = SMU_SITES[name]
+    lo, hi = ENCODER_SITE_BANDS[name]
+    cfg = DEFAULT_CONFIG.with_site(E_m=E_m, iterations=n)
+    xs = [2.0 ** (lo - 0.125 + t * (hi - lo + 0.25)) for t in spots]
+    got, _, _ = _half_root(_flooded_pairs(xs, cfg, random.Random(seed)),
+                           cfg, seed + 1)
+    for x, h in zip(xs, got):
+        assert abs(2.0 * h / math.sqrt(x) - 1.0) <= 1e-2
 
 
 # ------------------------------------------------------- full pipeline
