@@ -10,6 +10,12 @@ in between belong to one round. In-process frames carry the sender's round
 stamp, so in-process pairs count rounds exactly. Socket endpoints cannot
 see peer stamps and keep a local approximation; tests that assert round
 counts use the in-process transport.
+
+Socket endpoints run with Nagle's algorithm off (TCP_NODELAY). A reshare
+has the server write two frames and then read. With Nagle on, the kernel
+holds the second small write until the peer's delayed ACK arrives, up to
+40 ms later on Linux, and every reshare stalled on it. The option changes
+no byte on the wire, only how long a frame waits in the kernel.
 """
 
 import queue
@@ -182,6 +188,7 @@ def open_inproc(timeout: float = 30.0):
 class SocketEndpoint(Endpoint):
     def __init__(self, sock: socketlib.socket, party: str, timeout: float):
         super().__init__(party)
+        sock.setsockopt(socketlib.IPPROTO_TCP, socketlib.TCP_NODELAY, 1)
         sock.settimeout(timeout)
         self._sock = sock
 
@@ -262,8 +269,9 @@ def run_pair(client_fn, server_fn, transport: str = "inproc",
 
     Each function receives its endpoint and runs on its own thread, so
     protocols written as straight-line send/recv sequences work on both
-    transports. Returns (client_result, server_result); the first exception
-    raised by either party is re-raised here.
+    transports. Returns (client_result, server_result). A party that
+    raises closes its endpoint at once, so its peer fails fast instead of
+    waiting out the timeout; the exception raised first is re-raised here.
     """
     if transport == "inproc":
         ep_client, ep_server = open_inproc(timeout=timeout)
@@ -273,13 +281,14 @@ def run_pair(client_fn, server_fn, transport: str = "inproc",
         raise UsageError(f"unknown transport {transport!r}")
 
     results = {}
-    errors = {}
+    errors = []  # in the order raised
 
     def _run(name, fn, endpoint):
         try:
             results[name] = fn(endpoint)
         except BaseException as exc:  # propagated after join
-            errors[name] = exc
+            errors.append(exc)
+            endpoint.close()
 
     threads = [
         threading.Thread(target=_run, args=("client", client_fn, ep_client),
@@ -292,9 +301,8 @@ def run_pair(client_fn, server_fn, transport: str = "inproc",
     for t in threads:
         t.join(timeout)
     try:
-        for name in ("client", "server"):
-            if name in errors:
-                raise errors[name]
+        if errors:
+            raise errors[0]
         if len(results) != 2:
             raise TransportError("a party did not finish within the timeout")
     finally:

@@ -2,6 +2,8 @@
 socket parity, and failure modes."""
 
 import random
+import socket
+import time
 
 import pytest
 
@@ -163,6 +165,41 @@ def test_socket_abrupt_close_raises_not_hangs():
         a.close()
 
 
+def test_socket_endpoints_set_nodelay():
+    a, b = open_socket_pair()
+    try:
+        for ep in (a, b):
+            assert ep._sock.getsockopt(socket.IPPROTO_TCP,
+                                       socket.TCP_NODELAY) != 0
+    finally:
+        a.close()
+        b.close()
+
+
+def test_socket_write_write_read_does_not_stall():
+    # the reshare's pattern: two small writes, then a read. With Nagle on,
+    # the second write waits for the peer's delayed ACK in every round.
+    rounds = 10
+
+    def client_fn(ep):
+        for _ in range(rounds):
+            ep.recv_frame()
+            ep.recv_frame()
+            ep.send_frame(b"r" * 64)
+        return True
+
+    def server_fn(ep):
+        start = time.perf_counter()
+        for _ in range(rounds):
+            ep.send_frame(b"a" * 64)
+            ep.send_frame(b"b" * 64)
+            ep.recv_frame()
+        return time.perf_counter() - start
+
+    _, elapsed = run_pair(client_fn, server_fn, transport="socket")
+    assert elapsed < 0.150
+
+
 def test_inproc_peer_close_raises():
     a, b = open_inproc()
     b.close()
@@ -194,6 +231,29 @@ def test_run_pair_propagates_party_exception():
 
     with pytest.raises(ValueError, match="boom"):
         run_pair(bad, ok)
+
+
+@pytest.mark.parametrize("transport", ["inproc", "socket"])
+@pytest.mark.parametrize("failing", ["client", "server"])
+def test_run_pair_fails_fast_with_the_first_exception(transport, failing):
+    # the healthy party waits on a frame that never comes; the failing
+    # party's exception must come back well before the 30 s timeout
+    def bad(ep):
+        ep.send_frame(b"hello")
+        ep.recv_frame()
+        raise ValueError(f"{failing} broke")
+
+    def waiting(ep):
+        ep.recv_frame()
+        ep.send_frame(b"ack")
+        ep.recv_frame()
+        return 1
+
+    fns = (bad, waiting) if failing == "client" else (waiting, bad)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"{failing} broke"):
+        run_pair(*fns, transport=transport, timeout=30)
+    assert time.perf_counter() - start < 5
 
 
 def test_run_pair_rejects_unknown_transport():
