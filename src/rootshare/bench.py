@@ -89,9 +89,10 @@ def crypten_seed_cost(exp_squarings: int = 8, newton_iters: int = 10) -> int:
     return exp_squarings + 3 * newton_iters
 
 
-def count_rsqrt_element_bytes(cfg: ProtocolConfig = DEFAULT_CONFIG) -> int:
+def count_rsqrt_element_bytes() -> int:
     """Per-party online bytes (headers included) for one flooded shared
-    rsqrt element, x = 3.1 behind the mask at offset 3.098."""
+    rsqrt element at the default config, x = 3.1 behind the mask at 3.098."""
+    cfg = DEFAULT_CONFIG
     share_c, share_s = flood_share(3.1, flood_mask(3.098, cfg.flood.F),
                                    cfg.codec)
     _, stats_c, stats_s = run_shared_rsqrt(
@@ -227,7 +228,6 @@ class ToyEncoderConfig:
     ffn_dim: int = 32
     heads: int = 1
     seed: int = 0
-    weight_file: str | None = None
 
     def __post_init__(self):
         for name in ("seq_len", "model_dim", "ffn_dim", "heads"):
@@ -409,9 +409,9 @@ def _encoder_plain(cfg: ToyEncoderConfig, x_rows, weights):
 
 
 def _encoder_shared(cfg: ToyEncoderConfig, x_rows, weights,
-                    protocol: ProtocolConfig, sites: EncoderSites,
-                    transport: str):
+                    protocol: ProtocolConfig, transport: str):
     s, d, f = cfg.seq_len, cfg.model_dim, cfg.ffn_dim
+    sites = EncoderSites()
     dh = d // cfg.heads
     codec = protocol.codec
     rng = random.Random(cfg.seed + 101)
@@ -499,7 +499,6 @@ def _encoder_shared(cfg: ToyEncoderConfig, x_rows, weights,
 
 def toy_encoder_infer(cfg: ToyEncoderConfig, x_rows, mode: str = "plain",
                       protocol: ProtocolConfig = DEFAULT_CONFIG,
-                      sites: EncoderSites = EncoderSites(),
                       weights: dict | None = None,
                       transport: str = "inproc"):
     """One encoder block: attention with normalized positive weights,
@@ -508,20 +507,18 @@ def toy_encoder_infer(cfg: ToyEncoderConfig, x_rows, mode: str = "plain",
     plain mode returns the float reference rows. shared mode runs the same
     network on additive shares and returns (rows, info) where info carries
     per-bucket byte counts, rounds, and the inverse-sqrt element count.
+    weights defaults to generate_weights(cfg). Each inverse-sqrt site runs
+    at its EncoderSites (E_m, iterations) in place of protocol's.
     cfg.seed fixes the input split, the dealer and the flood masks, so two
     shared calls with one cfg reuse every mask, and a party that sees both
     calls' openings learns the difference of their inputs.
     """
     if weights is None:
-        if cfg.weight_file is not None:
-            weights = load_weights_csv(cfg.weight_file, cfg)
-        else:
-            weights = generate_weights(cfg)
+        weights = generate_weights(cfg)
     if mode == "plain":
         return _encoder_plain(cfg, x_rows, weights)
     if mode == "shared":
-        return _encoder_shared(cfg, x_rows, weights, protocol, sites,
-                               transport)
+        return _encoder_shared(cfg, x_rows, weights, protocol, transport)
     raise ConfigError(f"unknown mode {mode!r}; expected plain or shared")
 
 
@@ -536,7 +533,7 @@ class AblationRow:
 
 def flood_ablation(gap: int = 6, trials: int = 200,
                    cfg: ProtocolConfig = DEFAULT_CONFIG, seed: int = 7,
-                   tol: float = 1e-2, arms=("with-flood", "without-flood")):
+                   arms=("with-flood", "without-flood")):
     """Convergence with and without flooding on identical inputs.
 
     Each trial draws one activation; the with-flood arm splits it behind a
@@ -544,7 +541,7 @@ def flood_ablation(gap: int = 6, trials: int = 200,
     requested exponent gap. Both arms run the same codec, seed constants,
     and iteration budget, but not the same seed conversion: the with-flood
     arm converts its seed bits locally, the without-flood arm pays one
-    masked opening.
+    masked opening. A trial converges within 1e-2 relative error.
     """
     if gap < 0:
         raise ConfigError("gap must be non-negative")
@@ -573,7 +570,7 @@ def flood_ablation(gap: int = 6, trials: int = 200,
                                          dealer_seed=seed + 2, flooded=flooded)
         converged = sum(
             1 for x, y in zip(xs, results)
-            if abs(y * math.sqrt(x) - 1.0) <= tol)
+            if abs(y * math.sqrt(x) - 1.0) <= 1e-2)
         rows.append(AblationRow(arm, gap, trials, converged,
                                 converged / trials))
     return rows

@@ -1,7 +1,7 @@
 """Command-line harness: sweeps, reports, and the toy encoder demo.
 
 Every subcommand writes a CSV and prints a short summary. Usage problems
-(bad flags, missing config file, malformed ranges) exit non-zero.
+(bad flags, refused settings, missing config, bad ranges) exit non-zero.
 """
 
 import argparse
@@ -12,7 +12,8 @@ import sys
 
 from .errors import ConfigError, RootshareError
 from .bench import LutCostModel, REPORT_SCENARIOS, ToyEncoderConfig, \
-    comm_report, flood_ablation, toy_encoder_infer, write_report_csv
+    comm_report, flood_ablation, generate_weights, load_weights_csv, \
+    toy_encoder_infer, write_report_csv
 from .config import config_from_mapping, read_config_file
 from .flood import ActivationSampler, draw_flood_mask, flood_share
 from .rsqrt import closeness_sweep, run_shared_rsqrt
@@ -30,19 +31,27 @@ def _parse_gaps(text: str):
     return [int(part) for part in text.split(",") if part.strip()]
 
 
-def _load_config(args, encoder: bool = False):
-    """The run's ProtocolConfig. The encoder takes one iteration count per
-    site from EncoderSites, so for it an iteration setting is an error, not
-    ignored."""
+# comm-report scenarios that fix their own Newton settings, and where
+_SCENARIO_SITES = {"softmax": "SOFTMAX_* in rootshare.nonlinear",
+                   "layernorm": "LAYERNORM_* in rootshare.nonlinear",
+                   "end2end": "EncoderSites (softmax, ffn, ln1, ln2)"}
+
+
+def _load_config(args, fixed_in=None, iterations=None):
+    """The run's ProtocolConfig: the --config file's keys, then
+    --iterations. A command whose Newton settings live elsewhere names the
+    place in fixed_in and refuses the flag and the n, iterations and E_m
+    keys; iterations is its own count where neither sets one."""
     mapping = read_config_file(args.config) if args.config else {}
-    iterations = getattr(args, "iterations", None)
-    if encoder and (iterations is not None
-                    or {"n", "iterations"} & mapping.keys()):
+    flag = getattr(args, "iterations", None)
+    if fixed_in and (flag is not None
+                     or {"n", "iterations", "E_m"} & mapping.keys()):
         raise ConfigError(
-            "the encoder takes a Newton iteration count per site from "
-            "EncoderSites (softmax, ffn, ln1, ln2); drop "
-            "--iterations and the n or iterations config key")
-    return config_from_mapping(mapping).with_site(iterations=iterations)
+            f"this run takes its Newton settings from {fixed_in}; drop "
+            "--iterations and the n, iterations and E_m config keys")
+    if flag is None and not {"n", "iterations"} & mapping.keys():
+        flag = iterations
+    return config_from_mapping(mapping).with_site(iterations=flag)
 
 
 def _add_common(p, default_out):
@@ -85,12 +94,11 @@ def _cmd_rsqrt_sweep(args) -> int:
 
 
 def _cmd_closeness_sweep(args) -> int:
-    cfg = _load_config(args)
+    cfg = _load_config(args, iterations=8)
     gaps = _parse_gaps(args.gaps)
     rows = closeness_sweep(gaps, trials=args.trials,
-                           n=args.iterations if args.iterations is not None
-                           else 8,
-                           codec=cfg.codec, params=cfg.seed, seed=args.seed)
+                           n=cfg.newton.iterations, codec=cfg.codec,
+                           params=cfg.seed, seed=args.seed)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(("gap", "trials", "converged", "mean_rel_err"))
@@ -106,10 +114,14 @@ def _cmd_closeness_sweep(args) -> int:
 
 
 def _cmd_comm_report(args) -> int:
-    cfg = _load_config(args, encoder=args.scenario == "end2end")
+    cfg = _load_config(args, _SCENARIO_SITES.get(args.scenario))
+    if args.scenario == "end2end" and args.row_len is not None:
+        raise ConfigError("the end2end scenario's rows are "
+                          "ToyEncoderConfig's; drop --row-len")
     lut = LutCostModel(sigma=args.sigma, entries=args.entries,
                        alpha_bits=args.alpha_bits)
-    rows = comm_report(args.scenario, cfg, lut=lut, row_len=args.row_len,
+    rows = comm_report(args.scenario, cfg, lut=lut,
+                       row_len=8 if args.row_len is None else args.row_len,
                        seed=args.seed)
     write_report_csv(rows, args.out)
     print(f"comm-report: scenario={args.scenario}")
@@ -123,18 +135,21 @@ def _cmd_comm_report(args) -> int:
 
 
 def _cmd_toy_infer(args) -> int:
-    cfg = _load_config(args, encoder=True)
+    cfg = _load_config(args, _SCENARIO_SITES["end2end"])
     enc = ToyEncoderConfig(seq_len=args.seq, model_dim=args.dim,
                            ffn_dim=args.ffn, heads=args.heads,
-                           seed=args.seed, weight_file=args.weights)
+                           seed=args.seed)
+    weights = (load_weights_csv(args.weights, enc) if args.weights
+               else generate_weights(enc))
     rng = random.Random(args.seed)
     x = [[0.8 + 0.4 * rng.random() for _ in range(enc.model_dim)]
          for _ in range(enc.seq_len)]
     plain = shared = info = None
     if args.mode in ("plain", "both"):
-        plain = toy_encoder_infer(enc, x, mode="plain")
+        plain = toy_encoder_infer(enc, x, mode="plain", weights=weights)
     if args.mode in ("shared", "both"):
-        shared, info = toy_encoder_infer(enc, x, mode="shared", protocol=cfg)
+        shared, info = toy_encoder_infer(enc, x, mode="shared", protocol=cfg,
+                                         weights=weights)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         if args.mode == "both":
@@ -220,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=int, default=16)
     p.add_argument("--entries", type=int, default=1 << 16)
     p.add_argument("--alpha-bits", type=int, default=32)
-    p.add_argument("--row-len", type=int, default=8)
+    p.add_argument("--row-len", type=int, help="default 8; not end2end")
     p.add_argument("--iterations", type=int)
     p.set_defaults(fn=_cmd_comm_report)
 

@@ -84,12 +84,11 @@ def flood_reshare_batch(party: str, values, channel, codec: FixedPointCodec,
     return lanes.unpack(lanes.add(lanes.pack(values), deltas))
 
 
-def adversarial_split(x: float, gap: int, rng: random.Random | None = None,
-                      max_tries: int = 500):
+def adversarial_split(x: float, gap: int, rng: random.Random | None = None):
     """A float share pair (client, server) of x with exponent gap exactly gap.
 
     The mask is placed near x itself, the gray-box failure case for the
-    communication-free seed. Draws are retried until the bit-exact binary32
+    communication-free seed. Up to 500 draws are tried until the binary32
     exponent gap matches; an infeasible request raises ConstructionError.
     """
     if gap < 0:
@@ -101,7 +100,7 @@ def adversarial_split(x: float, gap: int, rng: random.Random | None = None,
         e_x = decompose(x).E
     except Exception as exc:
         raise ConstructionError(f"cannot split {x!r}: {exc}") from exc
-    for attempt in range(max_tries):
+    for attempt in range(500):
         c = 1.0 + rng.random()
         jitter = (0, 1, -1, 2, -2)[attempt % 5]
         exponent = e_x - 127 - gap + jitter
@@ -121,7 +120,7 @@ def adversarial_split(x: float, gap: int, rng: random.Random | None = None,
         if got == gap:
             return fc, mask
     raise ConstructionError(
-        f"no split of {x!r} with exponent gap {gap} found in {max_tries} tries")
+        f"no split of {x!r} with exponent gap {gap} found in 500 tries")
 
 
 class ActivationSampler:

@@ -69,18 +69,18 @@ def relu_plain(x: float) -> float:
     return x if x > 0.0 else 0.0
 
 
-def softmax_star_plain(row, eps: float = SOFTMAX_EPS):
+def softmax_star_plain(row):
     """Normalized positive weights: relu(x_i) / (sum relu + eps)."""
     r = [relu_plain(v) for v in row]
-    d = sum(r) + eps
+    d = sum(r) + SOFTMAX_EPS
     return [v / d for v in r]
 
 
-def layernorm_plain(row, gamma, beta, eps: float = LAYERNORM_EPS):
+def layernorm_plain(row, gamma, beta):
     k = len(row)
     mean = sum(row) / k
     var = sum((v - mean) ** 2 for v in row) / k
-    inv = 1.0 / math.sqrt(var + eps)
+    inv = 1.0 / math.sqrt(var + LAYERNORM_EPS)
     return [g * (v - mean) * inv + b for v, g, b in zip(row, gamma, beta)]
 
 
@@ -258,7 +258,7 @@ def _flood_rng(party: str, seed: int):
 
 
 def run_smu_shared(inputs, params: SmuParams, cfg: ProtocolConfig,
-                   seed: int = 0, transport: str = "inproc"):
+                   seed: int = 0):
     """smu_shared_batch over a fresh session: inputs split with
     Random(seed), dealer at seed + 1, reshares at seed + 2. Returns
     (decoded outputs, client stats, server stats)."""
@@ -268,38 +268,34 @@ def run_smu_shared(inputs, params: SmuParams, cfg: ProtocolConfig,
 
     return run_session(layer, *split_values(inputs, cfg.codec,
                                             random.Random(seed)),
-                       DealerState(cfg.codec, seed=seed + 1), transport)
+                       DealerState(cfg.codec, seed=seed + 1))
 
 
 def run_softmax_star_shared(row, cfg: ProtocolConfig, seed: int = 0,
-                            transport: str = "inproc",
-                            num_E_m: int = SOFTMAX_NUM_E_M,
-                            den_E_m: int = SOFTMAX_DEN_E_M,
                             iterations: int = SOFTMAX_ITERATIONS,
                             row_len: int | None = None):
     """softmax_star_shared over a fresh session, seeded as run_smu_shared.
     row is flat: one row, or rows of row_len."""
     def layer(party, values, channel, triples):
         return softmax_star_shared(party, values, channel, cfg, triples,
-                                   _flood_rng(party, seed), num_E_m, den_E_m,
-                                   iterations, row_len)
+                                   _flood_rng(party, seed),
+                                   iterations=iterations, row_len=row_len)
 
     return run_session(layer, *split_values(row, cfg.codec,
                                             random.Random(seed)),
-                       DealerState(cfg.codec, seed=seed + 1), transport)
+                       DealerState(cfg.codec, seed=seed + 1))
 
 
 def run_layernorm_shared(row, gamma, beta, cfg: ProtocolConfig,
-                         seed: int = 0, transport: str = "inproc",
-                         E_m: int = LAYERNORM_E_M,
+                         seed: int = 0,
                          iterations: int = LAYERNORM_ITERATIONS):
     """layernorm_shared over a fresh session, seeded as run_smu_shared.
     row is flat: one row, or rows of len(gamma)."""
     def layer(party, values, channel, triples):
         return layernorm_shared(party, values, gamma, beta, channel, cfg,
-                                triples, _flood_rng(party, seed), E_m,
-                                iterations)
+                                triples, _flood_rng(party, seed),
+                                iterations=iterations)
 
     return run_session(layer, *split_values(row, cfg.codec,
                                             random.Random(seed)),
-                       DealerState(cfg.codec, seed=seed + 1), transport)
+                       DealerState(cfg.codec, seed=seed + 1))

@@ -310,7 +310,7 @@ class SweepRow:
 
 
 def closeness_sweep(gaps=range(13), trials: int = 200, n: int = 8,
-                    tol: float = 1e-2, codec: FixedPointCodec | None = None,
+                    codec: FixedPointCodec | None = None,
                     params: SeedParams | None = None, seed: int = 1):
     """Convergence rate of the unflooded pipeline versus exponent gap.
 
@@ -321,7 +321,7 @@ def closeness_sweep(gaps=range(13), trials: int = 200, n: int = 8,
     flooded client share is. No flooding, so the compensation term is off;
     the sweep isolates how seed quality decays as the gap opens. n defaults
     to 8 iterations, enough that the gap geometry, not the iteration
-    budget, decides convergence.
+    budget, decides convergence (relative error within 1e-2).
     """
     if trials < 1:
         raise ConfigError("trials must be positive")
@@ -349,7 +349,7 @@ def closeness_sweep(gaps=range(13), trials: int = 200, n: int = 8,
         err_sum = 0.0
         for x, y in zip(xs, results):
             rel = abs(y * math.sqrt(x) - 1.0)
-            if rel <= tol:
+            if rel <= 1e-2:
                 converged += 1
                 err_sum += rel
         rows.append(SweepRow(

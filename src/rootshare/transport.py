@@ -232,35 +232,27 @@ class SocketEndpoint(Endpoint):
 
 
 def open_socket_pair(host: str = "127.0.0.1", timeout: float = 30.0):
-    """Loopback (client, server) endpoints on an OS-chosen port."""
-    acceptor = socketlib.socket(socketlib.AF_INET, socketlib.SOCK_STREAM)
-    acceptor.bind((host, 0))
-    acceptor.listen(1)
-    acceptor.settimeout(timeout)
-    port = acceptor.getsockname()[1]
-    result = {}
-
-    def _accept():
-        result["sock"], _ = acceptor.accept()
-
-    thread = threading.Thread(target=_accept, daemon=True)
-    thread.start()
-    sock = socketlib.socket(socketlib.AF_INET, socketlib.SOCK_STREAM)
-    try:
-        sock.settimeout(timeout)
-        sock.connect((host, port))
-        thread.join(timeout)
-    except OSError as exc:
-        sock.close()
-        raise TransportError(f"connect failed to {host}:{port}: {exc}") \
-            from exc
-    finally:
-        acceptor.close()
-    if "sock" not in result:
-        sock.close()
-        raise TransportError("loopback accept did not complete")
+    """Loopback (client, server) endpoints on an OS-chosen port. The connect
+    completes into the listen backlog, so no thread waits in accept."""
+    with socketlib.create_server((host, 0)) as acceptor:
+        acceptor.settimeout(timeout)
+        port = acceptor.getsockname()[1]
+        sock = socketlib.socket(socketlib.AF_INET, socketlib.SOCK_STREAM)
+        try:
+            sock.settimeout(timeout)
+            sock.connect((host, port))
+        except OSError as exc:
+            sock.close()
+            raise TransportError(f"connect failed to {host}:{port}: {exc}") \
+                from exc
+        try:
+            peer, _ = acceptor.accept()
+        except OSError as exc:
+            sock.close()
+            raise TransportError(
+                f"loopback accept did not complete: {exc}") from exc
     return (SocketEndpoint(sock, "client", timeout),
-            SocketEndpoint(result["sock"], "server", timeout))
+            SocketEndpoint(peer, "server", timeout))
 
 
 def run_pair(client_fn, server_fn, transport: str = "inproc",

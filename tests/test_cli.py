@@ -2,6 +2,7 @@
 
 import csv
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,8 @@ from pathlib import Path
 import pytest
 
 from rootshare import cli
+from rootshare.bench import ToyEncoderConfig, generate_weights, \
+    load_weights_csv, save_weights_csv, toy_encoder_infer
 
 
 def _read_csv(path):
@@ -126,6 +129,78 @@ def test_toy_infer_config_iterations_are_rejected(tmp_path, capsys, key):
     assert code == 2
     assert "EncoderSites" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_toy_infer_reads_a_weight_file(tmp_path):
+    # the default shape, at which EncoderSites keeps shared within 1e-2
+    enc = ToyEncoderConfig()
+    path = tmp_path / "weights.csv"
+    save_weights_csv(str(path), generate_weights(ToyEncoderConfig(seed=5)),
+                     enc)
+    out = tmp_path / "infer.csv"
+    code = cli.main(["toy-infer", "--weights", str(path), "--mode", "both",
+                     "--out", str(out)])
+    assert code == 0
+    rows = _read_csv(out)[1:]
+    # the command's input rows at its default --seed of 0
+    rng = random.Random(0)
+    x = [[0.8 + 0.4 * rng.random() for _ in range(enc.model_dim)]
+         for _ in range(enc.seq_len)]
+    want = toy_encoder_infer(enc, x, weights=load_weights_csv(str(path), enc))
+    assert want != toy_encoder_infer(enc, x)
+    assert [float(r[2]) for r in rows] == [v for row in want for v in row]
+    assert all(abs(float(r[3]) - float(r[2])) <= 1e-2 for r in rows)
+
+
+def _assert_refused(tmp_path, capsys, argv, setting, place):
+    """The command exits 2 naming where the setting lives, and writes no
+    CSV. setting is a flag and its value, or one config-file line."""
+    if setting.startswith("--"):
+        argv = argv + setting.split()
+    else:
+        cfg_path = tmp_path / "proto.cfg"
+        cfg_path.write_text(setting + "\n")
+        argv = argv + ["--config", str(cfg_path)]
+    out = tmp_path / "never.csv"
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    assert place in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scenario, place", [("softmax", "SOFTMAX_*"),
+                                             ("layernorm", "LAYERNORM_*")])
+@pytest.mark.parametrize("setting", ["--iterations 2", "n = 2",
+                                     "iterations = 2", "E_m = 120"])
+def test_fixed_site_scenarios_refuse_newton_settings(tmp_path, capsys,
+                                                     scenario, place,
+                                                     setting):
+    # these layers run at their own module constants, so a Newton setting
+    # would not reach them
+    _assert_refused(tmp_path, capsys, ["comm-report", "--scenario", scenario],
+                    setting, place)
+
+
+@pytest.mark.parametrize("argv", [["toy-infer"],
+                                  ["comm-report", "--scenario", "end2end"]])
+def test_encoder_refuses_E_m(tmp_path, capsys, argv):
+    _assert_refused(tmp_path, capsys, argv, "E_m = 120", "EncoderSites")
+
+
+def test_end2end_refuses_row_len(tmp_path, capsys):
+    _assert_refused(tmp_path, capsys, ["comm-report", "--scenario", "end2end"],
+                    "--row-len 3", "ToyEncoderConfig")
+
+
+def test_closeness_sweep_honours_config_iterations(tmp_path):
+    cfg_path = tmp_path / "proto.cfg"
+    cfg_path.write_text("n = 2\n")
+    argv = ["closeness-sweep", "--gaps", "0,6", "--trials", "10", "--out"]
+    by_key, by_flag, default = (tmp_path / f"{name}.csv"
+                                for name in ("key", "flag", "default"))
+    assert cli.main(argv + [str(by_key), "--config", str(cfg_path)]) == 0
+    assert cli.main(argv + [str(by_flag), "--iterations", "2"]) == 0
+    assert cli.main(argv + [str(default)]) == 0
+    assert _read_csv(by_key) == _read_csv(by_flag) != _read_csv(default)
 
 
 def test_config_file_flows_into_run(tmp_path):

@@ -161,6 +161,18 @@ def test_shared_smu_zero_tensor_gives_half_mu():
         assert g == pytest.approx(GELU_PARAMS.mu / 2, abs=2e-2)
 
 
+def test_shared_smu_with_leaning_asymptotes():
+    # alpha != 0 scales the square by 1 - alpha before the floor is added
+    # and the linear term by (1 + alpha) / 2
+    params = SmuParams(alpha=0.3, mu=0.5)
+    xs = [x / 4.0 for x in range(-10, 11)]
+    got, _, _ = run_smu_shared(xs, params,
+                               DEFAULT_CONFIG.with_site(E_m=130, iterations=8),
+                               seed=67)
+    for x, g in zip(xs, got):
+        assert abs(g - smu_plain(x, params)) <= 2e-2
+
+
 def test_shared_smu_comm_formula():
     # per element and party: 1 + 3n multiplications, sent in 2 + 2n frames
     # (Newton fuses two of its three per iteration). They open 3n + 2 ring

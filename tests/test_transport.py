@@ -165,6 +165,17 @@ def test_socket_abrupt_close_raises_not_hangs():
         a.close()
 
 
+@pytest.mark.parametrize("step", ["connect", "accept"])
+def test_socket_pair_set_up_failure_raises_and_closes(monkeypatch, step):
+    # a socket left open here fails the leak-checking run of the suite
+    def fail(*args):
+        raise OSError(f"{step} refused")
+
+    monkeypatch.setattr(socket.socket, step, fail)
+    with pytest.raises(TransportError, match=step):
+        open_socket_pair()
+
+
 def test_socket_endpoints_set_nodelay():
     a, b = open_socket_pair()
     try:
