@@ -17,10 +17,10 @@ from .config import DEFAULT_CONFIG, ProtocolConfig
 from .flood import ActivationSampler, adversarial_split, draw_flood_mask, \
     flood_mask, flood_share, shares_from_floats
 from .nonlinear import GELU_PARAMS, LAYERNORM_ITERATIONS, \
-    SOFTMAX_ITERATIONS, add_public_values, layernorm_plain, layernorm_shared, \
-    run_layernorm_shared, run_smu_shared, run_softmax_star_shared, \
-    scalar_mul_values, smu_plain, smu_shared_batch, softmax_star_plain, \
-    softmax_star_shared
+    SOFTMAX_ITERATIONS, Site, add_public_values, layernorm_plain, \
+    layernorm_shared, run_layernorm_shared, run_smu_shared, \
+    run_softmax_star_shared, scalar_mul_values, smu_plain, smu_shared_batch, \
+    softmax_star_plain, softmax_star_shared
 from .ring import SERVER, DealerState, matmul_shared, run_session, \
     split_values
 from .rsqrt import run_shared_rsqrt
@@ -179,7 +179,8 @@ def comm_report(scenario: str, cfg: ProtocolConfig = DEFAULT_CONFIG,
                               counted, rounds, muls))
         rows.append(ReportRow(scenario, "lut", "modeled", "row",
                               lut_cost(lut, 1)[0] / 8, 1, 0))
-        t_muls = TAYLOR_HIGH_ORDER + 3 * n
+        # at the counted row's Newton budget
+        t_muls = TAYLOR_HIGH_ORDER + 3 * LAYERNORM_ITERATIONS
         rows.append(ReportRow(scenario, "taylor", "modeled", "row",
                               _beaver_bytes(t_muls, codec), t_muls, t_muls))
         c_muls = crypten_seed_cost()
@@ -254,20 +255,24 @@ ENCODER_SITE_BANDS = {
 
 @dataclass(frozen=True)
 class EncoderSites:
-    """(E_m, Newton iterations) of each of the encoder's inverse-sqrt sites.
+    """(E_m, Newton iterations, seed slope) of each of the encoder's
+    inverse-sqrt sites.
 
-    softmax_star_shared runs its numerator and denominator at one count, so
-    softmax is (numerator E_m, denominator E_m, iterations). Each site's
-    E_m covers its band in ENCODER_SITE_BANDS: at the 1/8-octave points
-    from 1/8 octave below the band to 1/8 above it, flooded inverse square
-    roots stay within 1e-2 of 1/sqrt(x). Each count is the fewest for which
-    some E_m does so.
+    Each site's flooded seed is the line y0 - slope * x, whose level E_m
+    sets. Each site's line covers its band in ENCODER_SITE_BANDS: at the
+    1/8-octave points from 1/8 octave below the band to 1/8 above it,
+    flooded inverse square roots stay within 1e-2 of 1/sqrt(x). A slope
+    saves an iteration where a flat seed at any E_m within 3 misses at the
+    same count. The softmax denominator's band moves with seq_len, and
+    layernorm 2 feeds the output, so both keep a flat seed. The slopes
+    were fitted under ring._truncate's rule.
     """
 
-    softmax: tuple[int, int, int] = (130, 132, 4)
-    ffn: tuple[int, int] = (128, 3)
-    ln1: tuple[int, int] = (121, 6)
-    ln2: tuple[int, int] = (126, 3)
+    softmax_num: Site = (128.64, 3, 0.008)
+    softmax_den: Site = (132, 4, 0.0)
+    ffn: Site = (127.24, 2, 0.0358)
+    ln1: Site = (118.47, 4, 227.0)
+    ln2: Site = (126, 3, 0.0)
 
 
 def _weight_shapes(cfg: ToyEncoderConfig):
@@ -454,7 +459,8 @@ def _encoder_shared(cfg: ToyEncoderConfig, x_rows, weights,
             scores = scalar_mul_values(party, scores,
                                        1.0 / math.sqrt(dh), codec)
             att = softmax_star_shared(party, scores, ep, protocol, stream,
-                                      flood_rng, *sites.softmax, s)
+                                      flood_rng, sites.softmax_num,
+                                      sites.softmax_den, s)
             ctx_h = mm(att, vh, s, s, dh)
             for i in range(s):
                 for j in range(dh):
@@ -508,7 +514,7 @@ def toy_encoder_infer(cfg: ToyEncoderConfig, x_rows, mode: str = "plain",
     network on additive shares and returns (rows, info) where info carries
     per-bucket byte counts, rounds, and the inverse-sqrt element count.
     weights defaults to generate_weights(cfg). Each inverse-sqrt site runs
-    at its EncoderSites (E_m, iterations) in place of protocol's.
+    at its EncoderSites (E_m, iterations, slope) in place of protocol's.
     cfg.seed fixes the input split, the dealer and the flood masks, so two
     shared calls with one cfg reuse every mask, and a party that sees both
     calls' openings learns the difference of their inputs.

@@ -1,7 +1,8 @@
 """Command-line harness: sweeps, reports, and the toy encoder demo.
 
 Every subcommand writes a CSV and prints a short summary. Usage problems
-(bad flags, refused settings, missing config, bad ranges) exit non-zero.
+(bad flags, refused settings, missing config, bad ranges) exit 2, and
+toy-infer --mode both exits 1 when shared misses plain by more than 1e-2.
 """
 
 import argparse
@@ -34,15 +35,24 @@ def _parse_gaps(text: str):
 # comm-report scenarios that fix their own Newton settings, and where
 _SCENARIO_SITES = {"softmax": "SOFTMAX_* in rootshare.nonlinear",
                    "layernorm": "LAYERNORM_* in rootshare.nonlinear",
-                   "end2end": "EncoderSites (softmax, ffn, ln1, ln2)"}
+                   "end2end": "EncoderSites (softmax_num, softmax_den, ffn, "
+                              "ln1, ln2)"}
+_SAMPLER_KEYS = {"sampler_log2_mean", "sampler_log2_std"}
+# criterion 9's bound on the encoder's max |shared - plain|
+_CLOSURE_TOL = 1e-2
 
 
-def _load_config(args, fixed_in=None, iterations=None):
+def _load_config(args, fixed_in=None, iterations=None, samples=False):
     """The run's ProtocolConfig: the --config file's keys, then
     --iterations. A command whose Newton settings live elsewhere names the
     place in fixed_in and refuses the flag and the n, iterations and E_m
-    keys; iterations is its own count where neither sets one."""
+    keys; iterations is its own count where neither sets one. A command
+    that draws no sampled activations refuses the sampler keys."""
     mapping = read_config_file(args.config) if args.config else {}
+    if not samples and _SAMPLER_KEYS & mapping.keys():
+        raise ConfigError(
+            "this command draws no sampled activations; drop the "
+            "sampler_log2_mean and sampler_log2_std config keys")
     flag = getattr(args, "iterations", None)
     if fixed_in and (flag is not None
                      or {"n", "iterations", "E_m"} & mapping.keys()):
@@ -61,7 +71,7 @@ def _add_common(p, default_out):
 
 
 def _cmd_rsqrt_sweep(args) -> int:
-    cfg = _load_config(args)
+    cfg = _load_config(args, samples=True)
     codec = cfg.codec
     sampler = ActivationSampler(cfg.sampler_log2_mean, cfg.sampler_log2_std,
                                 seed=args.seed)
@@ -167,6 +177,7 @@ def _cmd_toy_infer(args) -> int:
                     writer.writerow((i, j, repr(rows[i][j])))
     print(f"toy-infer: seq={enc.seq_len} dim={enc.model_dim} "
           f"ffn={enc.ffn_dim} heads={enc.heads} mode={args.mode}")
+    worst = None
     if args.mode == "both":
         worst = max(abs(plain[i][j] - shared[i][j])
                     for i in range(enc.seq_len)
@@ -178,11 +189,18 @@ def _cmd_toy_infer(args) -> int:
               f"nonlinear {b['nonlinear']}, total {b['total']}; "
               f"rounds {info['rounds']}")
     print(f"  wrote {args.out}")
+    if worst is not None and worst > _CLOSURE_TOL:
+        fit = ToyEncoderConfig()
+        print(f"error: shared output misses plain by {worst:.3g}, over "
+              f"{_CLOSURE_TOL:g}; EncoderSites are fitted at seq "
+              f"{fit.seq_len}, dim {fit.model_dim}, ffn {fit.ffn_dim}",
+              file=sys.stderr)
+        return 1
     return 0
 
 
 def _cmd_flood_ablation(args) -> int:
-    cfg = _load_config(args)
+    cfg = _load_config(args, samples=True)
     arms = ("without-flood",) if args.no_flood else \
         ("with-flood", "without-flood")
     rows = flood_ablation(gap=args.gap, trials=args.trials, cfg=cfg,

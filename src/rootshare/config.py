@@ -29,11 +29,15 @@ class ProtocolConfig:
         if self.sampler_log2_std < 0:
             raise ConfigError("sampler spread must be non-negative")
 
-    def with_site(self, E_m: int | None = None,
-                  iterations: int | None = None) -> "ProtocolConfig":
+    def with_site(self, E_m: float | None = None,
+                  iterations: int | None = None,
+                  slope: float | None = None) -> "ProtocolConfig":
         """Per-call-site variant: same codec and flood constant, but a
-        different expected-magnitude exponent or iteration budget."""
-        seed = self.seed if E_m is None else replace(self.seed, E_m=E_m)
+        different expected-magnitude exponent, iteration budget or seed
+        slope."""
+        seed = replace(self.seed, **{k: v for k, v in
+                                     (("E_m", E_m), ("slope", slope))
+                                     if v is not None})
         newton = (self.newton if iterations is None
                   else replace(self.newton, iterations=iterations))
         return replace(self, seed=seed, newton=newton)
@@ -43,7 +47,7 @@ DEFAULT_CONFIG = ProtocolConfig()
 
 # Each key's ProtocolConfig field (None for the bundle's own) and type.
 _KEYS = {"l": ("codec", int), "f": ("codec", int), "b": ("seed", float),
-         "E_f": ("seed", int), "E_m": ("seed", int), "F": ("flood", float),
+         "E_f": ("seed", int), "E_m": ("seed", float), "F": ("flood", float),
          "mask_spread": ("flood", float), "iterations": ("newton", int),
          "sampler_log2_mean": (None, float),
          "sampler_log2_std": (None, float)}

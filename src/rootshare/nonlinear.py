@@ -8,7 +8,7 @@ product that broadcasts one value per row opens that value once per row.
 The seed of the inverse square root is the only step that ever inspects
 value magnitudes, and flooding pins those magnitudes to a public
 constant, so per-call-site tuning reduces to choosing the
-expected-magnitude exponent and an iteration budget.
+expected-magnitude exponent, the seed's slope and an iteration budget.
 """
 
 import math
@@ -31,6 +31,9 @@ SOFTMAX_NUM_E_M = 130
 SOFTMAX_DEN_E_M = 131
 LAYERNORM_E_M = 127
 LAYERNORM_ITERATIONS = 8
+
+# A call site's (E_m, Newton iterations, seed slope)
+Site = tuple[float, int, float]
 
 
 @dataclass(frozen=True)
@@ -178,14 +181,14 @@ def _row_sums(values, rows: int, row_len: int) -> list:
 
 def softmax_star_shared(party: str, row_values, channel,
                         cfg: ProtocolConfig, triples, rng=None,
-                        num_E_m: int = SOFTMAX_NUM_E_M,
-                        den_E_m: int = SOFTMAX_DEN_E_M,
-                        iterations: int = SOFTMAX_ITERATIONS,
+                        num: Site = (SOFTMAX_NUM_E_M, SOFTMAX_ITERATIONS, 0.0),
+                        den: Site = (SOFTMAX_DEN_E_M, SOFTMAX_ITERATIONS, 0.0),
                         row_len: int | None = None):
     """Attention-style normalization of rows of shares.
 
     row_values is a flat, row-major batch of rows of row_len shares each
-    (default: the whole batch is one row). Numerator: ReLU-preset smooth
+    (default: the whole batch is one row). num and den are the inverse
+    square roots' sites. Numerator: ReLU-preset smooth
     unit per element. Denominator: each row's sum plus a public epsilon,
     inverted by squaring the shared inverse square root (1/d = rsqrt(d)^2,
     one extra multiplication), then one product per element, which opens
@@ -197,8 +200,7 @@ def softmax_star_shared(party: str, row_values, channel,
     codec = cfg.codec
     k = len(row_values) if row_len is None else row_len
     rows = _row_count(len(row_values), k)
-    num_cfg = cfg.with_site(E_m=num_E_m, iterations=iterations)
-    den_cfg = cfg.with_site(E_m=den_E_m, iterations=iterations)
+    num_cfg, den_cfg = cfg.with_site(*num), cfg.with_site(*den)
     r = smu_shared_batch(party, row_values, RELU_PARAMS, channel, num_cfg,
                          triples, rng)
     d = add_public_values(party, _row_sums(r, rows, k), SOFTMAX_EPS, codec)
@@ -213,8 +215,9 @@ def softmax_star_shared(party: str, row_values, channel,
 
 def layernorm_shared(party: str, row_values, gamma, beta, channel,
                      cfg: ProtocolConfig, triples, rng=None,
-                     E_m: int = LAYERNORM_E_M,
-                     iterations: int = LAYERNORM_ITERATIONS):
+                     E_m: float = LAYERNORM_E_M,
+                     iterations: int = LAYERNORM_ITERATIONS,
+                     slope: float = 0.0):
     """Layer normalization of rows of shares with public gamma, beta.
 
     row_values is a flat, row-major batch of rows of len(gamma) shares.
@@ -232,7 +235,7 @@ def layernorm_shared(party: str, row_values, gamma, beta, channel,
     if len(beta) != k:
         raise UsageError("gamma and beta must have the same length")
     rows = _row_count(len(row_values), k)
-    site = cfg.with_site(E_m=E_m, iterations=iterations)
+    site = cfg.with_site(E_m, iterations, slope)
     mod = codec.modulus
     means = scalar_mul_values(party, _row_sums(row_values, rows, k), 1.0 / k,
                               codec)
@@ -279,7 +282,9 @@ def run_softmax_star_shared(row, cfg: ProtocolConfig, seed: int = 0,
     def layer(party, values, channel, triples):
         return softmax_star_shared(party, values, channel, cfg, triples,
                                    _flood_rng(party, seed),
-                                   iterations=iterations, row_len=row_len)
+                                   (SOFTMAX_NUM_E_M, iterations, 0.0),
+                                   (SOFTMAX_DEN_E_M, iterations, 0.0),
+                                   row_len)
 
     return run_session(layer, *split_values(row, cfg.codec,
                                             random.Random(seed)),

@@ -7,7 +7,10 @@ of its own share magnitude, the server adds a constant that merges the two
 halves and compensates the flooding bias, and the sum of the two integers
 approximates the packed bits of the result. On flooded shares the bits
 re-enter the value domain locally too, so the whole seed is free; unflooded
-shares pay one masked opening for that step.
+shares pay one masked opening for that step. Flooding makes the seed a
+constant in x, and a share-local function of a flooded pair can depend
+on x at most affinely, so the seed may also take a public slope: each
+party subtracts beta times its own share of x, which costs no bytes.
 
 Newton's update y <- y * (3/2 - x/2 * y^2) then runs on shares in two
 rounds per iteration: one batch forms y^2 and (x/2) y together, a second
@@ -31,7 +34,7 @@ from .errors import ConfigError, RangeError, UnsupportedValueError
 from .floatbits import BIAS, L, compose, decompose, pack_integer, \
     to_binary32, unpack_integer
 from .ring import CLIENT, SERVER, DealerState, FixedPointCodec, Masked, \
-    _lanes, _truncate, beaver_mul_batch, run_session
+    _lanes, _truncate, beaver_mul_batch, run_session, truncate_local
 
 MAGIC_K1 = 0x5F3759DF
 MIN_MAGNITUDE = 2.0 ** -30
@@ -49,14 +52,18 @@ class SeedParams:
     B and L are the binary32 exponent bias and mantissa scale from
     floatbits. K2 and the flooding compensation are derived from the
     fields, never copied from hand arithmetic: K2 = round((3B - 3b - 1) *
-    L / 2) merges the two share halves, comp = (E_f - E_m) * L / 2 removes
-    the systematic exponent bias flooding introduces. The one-party seed
-    uses the classic magic integer MAGIC_K1 instead.
+    L / 2) merges the two share halves, comp = round((E_f - E_m) * L / 2)
+    removes the systematic exponent bias flooding introduces. E_m may be
+    real: lowering it by 2 log2(k) scales the flooded seed by k. slope is
+    the flooded seed's public slope beta, y0 - beta x in place of the flat
+    y0. The one-party seed uses the classic magic integer MAGIC_K1
+    instead.
     """
 
     b: float = 0.045
     E_f: int = 140
-    E_m: int = 128
+    E_m: float = 128
+    slope: float = 0.0
 
     def __post_init__(self):
         if not 0 <= self.b < 1:
@@ -72,7 +79,7 @@ class SeedParams:
 
     @property
     def comp(self) -> int:
-        return ((self.E_f - self.E_m) * L) // 2
+        return round((self.E_f - self.E_m) * L / 2)
 
     @property
     def C0(self) -> int:
@@ -269,7 +276,9 @@ def rsqrt_shared_batch(party: str, values, channel, codec: FixedPointCodec,
     The seed reads each party's own float view of its share, so it runs on
     the values as given; the Newton phase first adds dealer zero-shares,
     because its truncations need a wrap-normalized (uniform-client) pair
-    and callers may supply structured splits.
+    and callers may supply structured splits. A sloped seed subtracts
+    params.slope times that refreshed share of x, truncated, from each
+    party's seed share: a public-by-shared product, so no bytes.
     """
     lanes = _lanes(codec, len(values))
     x = lanes.pack(values)
@@ -279,6 +288,10 @@ def rsqrt_shared_batch(party: str, values, channel, codec: FixedPointCodec,
                                 triples, flooded)
     zeros = lanes.pack(triples.take_zeros(len(values)))
     arith = lanes.unpack(lanes.add(x, zeros))
+    if params.slope:
+        beta = codec.encode(params.slope)
+        tilt = truncate_local(party, [v * beta for v in arith], codec)
+        seeds = lanes.unpack(lanes.sub(lanes.pack(seeds), lanes.pack(tilt)))
     return newton_shared_batch(party, arith, seeds, newton.iterations,
                                triples, channel, codec, half_root=half_root)
 

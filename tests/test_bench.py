@@ -142,6 +142,12 @@ def test_report_muls_equal_triples_taken(monkeypatch):
         assert sum(taken) == rows["rootshare"].muls * units_per_run
 
 
+def test_layernorm_taylor_row_runs_the_counted_newton_budget():
+    # 7 products for the series, 3 per iteration at LAYERNORM_ITERATIONS
+    rows = {r.method: r for r in comm_report("layernorm")}
+    assert rows["taylor"].muls == 7 + 3 * 8 == 31
+
+
 def test_counted_rows_ignore_lut_parameters():
     small = LutCostModel(sigma=8, entries=1 << 8, alpha_bits=16)
     base = {r.method: r for r in comm_report("activation")}
@@ -233,9 +239,9 @@ def test_encoder_shared_matches_plain():
     by = info["bytes"]
     assert by["total"] == info["client"].bytes_sent \
         + info["server"].bytes_sent
-    assert (by["matmul"], by["nonlinear"]) == (50224, 73572)
+    assert (by["matmul"], by["nonlinear"]) == (50224, 57380)
     assert by["matmul"] + by["nonlinear"] == by["total"]
-    assert info["rounds"] == 61
+    assert info["rounds"] == 53
 
 
 @pytest.mark.parametrize("heads", [1, 2, 4])

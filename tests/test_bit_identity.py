@@ -31,9 +31,9 @@ RSQRT_DIGEST = (
 RSQRT_STATS = (CommStats(208032, 208000, 8, 8),
                CommStats(208032, 208000, 8, 8))
 ENCODER_DIGEST = (
-    "00c45bfb6804b08875d4c7534d1349b25a091b2b44e99cbcc83073881efdf7e0")
-ENCODER_STATS = (CommStats(60512, 60288, 56, 61),
-                 CommStats(63284, 63040, 61, 61))
+    "407d7b2282e573b523911e8d412ebf1e23c12c787d86f92871df9e6130d2ee08")
+ENCODER_STATS = (CommStats(52416, 52224, 48, 53),
+                 CommStats(55188, 54976, 53, 53))
 
 
 def _ring_digest(outputs, codec):

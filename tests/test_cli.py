@@ -57,15 +57,27 @@ def test_comm_report(tmp_path, capsys):
 
 
 def test_toy_infer_both_modes(tmp_path, capsys):
+    # the default shape, at which EncoderSites are fitted
     out = tmp_path / "infer.csv"
-    code = cli.main(["toy-infer", "--seq", "4", "--dim", "8", "--ffn", "16",
-                     "--mode", "both", "--out", str(out)])
+    code = cli.main(["toy-infer", "--mode", "both", "--out", str(out)])
     assert code == 0
     rows = _read_csv(out)
     assert rows[0] == ["row", "col", "plain", "shared", "abs_diff"]
-    assert len(rows) == 1 + 4 * 8
+    assert len(rows) == 1 + 8 * 16
+    assert max(float(r[4]) for r in rows[1:]) <= 1e-2
     printed = capsys.readouterr().out
     assert "max abs plain/shared difference" in printed
+
+
+def test_toy_infer_both_modes_fails_a_miss_away_from_the_fitted_shape(
+        tmp_path, capsys):
+    # at seq 4, dim 8, ffn 16 the shared output misses plain by 0.038
+    out = tmp_path / "infer.csv"
+    code = cli.main(["toy-infer", "--seq", "4", "--dim", "8", "--ffn", "16",
+                     "--mode", "both", "--out", str(out)])
+    assert code == 1
+    assert max(float(r[4]) for r in _read_csv(out)[1:]) > 1e-2
+    assert "fitted at seq 8, dim 16, ffn 32" in capsys.readouterr().err
 
 
 def test_toy_infer_plain_mode(tmp_path):
@@ -184,6 +196,18 @@ def test_fixed_site_scenarios_refuse_newton_settings(tmp_path, capsys,
                                   ["comm-report", "--scenario", "end2end"]])
 def test_encoder_refuses_E_m(tmp_path, capsys, argv):
     _assert_refused(tmp_path, capsys, argv, "E_m = 120", "EncoderSites")
+
+
+@pytest.mark.parametrize("argv", [
+    ["closeness-sweep", "--gaps", "0", "--trials", "2"],
+    ["comm-report", "--scenario", "activation"],
+    ["toy-infer", "--mode", "plain"]],
+    ids=["closeness-sweep", "comm-report", "toy-infer"])
+@pytest.mark.parametrize("key", ["sampler_log2_mean", "sampler_log2_std"])
+def test_commands_without_sampled_inputs_refuse_sampler_keys(tmp_path, capsys,
+                                                             argv, key):
+    _assert_refused(tmp_path, capsys, argv, f"{key} = 0.5",
+                    "sampled activations")
 
 
 def test_end2end_refuses_row_len(tmp_path, capsys):

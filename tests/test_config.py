@@ -47,18 +47,21 @@ def test_with_site_overrides():
     part = DEFAULT_CONFIG.with_site(iterations=2)
     assert part.seed.E_m == DEFAULT_CONFIG.seed.E_m
     assert part.newton.iterations == 2
+    sloped = DEFAULT_CONFIG.with_site(127.24, 2, 0.0358)
+    assert (sloped.seed.E_m, sloped.seed.slope) == (127.24, 0.0358)
+    assert sloped.with_site(iterations=3).seed.slope == 0.0358
     assert DEFAULT_CONFIG.with_site() == DEFAULT_CONFIG
 
 
 def test_mapping_round_trip():
     cfg = config_from_mapping({
-        "l": "32", "f": "12", "F": "4096", "E_f": "139", "E_m": "129",
+        "l": "32", "f": "12", "F": "4096", "E_f": "139", "E_m": "129.5",
         "mask_spread": "1024", "iterations": "6",
         "b": "0.045", "sampler_log2_mean": "1.0", "sampler_log2_std": "0.3",
     })
     assert cfg.codec == FixedPointCodec(l=32, f=12)
     assert cfg.flood.F == 4096.0
-    assert cfg.seed.E_f == 139 and cfg.seed.E_m == 129
+    assert cfg.seed.E_f == 139 and cfg.seed.E_m == 129.5
     assert cfg.flood.mask_spread == 1024.0
     assert cfg.newton.iterations == 6
     assert cfg.sampler_log2_mean == 1.0

@@ -1,10 +1,12 @@
-"""The encoder's per-site (E_m, iterations) schedule, derived from its bands.
+"""The encoder's per-site (E_m, iterations, slope) schedule, derived from its
+bands.
 
 `bench.ENCODER_SITE_BANDS` freezes the log2 band of each inverse-sqrt site's
-input. Each site's E_m must keep flooded inverse square roots within 1e-2
-over its band, each Newton count must be the fewest at which any E_m near
-the site's does so, and inputs drawn as the encoder benchmark draws them
-must stay inside the bands.
+input. Each site's seed line must keep flooded inverse square roots within
+1e-2 over its band. One iteration fewer, lines of the site's slope must
+miss at every E_m near the site's, and a sloped line must need its slope:
+a flat seed at the same count misses at every E_m near the site's. Inputs
+drawn as the encoder benchmark draws them must stay inside the bands.
 """
 
 import math
@@ -30,10 +32,10 @@ def _window(band):
                                  math.ceil(8 * hi + 1) + 1)]
 
 
-def _worst_flooded_error(E_m, iterations, band):
+def _worst_flooded_error(E_m, iterations, slope, band):
     """Worst |y sqrt(x) - 1| of flooded inverse square roots over the
     band's window, MASKS_PER_POINT flood masks at each point."""
-    site = DEFAULT_CONFIG.with_site(E_m, iterations)
+    site = DEFAULT_CONFIG.with_site(E_m, iterations, slope)
     rng = random.Random(E_m)
     xs = [2.0 ** p for p in _window(band) for _ in range(MASKS_PER_POINT)]
     pairs = []
@@ -45,38 +47,54 @@ def _worst_flooded_error(E_m, iterations, band):
     return max(abs(y * math.sqrt(x) - 1.0) for x, y in zip(xs, ys))
 
 
-def _counts():
-    """Each Newton count of EncoderSites, with the (band name, E_m) of every
-    site that runs at it."""
-    sites = EncoderSites()
-    num, den, n = sites.softmax
-    counts = {"softmax": (n, (("softmax_num", num), ("softmax_den", den)))}
-    for name in ("ffn", "ln1", "ln2"):
-        E_m, n = getattr(sites, name)
-        counts[name] = (n, ((name, E_m),))
-    return counts
-
-
-COUNTS = _counts()
+SITES = {name: getattr(EncoderSites(), name) for name in ENCODER_SITE_BANDS}
+# The encoder's call sites and the inverse-sqrt sites each one runs
+CALL_SITES = {"softmax": ("softmax_num", "softmax_den"), "ffn": ("ffn",),
+              "ln1": ("ln1",), "ln2": ("ln2",)}
+SLOPED = sorted(name for name, site in SITES.items() if site[2])
 # Away from the best E_m a window's error grows in both directions (as
 # measured at n - 1 for every site), so the best lies within this distance
 # of the site's E_m.
 NEAR = 3
+# layernorm 1's lower band edge over the held-out input seeds 400-799
+LN1_HELD_OUT_LOW = -8.64
 
 
-@pytest.mark.parametrize("count", sorted(COUNTS))
-def test_each_site_covers_its_band(count):
-    n, sites = COUNTS[count]
-    for name, E_m in sites:
-        assert _worst_flooded_error(E_m, n, ENCODER_SITE_BANDS[name]) <= TOL
+@pytest.mark.parametrize("call", sorted(CALL_SITES))
+def test_each_site_covers_its_band(call):
+    for name in CALL_SITES[call]:
+        assert _worst_flooded_error(*SITES[name], ENCODER_SITE_BANDS[name]) \
+            <= TOL, name
 
 
-@pytest.mark.parametrize("count", sorted(COUNTS))
-def test_one_iteration_fewer_leaves_a_band_uncovered_at_every_E_m(count):
-    n, sites = COUNTS[count]
-    assert any(all(_worst_flooded_error(e, n - 1, ENCODER_SITE_BANDS[name])
-                   > TOL for e in range(E_m - NEAR, E_m + NEAR + 1))
-               for name, E_m in sites)
+@pytest.mark.parametrize("call", sorted(CALL_SITES))
+def test_one_iteration_fewer_leaves_a_band_uncovered_at_every_E_m(call):
+    # the site's own line, and lines of its slope at E_m within NEAR; the
+    # softmax denominator's band grows with seq_len, so it keeps a count
+    # that covers more than the default shape's band, and the numerator
+    # decides
+    def uncovered(name):
+        E_m, n, slope = SITES[name]
+        return all(_worst_flooded_error(E_m + k, n - 1, slope,
+                                        ENCODER_SITE_BANDS[name]) > TOL
+                   for k in range(-NEAR, NEAR + 1))
+
+    assert any(uncovered(name) for name in CALL_SITES[call])
+
+
+@pytest.mark.parametrize("name", SLOPED)
+def test_a_flat_seed_at_the_same_count_leaves_the_band_uncovered(name):
+    # so the slope is what saves the iteration
+    E_m, n, _ = SITES[name]
+    band = ENCODER_SITE_BANDS[name]
+    assert all(_worst_flooded_error(e, n, 0.0, band) > TOL
+               for e in range(math.ceil(E_m - NEAR),
+                              math.floor(E_m + NEAR) + 1))
+
+
+def test_layernorm_1_covers_its_held_out_lower_edge():
+    _, hi = ENCODER_SITE_BANDS["ln1"]
+    assert _worst_flooded_error(*SITES["ln1"], (LN1_HELD_OUT_LOW, hi)) <= TOL
 
 
 def _workload_sets(seed, sets, cfg):

@@ -39,8 +39,10 @@ def test_derived_constants():
     p = SeedParams()
     # two-share magic: round((3B - 3b - 1) * L / 2) at b = 0.045
     assert p.K2 == 1593269289
-    # flooding compensation: ((E_f - E_m) * L) // 2 at E_f=140, E_m=128
+    # flooding compensation: round((E_f - E_m) * L / 2) at E_f=140, E_m=128
     assert p.comp == 50331648
+    # a real E_m moves it continuously
+    assert SeedParams(E_m=127.5).comp == 52428800
     # masked-open split constant: round(L * (E_f + 0.5) / 4)
     assert p.C0 == 294649856
 
@@ -382,9 +384,9 @@ def test_half_root_comm_cost(n):
 
 
 # The smooth-unit sites of the encoder, which take sqrt(x)/2: name in
-# ENCODER_SITE_BANDS -> (E_m, iterations) in EncoderSites
+# ENCODER_SITE_BANDS -> (E_m, iterations, slope) in EncoderSites
 SMU_SITES = {"ffn": EncoderSites().ffn,
-             "softmax_num": EncoderSites().softmax[::2]}
+             "softmax_num": EncoderSites().softmax_num}
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
@@ -394,11 +396,10 @@ SMU_SITES = {"ffn": EncoderSites().ffn,
 def test_half_root_within_tolerance_over_smooth_unit_bands(name, spots,
                                                            seed):
     # the product-form last step keeps sqrt(x)/2 within 1e-2 relative, at
-    # each smooth-unit site's (E_m, iterations), anywhere in its band and
-    # 1/8 octave beyond it
-    E_m, n = SMU_SITES[name]
+    # each smooth-unit site's (E_m, iterations, slope), anywhere in its
+    # band and 1/8 octave beyond it
     lo, hi = ENCODER_SITE_BANDS[name]
-    cfg = DEFAULT_CONFIG.with_site(E_m=E_m, iterations=n)
+    cfg = DEFAULT_CONFIG.with_site(*SMU_SITES[name])
     xs = [2.0 ** (lo - 0.125 + t * (hi - lo + 0.25)) for t in spots]
     got, _, _ = _half_root(_flooded_pairs(xs, cfg, random.Random(seed)),
                            cfg, seed + 1)
@@ -445,6 +446,31 @@ def test_flooded_seed_with_conversion_costs_nothing():
     for st in (st_c, st_s):
         assert (st.frames, st.rounds) == (1, 1)
         assert st.payload_bytes == 2 * len(pairs) * codec.element_bytes
+
+
+@pytest.mark.parametrize("slope", [227.0, 0.0358, -1.5])
+def test_sloped_seed_is_the_flat_seed_minus_slope_times_x(slope):
+    # each party subtracts slope times its own share of x: the pair
+    # reconstructs to the flat seed minus slope x, within the one unit of
+    # 2^-f that truncation may add, and nothing goes on the wire
+    codec = FixedPointCodec()
+    rng = random.Random(56)
+    pairs = []
+    for x in (2.0 ** -8.5, 2.0 ** -5, 0.8, 3.1, 14.0):
+        c, s = flood_share(x, draw_flood_mask(FloodConfig(), rng), codec)
+        pairs.append((c.value, s.value))
+    xs = [codec.decode((c + s) % codec.modulus) for c, s in pairs]
+    newton = NewtonConfig(iterations=0)
+    flat, _, _ = run_shared_rsqrt(pairs, codec, SeedParams(), newton,
+                                  dealer_seed=57)
+    sloped, st_c, st_s = run_shared_rsqrt(pairs, codec,
+                                          SeedParams(slope=slope), newton,
+                                          dealer_seed=57)
+    beta = codec.decode(codec.encode(slope))
+    for y, y0, x in zip(sloped, flat, xs):
+        assert abs(y - (y0 - beta * x)) <= 2.0 ** -codec.f
+    for st in (st_c, st_s):
+        assert (st.bytes_sent, st.frames, st.rounds) == (0, 0, 0)
 
 
 def test_pipeline_socket_matches_inproc_bytes_and_values():
