@@ -13,14 +13,14 @@ import random
 from dataclasses import dataclass
 
 from .errors import ConfigError, RangeError, UsageError
-from .config import DEFAULT_CONFIG, ProtocolConfig
+from .config import DEFAULT_CONFIG, ProtocolConfig, Site
 from .flood import ActivationSampler, adversarial_split, draw_flood_mask, \
     flood_mask, flood_share, shares_from_floats
-from .nonlinear import GELU_PARAMS, LAYERNORM_ITERATIONS, \
-    SOFTMAX_ITERATIONS, Site, add_public_values, layernorm_plain, \
-    layernorm_shared, run_layernorm_shared, run_smu_shared, \
-    run_softmax_star_shared, scalar_mul_values, smu_plain, smu_shared_batch, \
-    softmax_star_plain, softmax_star_shared
+from .nonlinear import GELU_PARAMS, LAYERNORM, SOFTMAX_DEN, SOFTMAX_NUM, \
+    add_public_values, layernorm_plain, layernorm_shared, \
+    run_layernorm_shared, run_smu_shared, run_softmax_star_shared, \
+    scalar_mul_values, smu_plain, smu_shared_batch, softmax_star_plain, \
+    softmax_star_shared
 from .ring import SERVER, DealerState, matmul_shared, run_session, \
     split_values
 from .rsqrt import run_shared_rsqrt
@@ -130,6 +130,8 @@ def comm_report(scenario: str, cfg: ProtocolConfig = DEFAULT_CONFIG,
     non-linear work with their published formulas. Lookup-table parameters
     never enter a counted row, so counted bytes are invariant in them.
     """
+    if row_len < 1:
+        raise ConfigError(f"row length {row_len} must be at least 1")
     codec = cfg.codec
     n = cfg.newton.iterations
     rows = []
@@ -155,8 +157,8 @@ def comm_report(scenario: str, cfg: ProtocolConfig = DEFAULT_CONFIG,
         _, st_c, st_s = run_softmax_star_shared(row, cfg, seed=seed)
         counted = max(st_c.bytes_sent, st_s.bytes_sent)
         rounds = max(st_c.rounds, st_s.rounds)
-        muls = (row_len * (1 + 3 * SOFTMAX_ITERATIONS)
-                + (1 + 3 * SOFTMAX_ITERATIONS) + row_len)
+        muls = (row_len * (1 + 3 * SOFTMAX_NUM[1])
+                + (1 + 3 * SOFTMAX_DEN[1]) + row_len)
         rows.append(ReportRow(scenario, "rootshare", "counted", "row",
                               counted, rounds, muls))
         rows.append(ReportRow(scenario, "lut", "modeled", "row",
@@ -174,13 +176,13 @@ def comm_report(scenario: str, cfg: ProtocolConfig = DEFAULT_CONFIG,
         _, st_c, st_s = run_layernorm_shared(row, ones, zeros, cfg, seed=seed)
         counted = max(st_c.bytes_sent, st_s.bytes_sent)
         rounds = max(st_c.rounds, st_s.rounds)
-        muls = 2 * row_len + 3 * LAYERNORM_ITERATIONS
+        muls = 2 * row_len + 3 * LAYERNORM[1]
         rows.append(ReportRow(scenario, "rootshare", "counted", "row",
                               counted, rounds, muls))
         rows.append(ReportRow(scenario, "lut", "modeled", "row",
                               lut_cost(lut, 1)[0] / 8, 1, 0))
         # at the counted row's Newton budget
-        t_muls = TAYLOR_HIGH_ORDER + 3 * LAYERNORM_ITERATIONS
+        t_muls = TAYLOR_HIGH_ORDER + 3 * LAYERNORM[1]
         rows.append(ReportRow(scenario, "taylor", "modeled", "row",
                               _beaver_bytes(t_muls, codec), t_muls, t_muls))
         c_muls = crypten_seed_cost()
@@ -255,8 +257,8 @@ ENCODER_SITE_BANDS = {
 
 @dataclass(frozen=True)
 class EncoderSites:
-    """(E_m, Newton iterations, seed slope) of each of the encoder's
-    inverse-sqrt sites.
+    """One Site, (E_m, Newton iterations, seed slope), for each of the
+    encoder's inverse-sqrt sites.
 
     Each site's flooded seed is the line y0 - slope * x, whose level E_m
     sets. Each site's line covers its band in ENCODER_SITE_BANDS: at the
@@ -343,6 +345,10 @@ def load_weights_csv(path: str, cfg: ToyEncoderConfig):
                 raise ConfigError(f"{path}:{lineno}: bad indices or value")
             if not (0 <= i < m and 0 <= j < n):
                 raise ConfigError(f"{path}:{lineno}: index out of range")
+            if not math.isfinite(v):
+                raise ConfigError(f"{path}:{lineno}: non-finite value {v_s}")
+            if weights[name][i * n + j] is not None:
+                raise ConfigError(f"{path}:{lineno}: repeated {name},{i},{j}")
             weights[name][i * n + j] = v
     for name, flat in weights.items():
         if any(v is None for v in flat):
@@ -434,7 +440,6 @@ def _encoder_shared(cfg: ToyEncoderConfig, x_rows, weights,
 
     dealer = DealerState(codec, seed=cfg.seed + 202)
     matmul_bytes = {}
-    smu_cfg = protocol.with_site(*sites.ffn)
 
     def party_fn(party, w, ep, stream):
         flood_rng = random.Random(cfg.seed + 303) if party == SERVER else None
@@ -468,20 +473,22 @@ def _encoder_shared(cfg: ToyEncoderConfig, x_rows, weights,
         attn = mm(ctx, w["wo"], s, d, d)
         h0 = [(a + b) % mod for a, b in zip(w["x"], attn)]
         h1 = layernorm_shared(party, h0, weights["ln1_gamma"],
-                              weights["ln1_beta"], ep, protocol, stream,
-                              flood_rng, *sites.ln1)
+                              weights["ln1_beta"], ep,
+                              protocol.with_site(sites.ln1), stream, flood_rng)
         pre = mm(h1, w["w1"], s, d, f)
         b1 = weights["b1"] * s
         pre = add_public_values(party, pre, b1, codec)
-        act = smu_shared_batch(party, pre, GELU_PARAMS, ep, smu_cfg, stream,
+        act = smu_shared_batch(party, pre, GELU_PARAMS, ep,
+                               protocol.with_site(sites.ffn), stream,
                                flood_rng)
         f2 = mm(act, w["w2"], s, f, d)
         b2 = weights["b2"] * s
         f2 = add_public_values(party, f2, b2, codec)
         h2 = [(a + b) % mod for a, b in zip(h1, f2)]
         return layernorm_shared(party, h2, weights["ln2_gamma"],
-                                weights["ln2_beta"], ep, protocol, stream,
-                                flood_rng, *sites.ln2)
+                                weights["ln2_beta"], ep,
+                                protocol.with_site(sites.ln2), stream,
+                                flood_rng)
 
     flat, stats_c, stats_s = run_session(
         party_fn, {name: pair[0] for name, pair in halves.items()},

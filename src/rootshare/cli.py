@@ -33,8 +33,9 @@ def _parse_gaps(text: str):
 
 
 # comm-report scenarios that fix their own Newton settings, and where
-_SCENARIO_SITES = {"softmax": "SOFTMAX_* in rootshare.nonlinear",
-                   "layernorm": "LAYERNORM_* in rootshare.nonlinear",
+_SCENARIO_SITES = {"softmax": "the SOFTMAX_NUM and SOFTMAX_DEN Sites in "
+                              "rootshare.nonlinear",
+                   "layernorm": "the LAYERNORM Site in rootshare.nonlinear",
                    "end2end": "EncoderSites (softmax_num, softmax_den, ffn, "
                               "ln1, ln2)"}
 _SAMPLER_KEYS = {"sampler_log2_mean", "sampler_log2_std"}
@@ -43,11 +44,12 @@ _CLOSURE_TOL = 1e-2
 
 
 def _load_config(args, fixed_in=None, iterations=None, samples=False):
-    """The run's ProtocolConfig: the --config file's keys, then
-    --iterations. A command whose Newton settings live elsewhere names the
-    place in fixed_in and refuses the flag and the n, iterations and E_m
-    keys; iterations is its own count where neither sets one. A command
-    that draws no sampled activations refuses the sampler keys."""
+    """The run's ProtocolConfig, built from the --config file's keys with
+    --iterations as the iterations key, in place of any n. A command
+    whose Newton settings live elsewhere names the place in fixed_in and
+    refuses the flag and the n, iterations and E_m keys; iterations is
+    its own count where neither sets one. A command that draws no sampled
+    activations refuses the sampler keys."""
     mapping = read_config_file(args.config) if args.config else {}
     if not samples and _SAMPLER_KEYS & mapping.keys():
         raise ConfigError(
@@ -61,7 +63,10 @@ def _load_config(args, fixed_in=None, iterations=None, samples=False):
             "--iterations and the n, iterations and E_m config keys")
     if flag is None and not {"n", "iterations"} & mapping.keys():
         flag = iterations
-    return config_from_mapping(mapping).with_site(iterations=flag)
+    if flag is not None:
+        mapping.pop("n", None)
+        mapping["iterations"] = flag
+    return config_from_mapping(mapping)
 
 
 def _add_common(p, default_out):
@@ -71,6 +76,8 @@ def _add_common(p, default_out):
 
 
 def _cmd_rsqrt_sweep(args) -> int:
+    if args.count < 1:
+        raise ConfigError(f"--count {args.count} must be at least 1")
     cfg = _load_config(args, samples=True)
     codec = cfg.codec
     sampler = ActivationSampler(cfg.sampler_log2_mean, cfg.sampler_log2_std,

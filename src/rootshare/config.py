@@ -9,6 +9,9 @@ from .flood import FloodConfig
 from .ring import FixedPointCodec
 from .rsqrt import NewtonConfig, SeedParams
 
+# A call site's inverse square root: (E_m, Newton iterations, seed slope)
+Site = tuple[float, int, float]
+
 
 @dataclass(frozen=True)
 class ProtocolConfig:
@@ -29,18 +32,13 @@ class ProtocolConfig:
         if self.sampler_log2_std < 0:
             raise ConfigError("sampler spread must be non-negative")
 
-    def with_site(self, E_m: float | None = None,
-                  iterations: int | None = None,
-                  slope: float | None = None) -> "ProtocolConfig":
-        """Per-call-site variant: same codec and flood constant, but a
-        different expected-magnitude exponent, iteration budget or seed
-        slope."""
-        seed = replace(self.seed, **{k: v for k, v in
-                                     (("E_m", E_m), ("slope", slope))
-                                     if v is not None})
-        newton = (self.newton if iterations is None
-                  else replace(self.newton, iterations=iterations))
-        return replace(self, seed=seed, newton=newton)
+    def with_site(self, site: Site) -> "ProtocolConfig":
+        """This configuration at one call site: same codec and flood
+        constant, with the site's expected-magnitude exponent, Newton
+        iteration count and seed slope in place of its own."""
+        E_m, iterations, slope = site
+        return replace(self, seed=replace(self.seed, E_m=E_m, slope=slope),
+                       newton=replace(self.newton, iterations=iterations))
 
 
 DEFAULT_CONFIG = ProtocolConfig()

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import ConfigError, UsageError
-from .config import ProtocolConfig
+from .config import ProtocolConfig, Site
 from .flood import flood_reshare_batch
 from .ring import SERVER, DealerState, FixedPointCodec, Masked, \
     beaver_mul_batch, run_session, split_values, truncate_local
@@ -26,14 +26,10 @@ S_FLOOR = 2.0 ** -12
 SOFTMAX_EPS = 2.0 ** -12
 LAYERNORM_EPS = 1e-5
 
-SOFTMAX_ITERATIONS = 16
-SOFTMAX_NUM_E_M = 130
-SOFTMAX_DEN_E_M = 131
-LAYERNORM_E_M = 127
-LAYERNORM_ITERATIONS = 8
-
-# A call site's (E_m, Newton iterations, seed slope)
-Site = tuple[float, int, float]
+# The standalone layers' sites; the encoder's are bench.EncoderSites
+SOFTMAX_NUM: Site = (130, 16, 0.0)
+SOFTMAX_DEN: Site = (131, 16, 0.0)
+LAYERNORM: Site = (127, 8, 0.0)
 
 
 @dataclass(frozen=True)
@@ -134,33 +130,40 @@ def _square(party: str, values, triples, channel, codec: FixedPointCodec):
     return beaver_mul_batch(party, (x,), (x,), (aa,), channel, codec)
 
 
+def _flooded_rsqrt(party: str, values, const, channel, cfg: ProtocolConfig,
+                   triples, rng, half_root: bool = False):
+    """Inverse square root (sqrt/2 with half_root) of values + const, the
+    public const added server side and the sum re-flooded, at cfg's site."""
+    codec = cfg.codec
+    s = add_public_values(party, values, const, codec)
+    s = flood_reshare_batch(party, s, channel, codec, cfg.flood, rng)
+    return rsqrt_shared_batch(party, s, channel, codec, cfg.seed, cfg.newton,
+                              triples, flooded=True, half_root=half_root)
+
+
 def smu_shared_batch(party: str, values, params: SmuParams, channel,
                      cfg: ProtocolConfig, triples, rng=None):
     """Smooth maximum unit on a batch of shares.
 
     Chain: t = x^2 (one square), s = (1-alpha) t + max(mu^2, 2^-12)
     added server side, re-flood s, sqrt(s)/2 = (s/2) * rsqrt(s) from the
-    inverse square root at this call site's seed configuration, out =
-    (1+alpha)/2 x + sqrt(s)/2. The additive floor keeps s strictly
-    positive where mu = 0 would let the shared inverse square root see
-    zero; it perturbs the exact unit by at most 2^-7 near the kink. Total
-    multiplications: 1 + 3 * iterations, in 3 + 2 * iterations rounds.
-    Newton takes its last step in product form, Q (3/2 - Q y) with Q =
-    (s/2) y, which is sqrt(s)/2 and opens y, Q and 1/2 - Q y once each,
-    so per element each party sends 3 * iterations + 2 ring elements: 1
-    for the square, 3 * iterations + 1 in Newton; the server adds one more
-    for its reshare.
+    inverse square root at cfg's site, out = (1+alpha)/2 x + sqrt(s)/2.
+    The additive floor keeps s strictly positive where mu = 0 would let
+    the shared inverse square root see zero; it perturbs the exact unit by
+    at most 2^-7 near the kink. Total multiplications: 1 + 3 * iterations,
+    in 3 + 2 * iterations rounds. Newton takes its last step in product
+    form, Q (3/2 - Q y) with Q = (s/2) y, which is sqrt(s)/2 and opens y,
+    Q and 1/2 - Q y once each, so per element each party sends
+    3 * iterations + 2 ring elements: 1 for the square, 3 * iterations + 1
+    in Newton; the server adds one more for its reshare.
     """
     codec = cfg.codec
     sq = _square(party, values, triples, channel, codec)
     if params.alpha != 0.0:
         sq = scalar_mul_values(party, sq, 1.0 - params.alpha, codec)
     floor = max(params.mu * params.mu, S_FLOOR)
-    s = add_public_values(party, sq, floor, codec)
-    s = flood_reshare_batch(party, s, channel, codec, cfg.flood, rng)
-    half_root = rsqrt_shared_batch(party, s, channel, codec, cfg.seed,
-                                   cfg.newton, triples, flooded=True,
-                                   half_root=True)
+    half_root = _flooded_rsqrt(party, sq, floor, channel, cfg, triples, rng,
+                               half_root=True)
     ax = scalar_mul_values(party, values, 0.5 * (1.0 + params.alpha), codec)
     mod = codec.modulus
     return [(a + b) % mod for a, b in zip(ax, half_root)]
@@ -181,14 +184,14 @@ def _row_sums(values, rows: int, row_len: int) -> list:
 
 def softmax_star_shared(party: str, row_values, channel,
                         cfg: ProtocolConfig, triples, rng=None,
-                        num: Site = (SOFTMAX_NUM_E_M, SOFTMAX_ITERATIONS, 0.0),
-                        den: Site = (SOFTMAX_DEN_E_M, SOFTMAX_ITERATIONS, 0.0),
+                        num: Site = SOFTMAX_NUM, den: Site = SOFTMAX_DEN,
                         row_len: int | None = None):
     """Attention-style normalization of rows of shares.
 
     row_values is a flat, row-major batch of rows of row_len shares each
-    (default: the whole batch is one row). num and den are the inverse
-    square roots' sites. Numerator: ReLU-preset smooth
+    (default: the whole batch is one row). The layer takes two inverse
+    square roots, so unlike the one-root layers it names their sites
+    itself: num and den, in place of cfg's. Numerator: ReLU-preset smooth
     unit per element. Denominator: each row's sum plus a public epsilon,
     inverted by squaring the shared inverse square root (1/d = rsqrt(d)^2,
     one extra multiplication), then one product per element, which opens
@@ -200,13 +203,10 @@ def softmax_star_shared(party: str, row_values, channel,
     codec = cfg.codec
     k = len(row_values) if row_len is None else row_len
     rows = _row_count(len(row_values), k)
-    num_cfg, den_cfg = cfg.with_site(*num), cfg.with_site(*den)
-    r = smu_shared_batch(party, row_values, RELU_PARAMS, channel, num_cfg,
-                         triples, rng)
-    d = add_public_values(party, _row_sums(r, rows, k), SOFTMAX_EPS, codec)
-    d = flood_reshare_batch(party, d, channel, codec, den_cfg.flood, rng)
-    y = rsqrt_shared_batch(party, d, channel, codec, den_cfg.seed,
-                           den_cfg.newton, triples, flooded=True)
+    r = smu_shared_batch(party, row_values, RELU_PARAMS, channel,
+                         cfg.with_site(num), triples, rng)
+    y = _flooded_rsqrt(party, _row_sums(r, rows, k), SOFTMAX_EPS, channel,
+                       cfg.with_site(den), triples, rng)
     inv = _square(party, y, triples, channel, codec)
     b, a, ab = triples.take_fixed_mask(rows, k)
     return beaver_mul_batch(party, (Masked(r, a),), (Masked(inv, b),), (ab,),
@@ -214,28 +214,24 @@ def softmax_star_shared(party: str, row_values, channel,
 
 
 def layernorm_shared(party: str, row_values, gamma, beta, channel,
-                     cfg: ProtocolConfig, triples, rng=None,
-                     E_m: float = LAYERNORM_E_M,
-                     iterations: int = LAYERNORM_ITERATIONS,
-                     slope: float = 0.0):
+                     cfg: ProtocolConfig, triples, rng=None):
     """Layer normalization of rows of shares with public gamma, beta.
 
     row_values is a flat, row-major batch of rows of len(gamma) shares.
     Means and centering are free (affine). The squares cost one batched
-    multiplication, each row's variance inverse root runs flooded at this
-    site's expected exponent, and one more batched multiplication
-    normalizes. The centered values are opened once, for the squares, and
-    reused by the normalizing product, which opens only each row's inverse
-    root: k + 1 ring elements per row of k. All rows share each reshare,
-    rsqrt batch and multiplication round, so r rows cost the rounds of
-    one.
+    multiplication, each row's variance inverse root runs flooded at cfg's
+    site (callers pass cfg.with_site(site)), and one more batched
+    multiplication normalizes. The centered values are opened once, for
+    the squares, and reused by the normalizing product, which opens only
+    each row's inverse root: k + 1 ring elements per row of k. All rows
+    share each reshare, rsqrt batch and multiplication round, so r rows
+    cost the rounds of one.
     """
     codec = cfg.codec
     k = len(gamma)
     if len(beta) != k:
         raise UsageError("gamma and beta must have the same length")
     rows = _row_count(len(row_values), k)
-    site = cfg.with_site(E_m, iterations, slope)
     mod = codec.modulus
     means = scalar_mul_values(party, _row_sums(row_values, rows, k), 1.0 / k,
                               codec)
@@ -245,62 +241,50 @@ def layernorm_shared(party: str, row_values, gamma, beta, channel,
     sq = beaver_mul_batch(party, (centered,), (centered,), (aa,), channel,
                           codec)
     var = scalar_mul_values(party, _row_sums(sq, rows, k), 1.0 / k, codec)
-    var = add_public_values(party, var, LAYERNORM_EPS, codec)
-    var = flood_reshare_batch(party, var, channel, codec, site.flood, rng)
-    y = rsqrt_shared_batch(party, var, channel, codec, site.seed,
-                           site.newton, triples, flooded=True)
+    y = _flooded_rsqrt(party, var, LAYERNORM_EPS, channel, cfg, triples, rng)
     normalized = beaver_mul_batch(party, (centered,), (Masked(y, b),), (ab,),
                                   channel, codec)
     scaled = scalar_mul_values(party, normalized, list(gamma) * rows, codec)
     return add_public_values(party, scaled, list(beta) * rows, codec)
 
 
-def _flood_rng(party: str, seed: int):
-    """The server's reshare masks in a run_*_shared session."""
-    return random.Random(seed + 2) if party == SERVER else None
+def _run_layer(layer, inputs, cfg: ProtocolConfig, seed: int, **kwargs):
+    """layer(party, values, channel=, cfg=, triples=, rng=, **kwargs) over
+    a fresh session: inputs split with Random(seed), dealer at seed + 1,
+    the server's reshares at seed + 2. Returns (decoded outputs, client
+    stats, server stats)."""
+    def party_fn(party, values, channel, triples):
+        rng = random.Random(seed + 2) if party == SERVER else None
+        return layer(party, values, channel=channel, cfg=cfg,
+                     triples=triples, rng=rng, **kwargs)
+
+    return run_session(party_fn, *split_values(inputs, cfg.codec,
+                                               random.Random(seed)),
+                       DealerState(cfg.codec, seed=seed + 1))
 
 
 def run_smu_shared(inputs, params: SmuParams, cfg: ProtocolConfig,
                    seed: int = 0):
-    """smu_shared_batch over a fresh session: inputs split with
-    Random(seed), dealer at seed + 1, reshares at seed + 2. Returns
-    (decoded outputs, client stats, server stats)."""
-    def layer(party, values, channel, triples):
-        return smu_shared_batch(party, values, params, channel, cfg, triples,
-                                _flood_rng(party, seed))
-
-    return run_session(layer, *split_values(inputs, cfg.codec,
-                                            random.Random(seed)),
-                       DealerState(cfg.codec, seed=seed + 1))
+    """smu_shared_batch at cfg's site over a fresh _run_layer session."""
+    return _run_layer(smu_shared_batch, inputs, cfg, seed, params=params)
 
 
 def run_softmax_star_shared(row, cfg: ProtocolConfig, seed: int = 0,
-                            iterations: int = SOFTMAX_ITERATIONS,
+                            iterations: int = SOFTMAX_NUM[1],
                             row_len: int | None = None):
-    """softmax_star_shared over a fresh session, seeded as run_smu_shared.
-    row is flat: one row, or rows of row_len."""
-    def layer(party, values, channel, triples):
-        return softmax_star_shared(party, values, channel, cfg, triples,
-                                   _flood_rng(party, seed),
-                                   (SOFTMAX_NUM_E_M, iterations, 0.0),
-                                   (SOFTMAX_DEN_E_M, iterations, 0.0),
-                                   row_len)
-
-    return run_session(layer, *split_values(row, cfg.codec,
-                                            random.Random(seed)),
-                       DealerState(cfg.codec, seed=seed + 1))
+    """softmax_star_shared over a fresh _run_layer session, at SOFTMAX_NUM
+    and SOFTMAX_DEN with iterations as both sites' count. row is flat: one
+    row, or rows of row_len."""
+    return _run_layer(softmax_star_shared, row, cfg, seed,
+                      num=(SOFTMAX_NUM[0], iterations, SOFTMAX_NUM[2]),
+                      den=(SOFTMAX_DEN[0], iterations, SOFTMAX_DEN[2]),
+                      row_len=row_len)
 
 
 def run_layernorm_shared(row, gamma, beta, cfg: ProtocolConfig,
-                         seed: int = 0,
-                         iterations: int = LAYERNORM_ITERATIONS):
-    """layernorm_shared over a fresh session, seeded as run_smu_shared.
-    row is flat: one row, or rows of len(gamma)."""
-    def layer(party, values, channel, triples):
-        return layernorm_shared(party, values, gamma, beta, channel, cfg,
-                                triples, _flood_rng(party, seed),
-                                iterations=iterations)
-
-    return run_session(layer, *split_values(row, cfg.codec,
-                                            random.Random(seed)),
-                       DealerState(cfg.codec, seed=seed + 1))
+                         seed: int = 0, iterations: int = LAYERNORM[1]):
+    """layernorm_shared over a fresh _run_layer session, at LAYERNORM with
+    iterations as its count. row is flat: one row, or rows of len(gamma)."""
+    return _run_layer(layernorm_shared, row,
+                      cfg.with_site((LAYERNORM[0], iterations, LAYERNORM[2])),
+                      seed, gamma=gamma, beta=beta)

@@ -3,6 +3,7 @@ flooding ablation."""
 
 import math
 import random
+import re
 
 import pytest
 
@@ -143,7 +144,7 @@ def test_report_muls_equal_triples_taken(monkeypatch):
 
 
 def test_layernorm_taylor_row_runs_the_counted_newton_budget():
-    # 7 products for the series, 3 per iteration at LAYERNORM_ITERATIONS
+    # 7 products for the series, 3 per iteration at the LAYERNORM Site's 8
     rows = {r.method: r for r in comm_report("layernorm")}
     assert rows["taylor"].muls == 7 + 3 * 8 == 31
 
@@ -199,6 +200,26 @@ def test_weights_loader_errors(tmp_path):
     incomplete.write_text("name,i,j,value\nwq,0,0,1.0\n")
     with pytest.raises(ConfigError):
         load_weights_csv(str(incomplete), cfg)
+
+
+@pytest.mark.parametrize("row, replaces", [("wq,0,1,nan", True),
+                                           ("wq,0,1,inf", True),
+                                           ("wq,0,0,0.5", False)],
+                         ids=["nan", "inf", "repeated"])
+def test_weights_loader_refuses_non_finite_and_repeated_entries(
+        tmp_path, row, replaces):
+    # the row goes on line 3 of a complete file, in place of wq[0][1] or
+    # ahead of it, and is refused at its line: a NaN or an infinity has no
+    # ring encoding, and a second wq[0][0] would overwrite the first
+    cfg = ToyEncoderConfig()
+    path = tmp_path / "w.csv"
+    save_weights_csv(str(path), generate_weights(cfg), cfg)
+    lines = path.read_text().splitlines()
+    assert lines[1].startswith("wq,0,0,") and lines[2].startswith("wq,0,1,")
+    lines[2:3 if replaces else 2] = [row]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match=re.escape(f"{path}:3: ")):
+        load_weights_csv(str(path), cfg)
 
 
 def test_encoder_config_validation():

@@ -179,15 +179,17 @@ def _assert_refused(tmp_path, capsys, argv, setting, place):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("scenario, place", [("softmax", "SOFTMAX_*"),
-                                             ("layernorm", "LAYERNORM_*")])
+@pytest.mark.parametrize("scenario, place", [
+    pytest.param("softmax", "SOFTMAX_NUM and SOFTMAX_DEN Sites",
+                 id="softmax-SOFTMAX_*"),
+    pytest.param("layernorm", "LAYERNORM Site", id="layernorm-LAYERNORM_*")])
 @pytest.mark.parametrize("setting", ["--iterations 2", "n = 2",
                                      "iterations = 2", "E_m = 120"])
 def test_fixed_site_scenarios_refuse_newton_settings(tmp_path, capsys,
                                                      scenario, place,
                                                      setting):
-    # these layers run at their own module constants, so a Newton setting
-    # would not reach them
+    # these layers run at their own Sites, so a Newton setting would not
+    # reach them
     _assert_refused(tmp_path, capsys, ["comm-report", "--scenario", scenario],
                     setting, place)
 
@@ -208,6 +210,15 @@ def test_commands_without_sampled_inputs_refuse_sampler_keys(tmp_path, capsys,
                                                              argv, key):
     _assert_refused(tmp_path, capsys, argv, f"{key} = 0.5",
                     "sampled activations")
+
+
+@pytest.mark.parametrize("argv, setting", [
+    (["rsqrt-sweep"], "--count 0"),
+    (["comm-report", "--scenario", "activation"], "--row-len 0")],
+    ids=["rsqrt-sweep-count", "comm-report-row-len"])
+def test_empty_runs_are_refused(tmp_path, capsys, argv, setting):
+    # a per-element summary of no elements would divide by zero
+    _assert_refused(tmp_path, capsys, argv, setting, "must be at least 1")
 
 
 def test_end2end_refuses_row_len(tmp_path, capsys):

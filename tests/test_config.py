@@ -37,20 +37,25 @@ def test_constituents_must_agree():
 
 
 def test_with_site_overrides():
-    cfg = DEFAULT_CONFIG.with_site(E_m=131, iterations=4)
-    assert cfg.seed.E_m == 131
-    assert cfg.newton.iterations == 4
+    # a site is one (E_m, iterations, slope) triple, applied whole
+    cfg = DEFAULT_CONFIG.with_site((127.24, 2, 0.0358))
+    assert (cfg.seed.E_m, cfg.newton.iterations, cfg.seed.slope) == \
+        (127.24, 2, 0.0358)
     # untouched fields carry over
     assert cfg.codec == DEFAULT_CONFIG.codec
     assert cfg.flood.F == DEFAULT_CONFIG.flood.F
-    # partial override leaves the rest at the parent's values
-    part = DEFAULT_CONFIG.with_site(iterations=2)
-    assert part.seed.E_m == DEFAULT_CONFIG.seed.E_m
-    assert part.newton.iterations == 2
-    sloped = DEFAULT_CONFIG.with_site(127.24, 2, 0.0358)
-    assert (sloped.seed.E_m, sloped.seed.slope) == (127.24, 0.0358)
-    assert sloped.with_site(iterations=3).seed.slope == 0.0358
-    assert DEFAULT_CONFIG.with_site() == DEFAULT_CONFIG
+    assert cfg.seed.E_f == DEFAULT_CONFIG.seed.E_f
+    # a second site replaces all three, the slope included
+    flat = cfg.with_site((131, 4, 0.0))
+    assert (flat.seed.E_m, flat.newton.iterations, flat.seed.slope) == \
+        (131, 4, 0.0)
+    home = (DEFAULT_CONFIG.seed.E_m, DEFAULT_CONFIG.newton.iterations,
+            DEFAULT_CONFIG.seed.slope)
+    assert cfg.with_site(home) == DEFAULT_CONFIG
+    with pytest.raises(TypeError):
+        DEFAULT_CONFIG.with_site(131, 4, 0.0)
+    with pytest.raises(ValueError):
+        DEFAULT_CONFIG.with_site((131, 4))
 
 
 def test_mapping_round_trip():

@@ -35,7 +35,7 @@ def _window(band):
 def _worst_flooded_error(E_m, iterations, slope, band):
     """Worst |y sqrt(x) - 1| of flooded inverse square roots over the
     band's window, MASKS_PER_POINT flood masks at each point."""
-    site = DEFAULT_CONFIG.with_site(E_m, iterations, slope)
+    site = DEFAULT_CONFIG.with_site((E_m, iterations, slope))
     rng = random.Random(E_m)
     xs = [2.0 ** p for p in _window(band) for _ in range(MASKS_PER_POINT)]
     pairs = []

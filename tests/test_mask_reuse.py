@@ -122,7 +122,7 @@ def test_rsqrt_opens_each_mask_once(openings):
 
 def test_smu_opens_each_mask_once(openings):
     xs = [0.5 * i - 1.5 for i in range(7)]
-    cfg = DEFAULT_CONFIG.with_site(E_m=128)
+    cfg = DEFAULT_CONFIG.with_site((128, 4, 0.0))
     run_smu_shared(xs, GELU_PARAMS, cfg, seed=7)
     found = assert_each_mask_opened_once(*openings)
     # per element: the square, x/2 once, y and a plain pair per Newton

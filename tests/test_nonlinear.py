@@ -136,7 +136,7 @@ def test_shared_gelu_grid():
     # default iteration budget, one site: the full working grid
     xs = [x / 4.0 for x in range(-24, 25)]
     got, _, _ = run_smu_shared(xs, GELU_PARAMS,
-                               DEFAULT_CONFIG.with_site(E_m=130, iterations=8),
+                               DEFAULT_CONFIG.with_site((130, 8, 0.0)),
                                seed=63)
     for x, g in zip(xs, got):
         assert abs(g - smu_plain(x, GELU_PARAMS)) <= 2e-2
@@ -147,7 +147,7 @@ def test_shared_gelu_low_iteration_site():
     # expected exponent matches the input scale
     xs = [x / 4.0 for x in range(-10, 11)]
     got, _, _ = run_smu_shared(xs, GELU_PARAMS,
-                               DEFAULT_CONFIG.with_site(E_m=128, iterations=4),
+                               DEFAULT_CONFIG.with_site((128, 4, 0.0)),
                                seed=64)
     for x, g in zip(xs, got):
         assert abs(g - smu_plain(x, GELU_PARAMS)) <= 2e-2
@@ -155,7 +155,7 @@ def test_shared_gelu_low_iteration_site():
 
 def test_shared_smu_zero_tensor_gives_half_mu():
     got, _, _ = run_smu_shared([0.0] * 6, GELU_PARAMS,
-                               DEFAULT_CONFIG.with_site(E_m=128, iterations=4),
+                               DEFAULT_CONFIG.with_site((128, 4, 0.0)),
                                seed=65)
     for g in got:
         assert g == pytest.approx(GELU_PARAMS.mu / 2, abs=2e-2)
@@ -167,7 +167,7 @@ def test_shared_smu_with_leaning_asymptotes():
     params = SmuParams(alpha=0.3, mu=0.5)
     xs = [x / 4.0 for x in range(-10, 11)]
     got, _, _ = run_smu_shared(xs, params,
-                               DEFAULT_CONFIG.with_site(E_m=130, iterations=8),
+                               DEFAULT_CONFIG.with_site((130, 8, 0.0)),
                                seed=67)
     for x, g in zip(xs, got):
         assert abs(g - smu_plain(x, params)) <= 2e-2
@@ -182,7 +182,7 @@ def test_shared_smu_comm_formula():
     # product form and opens y, Q = (s/2) y and r = 1/2 - Q y once each.
     # The server adds its reshare frame of one element per input; the
     # flooded seed conversion adds nothing
-    cfg = DEFAULT_CONFIG.with_site(E_m=128, iterations=4)
+    cfg = DEFAULT_CONFIG.with_site((128, 4, 0.0))
     k = 5
     n = cfg.newton.iterations
     xs = [0.3 * i - 0.7 for i in range(k)]

@@ -373,7 +373,7 @@ def test_half_root_comm_cost(n):
     # open 3n + 1 elements per element in 2n + 1 rounds, one frame each,
     # the last iteration in product form opening y, Q = (x/2) y and
     # r = 1/2 - Q y; with n = 0 one product (x/2) y_0 opens 2 in 1 round
-    cfg = DEFAULT_CONFIG.with_site(E_m=128, iterations=n)
+    cfg = DEFAULT_CONFIG.with_site((128, n, 0.0))
     xs = (0.8, 1.6, 2.7, 3.1, 6.0)
     _, st_c, st_s = _half_root(_flooded_pairs(xs, cfg, random.Random(58)),
                                cfg, 59)
@@ -399,7 +399,7 @@ def test_half_root_within_tolerance_over_smooth_unit_bands(name, spots,
     # each smooth-unit site's (E_m, iterations, slope), anywhere in its
     # band and 1/8 octave beyond it
     lo, hi = ENCODER_SITE_BANDS[name]
-    cfg = DEFAULT_CONFIG.with_site(*SMU_SITES[name])
+    cfg = DEFAULT_CONFIG.with_site(SMU_SITES[name])
     xs = [2.0 ** (lo - 0.125 + t * (hi - lo + 0.25)) for t in spots]
     got, _, _ = _half_root(_flooded_pairs(xs, cfg, random.Random(seed)),
                            cfg, seed + 1)
@@ -471,6 +471,17 @@ def test_sloped_seed_is_the_flat_seed_minus_slope_times_x(slope):
         assert abs(y - (y0 - beta * x)) <= 2.0 ** -codec.f
     for st in (st_c, st_s):
         assert (st.bytes_sent, st.frames, st.rounds) == (0, 0, 0)
+    # unflooded pairs whose shares are both small and positive: the slope
+    # must multiply the zero-refreshed share of x, whose client half is
+    # uniform; truncating the caller's small server half would miss by 2^32
+    halves = ((1.0, 2.0), (0.25, 0.5), (3.0, 4.0))
+    pairs = [(codec.encode(a), codec.encode(b)) for a, b in halves]
+    flat, _, _ = run_shared_rsqrt(pairs, codec, SeedParams(), newton,
+                                  dealer_seed=58, flooded=False)
+    sloped, _, _ = run_shared_rsqrt(pairs, codec, SeedParams(slope=slope),
+                                    newton, dealer_seed=58, flooded=False)
+    for y, y0, (a, b) in zip(sloped, flat, halves):
+        assert abs(y - (y0 - beta * (a + b))) <= 2.0 ** -codec.f
 
 
 def test_pipeline_socket_matches_inproc_bytes_and_values():
