@@ -545,8 +545,7 @@ class AblationRow:
 
 
 def flood_ablation(gap: int = 6, trials: int = 200,
-                   cfg: ProtocolConfig = DEFAULT_CONFIG, seed: int = 7,
-                   arms=("with-flood", "without-flood")):
+                   cfg: ProtocolConfig = DEFAULT_CONFIG, seed: int = 7):
     """Convergence with and without flooding on identical inputs.
 
     Each trial draws one activation; the with-flood arm splits it behind a
@@ -566,9 +565,7 @@ def flood_ablation(gap: int = 6, trials: int = 200,
     xs = sampler.sample(trials)
     rng = random.Random(seed + 1)
     rows = []
-    for arm in arms:
-        if arm not in ("with-flood", "without-flood"):
-            raise ConfigError(f"unknown ablation arm {arm!r}")
+    for arm in ("with-flood", "without-flood"):
         pairs = []
         flooded = arm == "with-flood"
         for x in xs:

@@ -57,9 +57,12 @@ def config_from_mapping(mapping: dict) -> ProtocolConfig:
 
     Recognized keys: l, f, b, F, E_f, E_m, mask_spread, iterations (alias
     n), sampler_log2_mean, sampler_log2_std. F sets the flood constant,
-    E_f and E_m the seed's reference exponents. Unknown keys raise
-    ConfigError so typos never silently fall back to defaults.
+    E_f and E_m the seed's reference exponents. Unknown keys, and n
+    with iterations, raise ConfigError so typos never silently fall back
+    to defaults.
     """
+    if {"n", "iterations"} <= mapping.keys():
+        raise ConfigError("n and iterations are one setting; give one")
     changes = {}
     for raw_key, raw_value in mapping.items():
         key = _KEY_ALIASES.get(raw_key, raw_key)
@@ -83,10 +86,12 @@ def load_config_file(path: str) -> ProtocolConfig:
 
 
 def read_config_file(path: str) -> dict:
-    """Read key=value lines (# comments, blank lines allowed)."""
+    """Read key=value lines (# comments, blank lines allowed), refusing a
+    key given twice; n and iterations are one key."""
     if not os.path.isfile(path):
         raise ConfigError(f"configuration file not found: {path}")
     mapping = {}
+    lines = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.split("#", 1)[0].strip()
@@ -95,5 +100,11 @@ def read_config_file(path: str) -> dict:
             if "=" not in text:
                 raise ConfigError(f"{path}:{lineno}: expected key=value, got {text!r}")
             key, _, value = text.partition("=")
-            mapping[key.strip()] = value.strip()
+            key = key.strip()
+            name = _KEY_ALIASES.get(key, key)
+            if name in lines:
+                raise ConfigError(f"{path}:{lineno}: {key} repeats the "
+                                  f"{name} setting of line {lines[name]}")
+            lines[name] = lineno
+            mapping[key] = value.strip()
     return mapping

@@ -22,11 +22,10 @@ lane form. The shares that pass between steps are reduced ring elements,
 
 import random
 import sys
-import threading
 from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain
+from itertools import chain, zip_longest
 from operator import mul
 
 from .errors import ConfigError, ProtocolError, RangeError, UsageError
@@ -329,34 +328,45 @@ def _mat_mul_mod(a_parts, b_parts, c, m: int, k: int, n: int,
 
 
 class DealerState:
-    """Simulated trusted dealer issuing correlated randomness in batches.
-
-    Seeded and deterministic; never re-issues randomness. Each TripleStream
-    request is one batch, generated by the first party to reach its index;
-    the dealer keeps the peer's half until the peer takes it and then
-    releases the batch, so it holds only the batches in flight. Dealer
-    traffic is offline setup material and is not counted by the online
-    channel stats. issued counts the items handed out so far: one per
-    product a batch can form (scalar triple, square, fixed-mask product)
-    and per zero share, and one per matrix triple.
-    """
+    """Simulated trusted dealer: a codec and a seed, which each party's
+    TripleStream replays. It never re-issues randomness, so it pairs
+    streams once. Dealer traffic is offline setup material and is not
+    counted by the online channel stats."""
 
     def __init__(self, codec: FixedPointCodec, seed: int = 0):
         self.codec = codec
-        self._rng = random.Random(seed)
-        self._lock = threading.Lock()
+        self.seed = seed
+        self._paired = False
+
+    def pair_streams(self):
+        if self._paired:
+            raise UsageError("this dealer has issued its streams; a second "
+                             "pair would replay their masks")
+        self._paired = True
+        return TripleStream(self, CLIENT), TripleStream(self, SERVER)
+
+
+class TripleStream:
+    """One party's replay of the dealer: its own generator, seeded as the
+    dealer, makes every batch in the dealer's draw order, and it keeps its
+    own half: the client's draws, or on the server the full values minus
+    them, so only the server forms products. kinds logs each request (one
+    batch) for run_session; issued counts items: one per product a batch
+    can form and per zero share, and one per matrix triple."""
+
+    def __init__(self, dealer: DealerState, party: str):
+        if party not in PARTIES:
+            raise UsageError(f"unknown party {party!r}")
+        self.codec = dealer.codec
+        self.party = party
+        self._rng = random.Random(dealer.seed)
+        self.kinds = []
         self.issued = 0
-        self._batches = 0
-        self._pending: dict = {}
 
     def _draws(self, count: int):
-        """count uniform l-bit draws.
-
-        At l = 32 or 64 one wide getrandbits call reads the same 32-bit
-        generator words, least significant first, as count single draws
-        would, so its lanes are the same values and it leaves the
-        generator in the same state.
-        """
+        """count uniform l-bit draws. At l = 32 or 64 one wide getrandbits
+        call reads the same 32-bit generator words, least significant
+        first, as count single draws: the same values and end state."""
         l = self.codec.l
         if l in (32, 64):
             return _lanes(self.codec, count).unpack(
@@ -364,18 +374,29 @@ class DealerState:
         draw = self._rng.getrandbits
         return [draw(l) for _ in range(count)]
 
-    def _other_half(self, full, own):
-        """The peer's half of reduced shared values: full - own."""
-        lanes = _lanes(self.codec, len(own))
-        return lanes.unpack(lanes.sub(lanes.pack(full), lanes.pack(own)))
+    def _masks(self, count: int):
+        """count full-mask draws, for the server's halves. At l = 32 or 64
+        the client only moves its generator past them, as _draws would,
+        without unpacking them, and gets None."""
+        if self.party == SERVER or self.codec.l not in (32, 64):
+            return self._draws(count)
+        self._rng.getrandbits(self.codec.l * count)
 
-    def _product_half(self, a, b, own):
-        """The peer's half of the elementwise products a * b mod 2^l."""
-        ones = self.codec.modulus - 1
-        return self._other_half([x * y & ones for x, y in zip(a, b)], own)
+    def _half(self, own, fulls):
+        """This party's half of shared values whose client halves are own:
+        own itself on the client; on the server, fulls() - own, part by
+        part, so only the server forms the full values."""
+        if self.party == CLIENT:
+            return tuple(own)
+        out = []
+        for full, part in zip(fulls(), own):
+            lanes = _lanes(self.codec, len(part))
+            out.append(lanes.unpack(lanes.sub(lanes.pack(full),
+                                              lanes.pack(part))))
+        return tuple(out)
 
-    def _generate(self, kind: tuple):
-        """(client half, server half) of one batch of the given kind.
+    def _next(self, kind: tuple):
+        """This party's half of the next batch of the given kind.
 
         Scalar triples draw a, b, a_client, b_client, c_client per element,
         in element order; c = a*b mod 2^l is the full ring product of the
@@ -389,103 +410,58 @@ class DealerState:
         `count` elements, q * a_t for each group's last slot t and rho * q.
         A zero share is (r, -r).
         """
+        self.kinds.append(kind)
+        ones = self.codec.modulus - 1
+
+        def products(x, y):
+            return [u * v & ones for u, v in zip(x, y)]
+
         if kind[0] == "scalar":
             self.issued += kind[1]
             r = self._draws(5 * kind[1])
-            a, b, a_c, b_c, c_c = (r[i::5] for i in range(5))
-            return (a_c, b_c, c_c), (
-                self._other_half(a, a_c), self._other_half(b, b_c),
-                self._product_half(a, b, c_c))
+            return self._half((r[2::5], r[3::5], r[4::5]), lambda: (
+                r[0::5], r[1::5], products(r[0::5], r[1::5])))
         if kind[0] == "square":
             self.issued += kind[1]
             r = self._draws(3 * kind[1])
-            a, a_c, c_c = (r[i::3] for i in range(3))
-            return (a_c, c_c), (self._other_half(a, a_c),
-                                self._product_half(a, a, c_c))
+            return self._half((r[1::3], r[2::3]), lambda: (
+                r[0::3], products(r[0::3], r[0::3])))
         if kind[0] == "fixed":
             _, count, group, squares, tail = kind
             size = count * group
-            b, b_c = self._draws(count), self._draws(count)
-            a, a_c, ab_c = (self._draws(size) for _ in range(3))
-            client = [b_c, a_c, ab_c]
-            server = [self._other_half(b, b_c), self._other_half(a, a_c),
-                      self._product_half(a, _repeat(b, group), ab_c)]
+            b, b_c = self._masks(count), self._draws(count)
+            a, a_c, ab_c = (self._masks(size), self._draws(size),
+                            self._draws(size))
+            own = [b_c, a_c, ab_c]
             if squares:
-                lead = a if squares == group else [
-                    v for t, v in enumerate(a) if t % group < squares]
-                client.append(self._draws(count * squares))
-                server.append(self._product_half(lead, lead, client[-1]))
+                own.append(self._draws(count * squares))
             if tail:
-                q, rho, q_c, rho_c, qa_c, rq_c = (self._draws(count)
-                                                  for _ in range(6))
-                client += [q_c, rho_c, qa_c, rq_c]
-                server += [self._other_half(q, q_c),
-                           self._other_half(rho, rho_c),
-                           self._product_half(q, a[group - 1::group], qa_c),
-                           self._product_half(rho, q, rq_c)]
+                q, rho = self._masks(count), self._masks(count)
+                own += [self._draws(count) for _ in range(4)]
             self.issued += size + count * squares + 2 * count * tail
-            return tuple(client), tuple(server)
+
+            def fulls():
+                out = [b, a, products(a, _repeat(b, group))]
+                if squares:
+                    lead = a if squares == group else [
+                        v for t, v in enumerate(a) if t % group < squares]
+                    out.append(products(lead, lead))
+                if tail:
+                    out += [q, rho, products(q, a[group - 1::group]),
+                            products(rho, q)]
+                return out
+
+            return self._half(own, fulls)
         if kind[0] == "zero":
             self.issued += kind[1]
-            r = self._draws(kind[1])
-            lanes = _lanes(self.codec, kind[1])
-            return r, lanes.unpack(lanes.neg(lanes.pack(r)))
+            return self._half((self._draws(kind[1]),),
+                              lambda: ([0] * kind[1],))[0]
         m, k, n = kind[1:]
         self.issued += 1
-        a = self._draws(m * k)
-        b = self._draws(k * n)
-        c = _mat_mul_mod((a,), (b,), None, m, k, n, self.codec)
-        a_c, b_c, c_c = (self._draws(size) for size in (m * k, k * n, m * n))
-        return (a_c, b_c, c_c), tuple(
-            self._other_half(full, own)
-            for full, own in ((a, a_c), (b, b_c), (c, c_c)))
-
-    # Lockstep protocols running as two threads of one process pull from a
-    # shared on-demand sequence of batches: the first party to reach an
-    # index generates the batch, the second must request the same kind and
-    # shape and takes the half left for it.
-    def _request(self, index: int, kind: tuple, party: str):
-        with self._lock:
-            if index in self._pending:
-                peer_kind, peer, half = self._pending[index]
-                if peer_kind != kind:
-                    raise ProtocolError(
-                        f"parties disagree on dealer batch {index}: "
-                        f"{peer_kind} vs {kind}")
-                if peer != party:
-                    raise ProtocolError(
-                        f"dealer batch {index} requested twice by {party}")
-                del self._pending[index]
-                return half
-            if index != self._batches:
-                raise ProtocolError(
-                    f"dealer batch {index} requested out of order")
-            client, server = self._generate(kind)
-            self._batches += 1
-            if party == CLIENT:
-                self._pending[index] = (kind, SERVER, server)
-                return client
-            self._pending[index] = (kind, CLIENT, client)
-            return server
-
-    def pair_streams(self):
-        return TripleStream(self, CLIENT), TripleStream(self, SERVER)
-
-
-class TripleStream:
-    """One party's cursor over the dealer's shared batch sequence."""
-
-    def __init__(self, dealer: DealerState, party: str):
-        if party not in PARTIES:
-            raise UsageError(f"unknown party {party!r}")
-        self.dealer = dealer
-        self.party = party
-        self._cursor = 0
-
-    def _next(self, kind: tuple):
-        half = self.dealer._request(self._cursor, kind, self.party)
-        self._cursor += 1
-        return half
+        a, b = self._masks(m * k), self._masks(k * n)
+        own = [self._draws(size) for size in (m * k, k * n, m * n)]
+        return self._half(own, lambda: (
+            a, b, _mat_mul_mod((a,), (b,), None, m, k, n, self.codec)))
 
     def take(self, count: int):
         """Next `count` scalar triples, as this party's (a, b, c)
@@ -640,14 +616,24 @@ def matmul_shared(party: str, a_values, b_values, triple,
     return lanes.unpack(_truncate(party, c, lanes, codec.f))
 
 
+def _same_batches(pairs):
+    """Raise ProtocolError at the first (client, server) pair of dealer
+    requests that differ."""
+    for index, (kind_c, kind_s) in enumerate(pairs):
+        if kind_c != kind_s:
+            raise ProtocolError(f"parties disagree on dealer batch {index}: "
+                                f"{kind_c} vs {kind_s}")
+
+
 def run_session(party_fn, client_values, server_values, dealer: DealerState,
                 transport: str = "inproc"):
     """Run one two-party protocol over a fresh channel.
 
     party_fn(party, values, channel, triples) runs on each party's thread
-    with that party's inputs and its cursor over the dealer's streams, and
-    returns its output shares. Returns (decoded outputs, client stats,
-    server stats), the stats taken when each party returns.
+    with that party's inputs and its replay of the dealer, and returns its
+    output shares. The two replays must have requested the same batches,
+    or the session raises ProtocolError. Returns (decoded outputs, client
+    stats, server stats), the stats taken when each party returns.
     """
     stream_c, stream_s = dealer.pair_streams()
 
@@ -657,9 +643,14 @@ def run_session(party_fn, client_values, server_values, dealer: DealerState,
 
         return fn
 
-    (out_c, stats_c), (out_s, stats_s) = run_pair(
-        party(CLIENT, client_values, stream_c),
-        party(SERVER, server_values, stream_s), transport=transport)
+    try:
+        (out_c, stats_c), (out_s, stats_s) = run_pair(
+            party(CLIENT, client_values, stream_c),
+            party(SERVER, server_values, stream_s), transport=transport)
+    finally:
+        # even when a party failed: diverging requests size frames apart
+        _same_batches(zip(stream_c.kinds, stream_s.kinds))
+    _same_batches(zip_longest(stream_c.kinds, stream_s.kinds))
     lanes = _lanes(dealer.codec, len(out_c))
     decoded = lanes.decode(lanes.add(lanes.pack(out_c), lanes.pack(out_s)))
     return decoded, stats_c, stats_s

@@ -303,5 +303,3 @@ def test_flood_ablation_validation():
         flood_ablation(gap=-1, trials=10)
     with pytest.raises(ConfigError):
         flood_ablation(trials=0)
-    with pytest.raises(ConfigError):
-        flood_ablation(trials=5, arms=("sideways",))

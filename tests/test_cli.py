@@ -212,6 +212,27 @@ def test_commands_without_sampled_inputs_refuse_sampler_keys(tmp_path, capsys,
                     "sampled activations")
 
 
+@pytest.mark.parametrize("setting", ["E_m = 120", "F = 16384",
+                                     "mask_spread = 100"])
+def test_closeness_sweep_refuses_flood_keys(tmp_path, capsys, setting):
+    # the sweep never floods, and E_m sets only the flooding compensation,
+    # so none of these could change its CSV
+    _assert_refused(tmp_path, capsys,
+                    ["closeness-sweep", "--gaps", "0", "--trials", "2"],
+                    setting, "never floods")
+
+
+@pytest.mark.parametrize("argv", [["rsqrt-sweep", "--tol", "0.1"],
+                                  ["flood-ablation", "--no-flood"]],
+                         ids=["rsqrt-sweep-tol", "flood-ablation-no-flood"])
+def test_removed_options_are_rejected(tmp_path, argv):
+    # rsqrt-sweep counts within criterion 4's 1e-2, and flood-ablation
+    # always runs both arms
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--out", str(tmp_path / "never.csv")])
+    assert exc.value.code == 2
+
+
 @pytest.mark.parametrize("argv, setting", [
     (["rsqrt-sweep"], "--count 0"),
     (["comm-report", "--scenario", "activation"], "--row-len 0")],

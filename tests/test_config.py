@@ -5,7 +5,8 @@ import dataclasses
 import pytest
 
 from rootshare.config import (DEFAULT_CONFIG, ProtocolConfig,
-                              config_from_mapping, load_config_file)
+                              config_from_mapping, load_config_file,
+                              read_config_file)
 from rootshare.errors import ConfigError
 from rootshare.ring import FixedPointCodec
 from rootshare.rsqrt import SeedParams
@@ -111,3 +112,21 @@ def test_file_loader_errors(tmp_path):
     bad.write_text("just words\n")
     with pytest.raises(ConfigError):
         load_config_file(str(bad))
+
+
+@pytest.mark.parametrize("lines, line, names", [
+    ("E_m = 120\nE_m = 130\n", 2, "E_m repeats the E_m setting of line 1"),
+    ("iterations = 4\n# n below\nn = 6\n", 3,
+     "n repeats the iterations setting of line 1")],
+    ids=["E_m", "iterations-then-n"])
+def test_file_loader_refuses_a_repeated_key(tmp_path, lines, line, names):
+    # the last line used to win without a word; n and iterations are one key
+    path = tmp_path / "twice.cfg"
+    path.write_text(lines)
+    with pytest.raises(ConfigError, match=f"twice.cfg:{line}: {names}"):
+        read_config_file(str(path))
+
+
+def test_mapping_refuses_n_with_iterations():
+    with pytest.raises(ConfigError, match="one setting"):
+        config_from_mapping({"iterations": "4", "n": "6"})

@@ -3,10 +3,11 @@
 An opening sends D = u - r for a dealer mask r. Two openings of one mask
 against values u1 and u2 would reveal u1 - u2, so an operand is opened
 once and its D reused by every product that needs it. These tests record
-the full value of every mask the dealer issues and every element the
-client sends and then receives in lockstep (an opening and the server's
-half of it), reconstruct each opened D, and attribute it to the one mask
-r that leaves u = D + r small.
+each party's half of every dealer batch, add the two halves into the
+full value of every mask, record every element the client sends and
+then receives in lockstep (an opening and the server's half of it),
+reconstruct each opened D, and attribute it to the one mask r that
+leaves u = D + r small.
 """
 
 import bisect
@@ -19,7 +20,7 @@ from rootshare.config import DEFAULT_CONFIG
 from rootshare.flood import draw_flood_mask, flood_share
 from rootshare.nonlinear import GELU_PARAMS, run_layernorm_shared, \
     run_smu_shared, run_softmax_star_shared
-from rootshare.ring import CLIENT, DealerState, _lanes
+from rootshare.ring import CLIENT, SERVER, TripleStream, _lanes
 from rootshare.rsqrt import run_shared_rsqrt
 from rootshare.transport import Endpoint
 
@@ -37,21 +38,17 @@ TAIL_MASKS = (-4, -3)
 
 @pytest.fixture
 def openings(monkeypatch):
-    """(full dealer masks, the client's (sent, received) opening frames),
-    filled in as the test runs a session."""
-    masks = []
+    """(each party's dealer halves in request order, the client's (sent,
+    received) opening frames), filled in as the test runs a session."""
+    halves = {CLIENT: [], SERVER: []}
     events = []
-    generate = DealerState._generate
+    take = TripleStream._next
     send, recv = Endpoint.send_frame, Endpoint.recv_frame
 
-    def recording_generate(self, kind):
-        client, server = generate(self, kind)
-        mod = self.codec.modulus
-        tail = kind[0] == "fixed" and kind[-1]
-        for half in MASK_HALVES[kind[0]] + (TAIL_MASKS if tail else ()):
-            masks.extend((c + s) % mod
-                         for c, s in zip(client[half], server[half]))
-        return client, server
+    def recording_next(self, kind):
+        half = take(self, kind)
+        halves[self.party].append((kind, half))
+        return half
 
     def recording_send(self, payload):
         if self.party == CLIENT:
@@ -64,17 +61,33 @@ def openings(monkeypatch):
             events.append(("recv", payload))
         return payload
 
-    monkeypatch.setattr(DealerState, "_generate", recording_generate)
+    monkeypatch.setattr(TripleStream, "_next", recording_next)
     monkeypatch.setattr(Endpoint, "send_frame", recording_send)
     monkeypatch.setattr(Endpoint, "recv_frame", recording_recv)
-    return masks, events
+    return halves, events
 
 
-def opened_per_mask(masks, events):
+def dealer_masks(halves):
+    """The full value of every dealer mask issued: the two parties' halves
+    of each batch, added at each mask position."""
+    mod = CODEC.modulus
+    assert len(halves[CLIENT]) == len(halves[SERVER])
+    masks = []
+    for (kind, client), (peer_kind, server) in zip(halves[CLIENT],
+                                                   halves[SERVER]):
+        assert kind == peer_kind
+        tail = kind[0] == "fixed" and kind[-1]
+        for part in MASK_HALVES[kind[0]] + (TAIL_MASKS if tail else ()):
+            masks.extend((c + s) % mod
+                         for c, s in zip(client[part], server[part]))
+    return masks
+
+
+def opened_per_mask(halves, events):
     """{mask: [u, ...]} over every opened element of the session."""
     mod = CODEC.modulus
     width = CODEC.element_bytes
-    ordered = sorted(masks)
+    ordered = sorted(dealer_masks(halves))
     assert len(set(ordered)) == len(ordered)
     found = {}
     for (kind, own), (next_kind, peer) in zip(events, events[1:]):
@@ -97,9 +110,9 @@ def opened_per_mask(masks, events):
     return found
 
 
-def assert_each_mask_opened_once(masks, events):
+def assert_each_mask_opened_once(halves, events):
     """Check that no mask is opened twice; returns opened_per_mask."""
-    found = opened_per_mask(masks, events)
+    found = opened_per_mask(halves, events)
     assert found, "the session opened nothing"
     reused = [values for values in found.values() if len(set(values)) > 1]
     assert not reused, f"{len(reused)} masks opened against two values"

@@ -570,7 +570,8 @@ def test_fixed_mask_squares_only_leading_slots(codec, count, group, data):
         assert (len(q), len(rho)) == (count, count)
         assert qa == [x * y % mod for x, y in zip(q, a[group - 1::group])]
         assert rho_q == [x * y % mod for x, y in zip(rho, q)]
-    assert dealer.issued == count * group + count * squares + 2 * count * tail
+    assert sc.issued == ss.issued == (count * group + count * squares
+                                      + 2 * count * tail)
     with pytest.raises(UsageError):
         sc.take_fixed_mask(count, group, group + 1)
 
@@ -704,29 +705,50 @@ def test_truncate_local_is_the_lane_rule(codec, party, data):
 
 @pytest.mark.parametrize("l", [32, 40, 64])
 def test_dealer_draws_match_single_draws(l, monkeypatch):
-    # at l = 32 and 64 one wide getrandbits call stands in for a batch of
-    # single draws, on any host, as its lanes are read little-endian;
-    # l = 40 keeps the loop. The values and the generator state after must
-    # be the single draws' own
+    # each stream's generator is seeded as the dealer. At l = 32 and 64 one
+    # wide getrandbits call stands in for a batch of single draws, on any
+    # host, as its lanes are read little-endian; l = 40 keeps the loop.
+    # The values and the generator state after must be the single draws'
+    # own, and the client passes over a block of full masks to the same
+    # state without reading it
     count = 37
-    dealer = DealerState(FixedPointCodec(l=l, f=8), seed=11)
+    client, server = DealerState(FixedPointCodec(l=l, f=8),
+                                 seed=11).pair_streams()
     calls = []
-    draw = dealer._rng.getrandbits
+    draw = server._rng.getrandbits
 
     def counted(bits):
         calls.append(bits)
         return draw(bits)
 
-    monkeypatch.setattr(dealer._rng, "getrandbits", counted)
+    monkeypatch.setattr(server._rng, "getrandbits", counted)
     reference = random.Random(11)
     want = [reference.getrandbits(l) for _ in range(count)]
-    got = dealer._draws(count)
+    got = server._draws(count)
     assert list(got) == want
-    assert dealer._rng.getstate() == reference.getstate()
+    assert server._rng.getstate() == reference.getstate()
     wide = l in (32, 64)
     assert calls == ([l * count] if wide else [l] * count)
     assert isinstance(got, array) == (
-        dealer.codec.element_bytes in ring._ARRAY_CODES)
+        server.codec.element_bytes in ring._ARRAY_CODES)
+    skipped = client._masks(count)
+    assert client._rng.getstate() == reference.getstate()
+    assert (skipped is None) == wide
+
+
+def test_client_stream_forms_no_products(codec, monkeypatch):
+    # only the server forms full masks' products: the client's halves are
+    # its own draws
+    calls = []
+    for name in ("_mat_mul_mod", "_repeat"):
+        original = getattr(ring, name)
+        monkeypatch.setattr(ring, name, lambda *args, _f=original, _n=name:
+                            calls.append(_n) or _f(*args))
+    for stream in DealerState(codec, seed=8).pair_streams():
+        stream.take_matrix(2, 3, 4)
+        stream.take_fixed_mask(3, 2)
+        calls.append(stream.party)
+    assert calls == [CLIENT, "_mat_mul_mod", "_repeat", SERVER]
 
 
 def test_dealer_is_deterministic(codec):
@@ -743,46 +765,59 @@ def test_dealer_never_reissues(codec):
     assert len(seen) == 100
 
 
+def _diverging_session(codec, client_takes, server_takes):
+    """A session whose parties request client_takes(stream) and
+    server_takes(stream) from their replays of one dealer, and send
+    nothing."""
+    def party_fn(party, values, channel, triples):
+        (client_takes if party == CLIENT else server_takes)(triples)
+        return values
+
+    return run_session(party_fn, [0], [0], DealerState(codec, seed=2))
+
+
 def test_stream_count_mismatch_is_protocol_error(codec):
-    sc, ss = DealerState(codec, seed=2).pair_streams()
-    sc.take(3)
-    with pytest.raises(ProtocolError, match="disagree"):
-        ss.take(4)
+    # the replays diverge without a word; the session compares their logs,
+    # and names the divergence, not the frame of the wrong size it causes
+    def party_fn(party, values, channel, triples):
+        values = values + [0] * (party == SERVER)
+        return beaver_mul_batch(party, values, values,
+                                triples.take(len(values)), channel, codec)
+
+    with pytest.raises(ProtocolError, match="disagree on dealer batch 0"):
+        _diverging_session(codec, lambda t: t.take(3), lambda t: t.take(4))
+    with pytest.raises(ProtocolError, match="batch 0: .'scalar', 3. vs "
+                                            ".'scalar', 4."):
+        run_session(party_fn, [1, 2, 3], [4, 5, 6],
+                    DealerState(codec, seed=3))
 
 
 def test_dealer_refuses_a_batch_taken_twice(codec):
+    # a second pair of streams would replay every batch of the first
     dealer = DealerState(codec, seed=4)
-    sc, ss = dealer.pair_streams()
-    sc.take(2)
-    with pytest.raises(ProtocolError, match="twice"):
-        dealer.pair_streams()[0].take(2)
-    ss.take(2)
-    with pytest.raises(ProtocolError, match="out of order"):
-        dealer.pair_streams()[1].take(2)
+    dealer.pair_streams()
+    with pytest.raises(UsageError, match="second pair"):
+        dealer.pair_streams()
 
 
-def test_dealer_makes_one_request_per_take(codec, monkeypatch):
-    calls = []
-    request = DealerState._request
-
-    def counted(self, index, kind, party):
-        calls.append(kind)
-        return request(self, index, kind, party)
-
-    monkeypatch.setattr(DealerState, "_request", counted)
+def test_dealer_makes_one_request_per_take(codec):
     for stream in DealerState(codec, seed=5).pair_streams():
         stream.take(1)
         stream.take(1000)
         stream.take_zeros(500)
         stream.take_matrix(2, 3, 4)
-    assert calls == [("scalar", 1), ("scalar", 1000), ("zero", 500),
-                     ("matrix", 2, 3, 4)] * 2
+        assert stream.kinds == [("scalar", 1), ("scalar", 1000),
+                                ("zero", 500), ("matrix", 2, 3, 4)]
 
 
 def test_dealer_releases_every_batch_after_a_session(codec):
+    # each party counts its own items; the dealer keeps nothing but its
+    # codec, its seed and that it has paired
     dealer = DealerState(codec, seed=6)
+    streams = []
 
     def party_fn(party, values, channel, triples):
+        streams.append(triples)
         zeros = triples.take_zeros(len(values))
         values = [(v + z) % codec.modulus for v, z in zip(values, zeros)]
         return beaver_mul_batch(party, values, values,
@@ -791,16 +826,17 @@ def test_dealer_releases_every_batch_after_a_session(codec):
     xc, xs = split_values([1.5, -2.0, 3.0], codec, random.Random(6))
     got, _, _ = run_session(party_fn, xc, xs, dealer)
     assert got == pytest.approx([2.25, 4.0, 9.0], abs=2 ** -12)
-    assert dealer.issued == 6
-    assert dealer._pending == {}
+    assert [stream.issued for stream in streams] == [6, 6]
+    assert vars(dealer) == {"codec": codec, "seed": 6, "_paired": True}
 
 
 def test_stream_kind_mismatch_is_protocol_error(codec):
-    dealer = DealerState(codec, seed=2)
-    sc, ss = dealer.pair_streams()
-    sc.take(1)
-    with pytest.raises(ProtocolError, match="disagree"):
-        ss.take_matrix(2, 2, 2)
+    with pytest.raises(ProtocolError, match="disagree on dealer batch 1"):
+        _diverging_session(codec, lambda t: (t.take(1), t.take_zeros(2)),
+                           lambda t: (t.take(1), t.take_matrix(2, 2, 2)))
+    with pytest.raises(ProtocolError, match="batch 1: None vs"):
+        _diverging_session(codec, lambda t: t.take(1),
+                           lambda t: (t.take(1), t.take(1)))
 
 
 def test_stream_zero_shares_cancel(codec):
