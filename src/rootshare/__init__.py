@@ -26,10 +26,10 @@ from .nonlinear import GELU_PARAMS, RELU_PARAMS, SmuParams, gelu_plain, \
     layernorm_plain, layernorm_shared, relu_plain, run_layernorm_shared, \
     run_smu_shared, run_softmax_star_shared, smu_plain, smu_shared_batch, \
     softmax_star_plain, softmax_star_shared
-from .bench import AblationRow, EncoderSites, LutCostModel, ReportRow, \
-    ToyEncoderConfig, comm_report, count_rsqrt_element_bytes, crypten_seed, \
-    crypten_seed_cost, flood_ablation, generate_weights, load_weights_csv, \
-    lut_cost, save_weights_csv, taylor_seed, toy_encoder_infer, \
-    write_report_csv
+from .encoder import EncoderSites, ToyEncoderConfig, generate_weights, \
+    load_weights_csv, save_weights_csv, toy_encoder_infer
+from .bench import AblationRow, LutCostModel, ReportRow, comm_report, \
+    count_rsqrt_element_bytes, crypten_seed, crypten_seed_cost, \
+    flood_ablation, lut_cost, taylor_seed, write_report_csv
 
 __version__ = "0.1.0"

@@ -1,4 +1,4 @@
-"""Baseline cost models, communication reports, and a toy encoder.
+"""Baseline cost models, communication reports, and the flooding ablation.
 
 Baselines (table lookup, Taylor seeding, exponential seeding) are analytic
 models: published formulas priced in bytes, rounds and multiplications,
@@ -12,17 +12,13 @@ import math
 import random
 from dataclasses import dataclass
 
-from .errors import ConfigError, RangeError, UsageError
-from .config import DEFAULT_CONFIG, ProtocolConfig, Site
+from .errors import ConfigError, RangeError
+from .config import DEFAULT_CONFIG, ProtocolConfig
+from .encoder import ToyEncoderConfig, toy_encoder_infer
 from .flood import ActivationSampler, adversarial_split, draw_flood_mask, \
     flood_mask, flood_share, shares_from_floats
 from .nonlinear import GELU_PARAMS, LAYERNORM, SOFTMAX_DEN, SOFTMAX_NUM, \
-    add_public_values, layernorm_plain, layernorm_shared, \
-    run_layernorm_shared, run_smu_shared, run_softmax_star_shared, \
-    scalar_mul_values, smu_plain, smu_shared_batch, softmax_star_plain, \
-    softmax_star_shared
-from .ring import SERVER, DealerState, matmul_shared, run_session, \
-    split_values
+    run_layernorm_shared, run_smu_shared, run_softmax_star_shared
 from .rsqrt import run_shared_rsqrt
 
 
@@ -116,11 +112,6 @@ REPORT_COLUMNS = ("scenario", "method", "kind", "unit", "online_bytes",
                   "rounds", "muls")
 
 
-def _beaver_bytes(muls: float, codec) -> float:
-    # one masked opening of two ring elements per party per multiplication
-    return muls * 2 * codec.element_bytes
-
-
 def comm_report(scenario: str, cfg: ProtocolConfig = DEFAULT_CONFIG,
                 lut: LutCostModel = LutCostModel(), row_len: int = 8,
                 seed: int = 0):
@@ -132,81 +123,68 @@ def comm_report(scenario: str, cfg: ProtocolConfig = DEFAULT_CONFIG,
     """
     if row_len < 1:
         raise ConfigError(f"row length {row_len} must be at least 1")
-    codec = cfg.codec
     n = cfg.newton.iterations
-    rows = []
+
+    def counted(unit, run, muls, per=1):
+        # the busier party's counters of a (outputs, client, server) run
+        _, st_c, st_s = run
+        return ReportRow(scenario, "rootshare", "counted", unit,
+                         max(st_c.bytes_sent, st_s.bytes_sent) / per,
+                         max(st_c.rounds, st_s.rounds), muls)
+
+    def lut_row(unit, calls, rounds, muls):
+        return ReportRow(scenario, "lut", "modeled", unit,
+                         lut_cost(lut, calls)[0] / 8, rounds, muls)
+
+    def beaver(method, unit, muls, rounds):
+        # one masked opening of two ring elements per party per product
+        return ReportRow(scenario, method, "modeled", unit,
+                         muls * 2 * cfg.codec.element_bytes, rounds, muls)
+
+    c_muls = crypten_seed_cost()
     if scenario == "activation":
         inputs = [0.4 + 0.35 * i for i in range(row_len)]
-        _, st_c, st_s = run_smu_shared(inputs, GELU_PARAMS, cfg, seed=seed)
-        counted = max(st_c.bytes_sent, st_s.bytes_sent) / row_len
-        rounds = max(st_c.rounds, st_s.rounds)
-        rows.append(ReportRow(scenario, "rootshare", "counted", "element",
-                              counted, rounds, 1 + 3 * n))
-        rows.append(ReportRow(scenario, "lut", "modeled", "element",
-                              lut_cost(lut, 1)[0] / 8, 1, 0))
         t_muls = TAYLOR_HIGH_ORDER + 3 * n
-        rows.append(ReportRow(scenario, "taylor", "modeled", "element",
-                              _beaver_bytes(t_muls, codec), t_muls, t_muls))
-        c_muls = crypten_seed_cost()
-        rows.append(ReportRow(scenario, "crypten", "modeled", "element",
-                              _beaver_bytes(c_muls, codec), c_muls, c_muls))
-        return rows
+        return [counted("element", run_smu_shared(inputs, GELU_PARAMS, cfg,
+                                                  seed=seed),
+                        1 + 3 * n, row_len),
+                lut_row("element", 1, 1, 0),
+                beaver("taylor", "element", t_muls, t_muls),
+                beaver("crypten", "element", c_muls, c_muls)]
     if scenario == "softmax":
         rng = random.Random(seed)
         row = [rng.gauss(1.5, 0.8) for _ in range(row_len)]
-        _, st_c, st_s = run_softmax_star_shared(row, cfg, seed=seed)
-        counted = max(st_c.bytes_sent, st_s.bytes_sent)
-        rounds = max(st_c.rounds, st_s.rounds)
         muls = (row_len * (1 + 3 * SOFTMAX_NUM[1])
                 + (1 + 3 * SOFTMAX_DEN[1]) + row_len)
-        rows.append(ReportRow(scenario, "rootshare", "counted", "row",
-                              counted, rounds, muls))
-        rows.append(ReportRow(scenario, "lut", "modeled", "row",
-                              lut_cost(lut, row_len + 1)[0] / 8,
-                              2, 0))
         c_muls = 8 * row_len + 3 * 10
-        rows.append(ReportRow(scenario, "crypten", "modeled", "row",
-                              _beaver_bytes(c_muls, codec), c_muls, c_muls))
-        return rows
+        return [counted("row", run_softmax_star_shared(row, cfg, seed=seed),
+                        muls),
+                lut_row("row", row_len + 1, 2, 0),
+                beaver("crypten", "row", c_muls, c_muls)]
     if scenario == "layernorm":
         rng = random.Random(seed)
         row = [rng.gauss(0.0, 1.0) for _ in range(row_len)]
-        ones = [1.0] * row_len
-        zeros = [0.0] * row_len
-        _, st_c, st_s = run_layernorm_shared(row, ones, zeros, cfg, seed=seed)
-        counted = max(st_c.bytes_sent, st_s.bytes_sent)
-        rounds = max(st_c.rounds, st_s.rounds)
-        muls = 2 * row_len + 3 * LAYERNORM[1]
-        rows.append(ReportRow(scenario, "rootshare", "counted", "row",
-                              counted, rounds, muls))
-        rows.append(ReportRow(scenario, "lut", "modeled", "row",
-                              lut_cost(lut, 1)[0] / 8, 1, 0))
         # at the counted row's Newton budget
         t_muls = TAYLOR_HIGH_ORDER + 3 * LAYERNORM[1]
-        rows.append(ReportRow(scenario, "taylor", "modeled", "row",
-                              _beaver_bytes(t_muls, codec), t_muls, t_muls))
-        c_muls = crypten_seed_cost()
-        rows.append(ReportRow(scenario, "crypten", "modeled", "row",
-                              _beaver_bytes(c_muls, codec), c_muls, c_muls))
-        return rows
+        return [counted("row", run_layernorm_shared(
+                    row, [1.0] * row_len, [0.0] * row_len, cfg, seed=seed),
+                        2 * row_len + 3 * LAYERNORM[1]),
+                lut_row("row", 1, 1, 0),
+                beaver("taylor", "row", t_muls, t_muls),
+                beaver("crypten", "row", c_muls, c_muls)]
     if scenario == "end2end":
         enc_cfg = ToyEncoderConfig()
         rng = random.Random(seed)
         x = [[0.8 + 0.4 * rng.random() for _ in range(enc_cfg.model_dim)]
              for _ in range(enc_cfg.seq_len)]
         _, info = toy_encoder_infer(enc_cfg, x, mode="shared", protocol=cfg)
-        for bucket in ("nonlinear", "matmul", "total"):
-            rows.append(ReportRow(scenario, f"rootshare-{bucket}", "counted",
-                                  "run", info["bytes"][bucket],
-                                  info["rounds"] if bucket == "total" else None,
-                                  None))
+        rows = [ReportRow(scenario, f"rootshare-{bucket}", "counted", "run",
+                          info["bytes"][bucket],
+                          info["rounds"] if bucket == "total" else None, None)
+                for bucket in ("nonlinear", "matmul", "total")]
         calls = info["rsqrt_elements"]
-        rows.append(ReportRow(scenario, "lut", "modeled", "run",
-                              lut_cost(lut, calls)[0] / 8, None, None))
-        c_muls = calls * crypten_seed_cost()
-        rows.append(ReportRow(scenario, "crypten", "modeled", "run",
-                              _beaver_bytes(c_muls, codec), None, c_muls))
-        return rows
+        return rows + [lut_row("run", calls, None, None),
+                       beaver("crypten", "run", calls * c_muls, None)]
     raise ConfigError(f"unknown scenario {scenario!r}; "
                       f"expected one of {REPORT_SCENARIOS}")
 
@@ -222,317 +200,6 @@ def write_report_csv(rows, path: str):
                 "" if r.rounds is None else r.rounds,
                 "" if r.muls is None else r.muls,
             ])
-
-
-@dataclass(frozen=True)
-class ToyEncoderConfig:
-    seq_len: int = 8
-    model_dim: int = 16
-    ffn_dim: int = 32
-    heads: int = 1
-    seed: int = 0
-
-    def __post_init__(self):
-        for name in ("seq_len", "model_dim", "ffn_dim", "heads"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be at least 1")
-        if self.model_dim % self.heads:
-            raise ConfigError(
-                f"heads={self.heads} must divide model_dim={self.model_dim}")
-
-
-# log2 band of the rsqrt input at each encoder site: min and max, rounded to
-# two decimals, over plain passes of the default fixture (seq 8, dim 16,
-# ffn 32, 1 head) on the 6,400 input sets of perfbench's encoder pools at
-# seeds 0-399, 16 sets of 8 rows of 16 draws 0.8 + 0.4 U from each
-# random.Random(seed).
-ENCODER_SITE_BANDS = {
-    "softmax_num": (2.63, 3.93),
-    "softmax_den": (4.44, 4.83),
-    "ffn": (1.78, 2.25),
-    "ln1": (-8.38, -4.83),
-    "ln2": (-0.26, 0.20),
-}
-
-
-@dataclass(frozen=True)
-class EncoderSites:
-    """One Site, (E_m, Newton iterations, seed slope), for each of the
-    encoder's inverse-sqrt sites.
-
-    Each site's flooded seed is the line y0 - slope * x, whose level E_m
-    sets. Each site's line covers its band in ENCODER_SITE_BANDS: at the
-    1/8-octave points from 1/8 octave below the band to 1/8 above it,
-    flooded inverse square roots stay within 1e-2 of 1/sqrt(x). A slope
-    saves an iteration where a flat seed at any E_m within 3 misses at the
-    same count. The softmax denominator's band moves with seq_len, and
-    layernorm 2 feeds the output, so both keep a flat seed. The slopes
-    were fitted under ring._truncate's rule.
-    """
-
-    softmax_num: Site = (128.64, 3, 0.008)
-    softmax_den: Site = (132, 4, 0.0)
-    ffn: Site = (127.24, 2, 0.0358)
-    ln1: Site = (118.47, 4, 227.0)
-    ln2: Site = (126, 3, 0.0)
-
-
-def _weight_shapes(cfg: ToyEncoderConfig):
-    d, f = cfg.model_dim, cfg.ffn_dim
-    return {
-        "wq": (d, d), "wk": (d, d), "wv": (d, d), "wo": (d, d),
-        "w1": (d, f), "b1": (f, 1), "w2": (f, d), "b2": (d, 1),
-        "ln1_gamma": (d, 1), "ln1_beta": (d, 1),
-        "ln2_gamma": (d, 1), "ln2_beta": (d, 1),
-    }
-
-
-def generate_weights(cfg: ToyEncoderConfig):
-    """Seeded fixture weights scaled so every non-linear call site sees
-    activations inside its expected-magnitude band at desk scale."""
-    rng = random.Random(cfg.seed)
-    scale = 16.0 / cfg.model_dim
-    shapes = _weight_shapes(cfg)
-    bands = {"wq": (0.03, 0.08), "wk": (0.03, 0.08), "wv": (0.05, 0.10),
-             "wo": (0.05, 0.10), "w1": (0.015, 0.035), "w2": (0.02, 0.05)}
-    weights = {}
-    for name, (m, n) in shapes.items():
-        count = m * n
-        if name in bands:
-            lo, hi = bands[name]
-            weights[name] = [rng.uniform(lo, hi) * scale for _ in range(count)]
-        elif name == "b1":
-            weights[name] = [1.9 + rng.uniform(-0.1, 0.1) for _ in range(count)]
-        elif name == "b2":
-            weights[name] = [rng.uniform(-0.05, 0.05) for _ in range(count)]
-        elif name.endswith("gamma"):
-            weights[name] = [1.0] * count
-        else:
-            weights[name] = [0.0] * count
-    return weights
-
-
-def save_weights_csv(path: str, weights: dict, cfg: ToyEncoderConfig):
-    shapes = _weight_shapes(cfg)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("name", "i", "j", "value"))
-        for name, (m, n) in shapes.items():
-            flat = weights[name]
-            for i in range(m):
-                for j in range(n):
-                    writer.writerow((name, i, j, repr(flat[i * n + j])))
-
-
-def load_weights_csv(path: str, cfg: ToyEncoderConfig):
-    shapes = _weight_shapes(cfg)
-    weights = {name: [None] * (m * n) for name, (m, n) in shapes.items()}
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["name", "i", "j", "value"]:
-            raise ConfigError(f"{path}: expected header name,i,j,value")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 4:
-                raise ConfigError(f"{path}:{lineno}: expected 4 columns")
-            name, i_s, j_s, v_s = row
-            if name not in shapes:
-                raise ConfigError(f"{path}:{lineno}: unknown weight {name!r}")
-            m, n = shapes[name]
-            try:
-                i, j, v = int(i_s), int(j_s), float(v_s)
-            except ValueError:
-                raise ConfigError(f"{path}:{lineno}: bad indices or value")
-            if not (0 <= i < m and 0 <= j < n):
-                raise ConfigError(f"{path}:{lineno}: index out of range")
-            if not math.isfinite(v):
-                raise ConfigError(f"{path}:{lineno}: non-finite value {v_s}")
-            if weights[name][i * n + j] is not None:
-                raise ConfigError(f"{path}:{lineno}: repeated {name},{i},{j}")
-            weights[name][i * n + j] = v
-    for name, flat in weights.items():
-        if any(v is None for v in flat):
-            raise ConfigError(f"{path}: incomplete weight matrix {name!r}")
-    return weights
-
-
-def _mat_mul(a, b, m, k, n):
-    out = [0.0] * (m * n)
-    for i in range(m):
-        base = i * k
-        for j in range(n):
-            acc = 0.0
-            for t in range(k):
-                acc += a[base + t] * b[t * n + j]
-            out[i * n + j] = acc
-    return out
-
-
-def _transpose(a, m, n):
-    return [a[i * n + j] for j in range(n) for i in range(m)]
-
-
-def _columns(a, m, n, j0, j1):
-    return [a[i * n + j] for i in range(m) for j in range(j0, j1)]
-
-
-def _encoder_plain(cfg: ToyEncoderConfig, x_rows, weights):
-    s, d, f = cfg.seq_len, cfg.model_dim, cfg.ffn_dim
-    dh = d // cfg.heads
-    x = [v for row in x_rows for v in row]
-    q = _mat_mul(x, weights["wq"], s, d, d)
-    k = _mat_mul(x, weights["wk"], s, d, d)
-    v = _mat_mul(x, weights["wv"], s, d, d)
-    ctx = [0.0] * (s * d)
-    for h in range(cfg.heads):
-        j0, j1 = h * dh, (h + 1) * dh
-        qh = _columns(q, s, d, j0, j1)
-        kh = _columns(k, s, d, j0, j1)
-        vh = _columns(v, s, d, j0, j1)
-        scores = _mat_mul(qh, _transpose(kh, s, dh), s, dh, s)
-        inv = 1.0 / math.sqrt(dh)
-        weights_rows = []
-        for i in range(s):
-            row = [scores[i * s + j] * inv for j in range(s)]
-            weights_rows.extend(softmax_star_plain(row))
-        ctx_h = _mat_mul(weights_rows, vh, s, s, dh)
-        for i in range(s):
-            for j in range(dh):
-                ctx[i * d + j0 + j] = ctx_h[i * dh + j]
-    attn = _mat_mul(ctx, weights["wo"], s, d, d)
-    h0 = [a + b for a, b in zip(x, attn)]
-    h1 = []
-    for i in range(s):
-        h1.extend(layernorm_plain(h0[i * d:(i + 1) * d],
-                                  weights["ln1_gamma"], weights["ln1_beta"]))
-    pre = _mat_mul(h1, weights["w1"], s, d, f)
-    pre = [pre[i * f + j] + weights["b1"][j]
-           for i in range(s) for j in range(f)]
-    act = [smu_plain(v, GELU_PARAMS) for v in pre]
-    f2 = _mat_mul(act, weights["w2"], s, f, d)
-    f2 = [f2[i * d + j] + weights["b2"][j] for i in range(s) for j in range(d)]
-    h2 = [a + b for a, b in zip(h1, f2)]
-    out = []
-    for i in range(s):
-        out.append(layernorm_plain(h2[i * d:(i + 1) * d],
-                                   weights["ln2_gamma"], weights["ln2_beta"]))
-    return out
-
-
-def _encoder_shared(cfg: ToyEncoderConfig, x_rows, weights,
-                    protocol: ProtocolConfig, transport: str):
-    s, d, f = cfg.seq_len, cfg.model_dim, cfg.ffn_dim
-    sites = EncoderSites()
-    dh = d // cfg.heads
-    codec = protocol.codec
-    rng = random.Random(cfg.seed + 101)
-
-    x = [v for row in x_rows for v in row]
-    if len(x_rows) != s or any(len(row) != d for row in x_rows):
-        raise UsageError(f"input must be {s} rows of {d} values")
-    # x [wq | wk | wv] is one matmul, so x is opened once for all three
-    wqkv = [v for i in range(d) for name in ("wq", "wk", "wv")
-            for v in weights[name][i * d:(i + 1) * d]]
-    halves = {"x": split_values(x, codec, rng),
-              "wqkv": split_values(wqkv, codec, rng)}
-    for name in ("wo", "w1", "w2"):
-        halves[name] = split_values(weights[name], codec, rng)
-
-    dealer = DealerState(codec, seed=cfg.seed + 202)
-    matmul_bytes = {}
-
-    def party_fn(party, w, ep, stream):
-        flood_rng = random.Random(cfg.seed + 303) if party == SERVER else None
-        matmul_bytes[party] = 0
-        mod = codec.modulus
-
-        def mm(a, b, m, kk, nn):
-            triple = stream.take_matrix(m, kk, nn)
-            before = ep.stats().bytes_sent
-            out = matmul_shared(party, a, b, triple, m, kk, nn, ep, codec)
-            matmul_bytes[party] += ep.stats().bytes_sent - before
-            return out
-
-        qkv = mm(w["x"], w["wqkv"], s, d, 3 * d)
-        ctx = [0] * (s * d)
-        for h in range(cfg.heads):
-            j0, j1 = h * dh, (h + 1) * dh
-            qh = _columns(qkv, s, 3 * d, j0, j1)
-            kh = _columns(qkv, s, 3 * d, d + j0, d + j1)
-            vh = _columns(qkv, s, 3 * d, 2 * d + j0, 2 * d + j1)
-            scores = mm(qh, _transpose(kh, s, dh), s, dh, s)
-            scores = scalar_mul_values(party, scores,
-                                       1.0 / math.sqrt(dh), codec)
-            att = softmax_star_shared(party, scores, ep, protocol, stream,
-                                      flood_rng, sites.softmax_num,
-                                      sites.softmax_den, s)
-            ctx_h = mm(att, vh, s, s, dh)
-            for i in range(s):
-                for j in range(dh):
-                    ctx[i * d + j0 + j] = ctx_h[i * dh + j]
-        attn = mm(ctx, w["wo"], s, d, d)
-        h0 = [(a + b) % mod for a, b in zip(w["x"], attn)]
-        h1 = layernorm_shared(party, h0, weights["ln1_gamma"],
-                              weights["ln1_beta"], ep,
-                              protocol.with_site(sites.ln1), stream, flood_rng)
-        pre = mm(h1, w["w1"], s, d, f)
-        b1 = weights["b1"] * s
-        pre = add_public_values(party, pre, b1, codec)
-        act = smu_shared_batch(party, pre, GELU_PARAMS, ep,
-                               protocol.with_site(sites.ffn), stream,
-                               flood_rng)
-        f2 = mm(act, w["w2"], s, f, d)
-        b2 = weights["b2"] * s
-        f2 = add_public_values(party, f2, b2, codec)
-        h2 = [(a + b) % mod for a, b in zip(h1, f2)]
-        return layernorm_shared(party, h2, weights["ln2_gamma"],
-                                weights["ln2_beta"], ep,
-                                protocol.with_site(sites.ln2), stream,
-                                flood_rng)
-
-    flat, stats_c, stats_s = run_session(
-        party_fn, {name: pair[0] for name, pair in halves.items()},
-        {name: pair[1] for name, pair in halves.items()}, dealer, transport)
-    rows = [flat[i * d:(i + 1) * d] for i in range(s)]
-    total = stats_c.bytes_sent + stats_s.bytes_sent
-    matmul = sum(matmul_bytes.values())
-    info = {
-        "client": stats_c,
-        "server": stats_s,
-        # every frame outside mm comes from a non-linear layer
-        "bytes": {"matmul": matmul, "nonlinear": total - matmul,
-                  "total": total},
-        "rounds": max(stats_c.rounds, stats_s.rounds),
-        # per head: s*s softmax numerators and s denominators; then s*f
-        # smooth units and s variances at each of the two layernorms
-        "rsqrt_elements": cfg.heads * (s * s + s) + s * f + 2 * s,
-    }
-    return rows, info
-
-
-def toy_encoder_infer(cfg: ToyEncoderConfig, x_rows, mode: str = "plain",
-                      protocol: ProtocolConfig = DEFAULT_CONFIG,
-                      weights: dict | None = None,
-                      transport: str = "inproc"):
-    """One encoder block: attention with normalized positive weights,
-    residual + layernorm, smooth-unit FFN, residual + layernorm.
-
-    plain mode returns the float reference rows. shared mode runs the same
-    network on additive shares and returns (rows, info) where info carries
-    per-bucket byte counts, rounds, and the inverse-sqrt element count.
-    weights defaults to generate_weights(cfg). Each inverse-sqrt site runs
-    at its EncoderSites (E_m, iterations, slope) in place of protocol's.
-    cfg.seed fixes the input split, the dealer and the flood masks, so two
-    shared calls with one cfg reuse every mask, and a party that sees both
-    calls' openings learns the difference of their inputs.
-    """
-    if weights is None:
-        weights = generate_weights(cfg)
-    if mode == "plain":
-        return _encoder_plain(cfg, x_rows, weights)
-    if mode == "shared":
-        return _encoder_shared(cfg, x_rows, weights, protocol, transport)
-    raise ConfigError(f"unknown mode {mode!r}; expected plain or shared")
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,10 @@ import random
 import sys
 
 from .errors import ConfigError, RootshareError
-from .bench import LutCostModel, REPORT_SCENARIOS, ToyEncoderConfig, \
-    comm_report, flood_ablation, generate_weights, load_weights_csv, \
-    toy_encoder_infer, write_report_csv
+from .bench import LutCostModel, REPORT_SCENARIOS, comm_report, \
+    flood_ablation, write_report_csv
+from .encoder import ToyEncoderConfig, generate_weights, load_weights_csv, \
+    toy_encoder_infer
 from .config import config_from_mapping, read_config_file
 from .flood import ActivationSampler, draw_flood_mask, flood_share
 from .rsqrt import closeness_sweep, run_shared_rsqrt
@@ -22,13 +23,9 @@ from .rsqrt import closeness_sweep, run_shared_rsqrt
 
 def _parse_gaps(text: str):
     """Accept '0..12' ranges or comma lists like '0,3,6'."""
-    text = text.strip()
-    if ".." in text:
-        lo_s, _, hi_s = text.partition("..")
-        lo, hi = int(lo_s), int(hi_s)
-        if hi < lo:
-            raise ValueError(f"empty gap range {text!r}")
-        return list(range(lo, hi + 1))
+    lo, dots, hi = text.partition("..")
+    if dots:
+        return list(range(int(lo), int(hi) + 1))
     return [int(part) for part in text.split(",") if part.strip()]
 
 
@@ -48,10 +45,10 @@ _CLOSURE_TOL = 1e-2
 
 def _load_config(args, fixed_in=None, iterations=None, unread=_SAMPLER_KEYS):
     """The run's ProtocolConfig, built from the --config file's keys with
-    --iterations as the iterations key, in place of any n. A command
-    whose Newton settings live elsewhere names the place in fixed_in and
-    refuses the flag and the n, iterations and E_m keys; iterations is
-    its own count where neither sets one. A command refuses the keys it
+    --iterations as the iterations key. A command whose Newton settings
+    live elsewhere names the place in fixed_in and refuses the flag and
+    the iterations and E_m keys; iterations is its own count where
+    neither the flag nor the key sets one. A command refuses the keys it
     never reads, given in unread with the reason: by default the sampler
     keys."""
     mapping = read_config_file(args.config) if args.config else {}
@@ -62,14 +59,13 @@ def _load_config(args, fixed_in=None, iterations=None, unread=_SAMPLER_KEYS):
                           f"{', '.join(refused)} from the config file")
     flag = getattr(args, "iterations", None)
     if fixed_in and (flag is not None
-                     or {"n", "iterations", "E_m"} & mapping.keys()):
+                     or {"iterations", "E_m"} & mapping.keys()):
         raise ConfigError(
             f"this run takes its Newton settings from {fixed_in}; drop "
-            "--iterations and the n, iterations and E_m config keys")
-    if flag is None and not {"n", "iterations"} & mapping.keys():
+            "--iterations and the iterations and E_m config keys")
+    if flag is None and "iterations" not in mapping:
         flag = iterations
     if flag is not None:
-        mapping.pop("n", None)
         mapping["iterations"] = flag
     return config_from_mapping(mapping)
 
@@ -206,7 +202,8 @@ def _cmd_toy_infer(args) -> int:
         fit = ToyEncoderConfig()
         print(f"error: shared output misses plain by {worst:.3g}, over "
               f"{_CLOSURE_TOL:g}; EncoderSites are fitted at seq "
-              f"{fit.seq_len}, dim {fit.model_dim}, ffn {fit.ffn_dim}",
+              f"{fit.seq_len}, dim {fit.model_dim}, ffn {fit.ffn_dim}, "
+              f"heads {fit.heads}",
               file=sys.stderr)
         return 1
     return 0

@@ -49,31 +49,26 @@ _KEYS = {"l": ("codec", int), "f": ("codec", int), "b": ("seed", float),
          "mask_spread": ("flood", float), "iterations": ("newton", int),
          "sampler_log2_mean": (None, float),
          "sampler_log2_std": (None, float)}
-_KEY_ALIASES = {"n": "iterations"}
 
 
 def config_from_mapping(mapping: dict) -> ProtocolConfig:
     """Build a ProtocolConfig from flat key=value pairs.
 
-    Recognized keys: l, f, b, F, E_f, E_m, mask_spread, iterations (alias
-    n), sampler_log2_mean, sampler_log2_std. F sets the flood constant,
-    E_f and E_m the seed's reference exponents. Unknown keys, and n
-    with iterations, raise ConfigError so typos never silently fall back
-    to defaults.
+    Recognized keys: l, f, b, F, E_f, E_m, mask_spread, iterations,
+    sampler_log2_mean, sampler_log2_std. F sets the flood constant, E_f
+    and E_m the seed's reference exponents. Unknown keys raise
+    ConfigError so typos never silently fall back to defaults.
     """
-    if {"n", "iterations"} <= mapping.keys():
-        raise ConfigError("n and iterations are one setting; give one")
     changes = {}
-    for raw_key, raw_value in mapping.items():
-        key = _KEY_ALIASES.get(raw_key, raw_key)
+    for key, raw_value in mapping.items():
         if key not in _KEYS:
-            raise ConfigError(f"unknown configuration key {raw_key!r}")
+            raise ConfigError(f"unknown configuration key {key!r}")
         owner, kind = _KEYS[key]
         try:
             changes.setdefault(owner, {})[key] = kind(raw_value)
         except (TypeError, ValueError):
             need = "an integer" if kind is int else "a number"
-            raise ConfigError(f"{raw_key} needs {need}, got {raw_value!r}")
+            raise ConfigError(f"{key} needs {need}, got {raw_value!r}")
     own = changes.pop(None, {})
     return replace(DEFAULT_CONFIG, **own, **{
         owner: replace(getattr(DEFAULT_CONFIG, owner), **fields)
@@ -87,7 +82,7 @@ def load_config_file(path: str) -> ProtocolConfig:
 
 def read_config_file(path: str) -> dict:
     """Read key=value lines (# comments, blank lines allowed), refusing a
-    key given twice; n and iterations are one key."""
+    key given twice."""
     if not os.path.isfile(path):
         raise ConfigError(f"configuration file not found: {path}")
     mapping = {}
@@ -101,10 +96,9 @@ def read_config_file(path: str) -> dict:
                 raise ConfigError(f"{path}:{lineno}: expected key=value, got {text!r}")
             key, _, value = text.partition("=")
             key = key.strip()
-            name = _KEY_ALIASES.get(key, key)
-            if name in lines:
+            if key in lines:
                 raise ConfigError(f"{path}:{lineno}: {key} repeats the "
-                                  f"{name} setting of line {lines[name]}")
-            lines[name] = lineno
+                                  f"{key} setting of line {lines[key]}")
+            lines[key] = lineno
             mapping[key] = value.strip()
     return mapping

@@ -25,7 +25,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain, zip_longest
+from itertools import accumulate, chain, zip_longest
 from operator import mul
 
 from .errors import ConfigError, ProtocolError, RangeError, UsageError
@@ -589,31 +589,37 @@ def beaver_mul_batch(party: str, x_values, y_values, triples,
     return lanes.unpack(_truncate(party, lanes.pack(z), lanes, codec.f))
 
 
-def matmul_shared(party: str, a_values, b_values, triple,
-                  m: int, k: int, n: int, channel,
-                  codec: FixedPointCodec):
-    """Shared matrix product via one matrix Beaver triple, one round.
+def matmul_shared(party: str, products, channel, codec: FixedPointCodec):
+    """Shared matrix products, one round for all of them.
 
-    a_values is this party's share of A (m x k, row-major flat), b_values of
-    B (k x n). Each party opens Masked(A, R_a) and Masked(B, R_b) by
-    _open, as D = A - R_a and E = B - R_b in a single frame of m*k + k*n
-    ring elements, then forms its share in one pass of wide lanes,
-    C + [D | R_a] [R_b' ; E] mod 2^l, where R_b' = R_b + E on
-    the server (which so adds D E) and R_b on the client. Outputs are
-    truncated to scale 2^f.
+    products holds (a_values, b_values, triple, (m, k, n)) per product:
+    this party's shares of A (m x k, row-major flat) and B (k x n), and
+    its (R_a, R_b, C) from TripleStream.take_matrix. _open opens every
+    Masked(A, R_a) and Masked(B, R_b) in a single frame, as D = A - R_a
+    then E = B - R_b per product, in order. Each party forms its share of
+    each product in one pass of wide lanes, C + [D | R_a] [R_b' ; E] mod
+    2^l, where R_b' = R_b + E on the server (which so adds D E) and R_b on
+    the client. All outputs are truncated to scale 2^f as one lane form.
+    Returns one output list per product, in order.
     """
-    if len(a_values) != m * k or len(b_values) != k * n:
-        raise UsageError("matrix share sizes disagree with the given shape")
-    ra, rb, rc = triple
-    a, b = Masked(a_values, ra), Masked(b_values, rb)
-    _open((a, b), channel, codec)
-    if party == SERVER:
-        lanes = _lanes(codec, k * n)
-        rb = lanes.unpack(lanes.add(lanes.pack(rb), lanes.pack(b.diff)))
-    lanes = _lanes(codec, m * n)
-    c = lanes.pack(_mat_mul_mod((a.diff, ra), (rb, b.diff), rc, m, k, n,
-                                codec))
-    return lanes.unpack(_truncate(party, c, lanes, codec.f))
+    if not products or any(len(a) != m * k or len(b) != k * n
+                           for a, b, _, (m, k, n) in products):
+        raise UsageError("matmul_shared needs one or more products, each "
+                         "with share sizes that match its shape")
+    operands = [(Masked(a, ra), Masked(b, rb))
+                for a, b, (ra, rb, _), _ in products]
+    _open(chain.from_iterable(operands), channel, codec)
+    outs = []
+    for (a, b), (_, _, (ra, rb, rc), (m, k, n)) in zip(operands, products):
+        if party == SERVER:
+            lanes = _lanes(codec, k * n)
+            rb = lanes.unpack(lanes.add(lanes.pack(rb), lanes.pack(b.diff)))
+        outs.append(_mat_mul_mod((a.diff, ra), (rb, b.diff), rc, m, k, n,
+                                 codec))
+    ends = list(accumulate(map(len, outs)))
+    lanes = _lanes(codec, ends[-1])
+    flat = lanes.unpack(_truncate(party, lanes.pack(*outs), lanes, codec.f))
+    return [flat[end - len(out):end] for out, end in zip(outs, ends)]
 
 
 def _same_batches(pairs):

@@ -338,6 +338,10 @@ def closeness_sweep(gaps=range(13), trials: int = 200, n: int = 8,
     """
     if trials < 1:
         raise ConfigError("trials must be positive")
+    gaps = list(gaps)
+    if not gaps or min(gaps) < 0:
+        raise ConfigError(f"gaps {gaps} must be one or more non-negative "
+                          "exponent gaps")
     codec = codec or FixedPointCodec()
     params = params or SeedParams()
     newton = NewtonConfig(iterations=n)

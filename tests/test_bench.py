@@ -9,13 +9,12 @@ import pytest
 
 from rootshare import nonlinear
 from rootshare.bench import (REPORT_COLUMNS, REPORT_SCENARIOS, TAYLOR_COEFFS,
-                             TAYLOR_HIGH_ORDER,
-                             LutCostModel, ToyEncoderConfig, comm_report,
+                             TAYLOR_HIGH_ORDER, LutCostModel, comm_report,
                              count_rsqrt_element_bytes, crypten_seed,
-                             crypten_seed_cost, flood_ablation,
-                             generate_weights, load_weights_csv, lut_cost,
-                             save_weights_csv, taylor_seed,
-                             toy_encoder_infer, write_report_csv)
+                             crypten_seed_cost, flood_ablation, lut_cost,
+                             taylor_seed, write_report_csv)
+from rootshare.encoder import ToyEncoderConfig, generate_weights, \
+    load_weights_csv, save_weights_csv, toy_encoder_infer
 from rootshare.errors import ConfigError, RangeError
 from rootshare.ring import CLIENT, TripleStream
 
@@ -265,8 +264,11 @@ def test_encoder_shared_matches_plain():
     assert info["rounds"] == 53
 
 
-@pytest.mark.parametrize("heads", [1, 2, 4])
-def test_encoder_rsqrt_elements_match_the_calls(heads, monkeypatch):
+@pytest.mark.parametrize("shape", [
+    {"heads": 1}, {"heads": 2}, {"heads": 4},
+    {"seq_len": 16, "model_dim": 32, "ffn_dim": 64, "heads": 2}],
+    ids=["1", "2", "4", "16-32-64-2"])
+def test_encoder_rsqrt_elements_match_the_calls(shape, monkeypatch):
     # every inverse square root of the encoder goes through one binding
     counted = []
     original = nonlinear.rsqrt_shared_batch
@@ -277,9 +279,22 @@ def test_encoder_rsqrt_elements_match_the_calls(heads, monkeypatch):
         return original(party, values, *args, **kwargs)
 
     monkeypatch.setattr(nonlinear, "rsqrt_shared_batch", counting)
-    cfg = ToyEncoderConfig(heads=heads)
+    cfg = ToyEncoderConfig(**shape)
     _, info = toy_encoder_infer(cfg, _fixture_rows(cfg), mode="shared")
     assert info["rsqrt_elements"] == sum(counted)
+
+
+@pytest.mark.parametrize("shape, total", [
+    ({"heads": 1}, 107604), ({"heads": 2}, 123412), ({"heads": 4}, 155028),
+    ({"seq_len": 16, "model_dim": 32, "ffn_dim": 64, "heads": 2}, 477844)],
+    ids=["1", "2", "4", "16-32-64-2"])
+def test_encoder_rounds_do_not_grow_with_heads(shape, total):
+    # every head goes through each attention stage at once: one matmul
+    # round for all Q K^T, one softmax* call, one round for all att V
+    cfg = ToyEncoderConfig(**shape)
+    _, info = toy_encoder_infer(cfg, _fixture_rows(cfg), mode="shared")
+    assert info["rounds"] == 53
+    assert info["bytes"]["total"] == total
 
 
 def test_encoder_mode_validation():

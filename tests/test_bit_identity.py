@@ -160,8 +160,8 @@ def test_matrix_products_and_triples_are_pinned(codec):
             values = values[m * k + k * n:]
             triple = triples.take_matrix(m, k, n)
             seen += [list(part) for part in triple]
-            out += matmul_shared(party, a, b, triple, m, k, n, channel,
-                                 codec)
+            out += matmul_shared(party, [(a, b, triple, (m, k, n))],
+                                 channel, codec)[0]
         record[party] = seen + [list(out)]
         return out
 

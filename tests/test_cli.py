@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from rootshare import cli
-from rootshare.bench import ToyEncoderConfig, generate_weights, \
+from rootshare.encoder import ToyEncoderConfig, generate_weights, \
     load_weights_csv, save_weights_csv, toy_encoder_infer
 
 
@@ -80,6 +80,17 @@ def test_toy_infer_both_modes_fails_a_miss_away_from_the_fitted_shape(
     assert "fitted at seq 8, dim 16, ffn 32" in capsys.readouterr().err
 
 
+def test_toy_infer_miss_names_the_fitted_head_count(tmp_path, capsys):
+    # at the fitted seq, dim and ffn, only the head count differs, so the
+    # message must name it: 4 heads miss plain by more than 1e-2
+    out = tmp_path / "infer.csv"
+    code = cli.main(["toy-infer", "--heads", "4", "--mode", "both",
+                     "--out", str(out)])
+    assert code == 1
+    assert max(float(r[4]) for r in _read_csv(out)[1:]) > 1e-2
+    assert "ffn 32, heads 1" in capsys.readouterr().err
+
+
 def test_toy_infer_plain_mode(tmp_path):
     out = tmp_path / "plain.csv"
     code = cli.main(["toy-infer", "--seq", "2", "--dim", "4", "--ffn", "8",
@@ -131,7 +142,7 @@ def test_comm_report_end2end_rejects_iterations(tmp_path, capsys):
     assert code == 0
 
 
-@pytest.mark.parametrize("key", ["n", "iterations"])
+@pytest.mark.parametrize("key", ["iterations"])
 def test_toy_infer_config_iterations_are_rejected(tmp_path, capsys, key):
     cfg_path = tmp_path / "proto.cfg"
     cfg_path.write_text(f"{key} = 1\n")
@@ -183,8 +194,8 @@ def _assert_refused(tmp_path, capsys, argv, setting, place):
     pytest.param("softmax", "SOFTMAX_NUM and SOFTMAX_DEN Sites",
                  id="softmax-SOFTMAX_*"),
     pytest.param("layernorm", "LAYERNORM Site", id="layernorm-LAYERNORM_*")])
-@pytest.mark.parametrize("setting", ["--iterations 2", "n = 2",
-                                     "iterations = 2", "E_m = 120"])
+@pytest.mark.parametrize("setting", ["--iterations 2", "iterations = 2",
+                                     "E_m = 120"])
 def test_fixed_site_scenarios_refuse_newton_settings(tmp_path, capsys,
                                                      scenario, place,
                                                      setting):
@@ -242,6 +253,22 @@ def test_empty_runs_are_refused(tmp_path, capsys, argv, setting):
     _assert_refused(tmp_path, capsys, argv, setting, "must be at least 1")
 
 
+@pytest.mark.parametrize("gaps", ["-3,-1", "-2..1", ""],
+                         ids=["negative-list", "negative-range", "empty"])
+def test_closeness_sweep_refuses_gaps_it_cannot_build(tmp_path, capsys,
+                                                      gaps):
+    # a negative gap would put the shares that many octaves apart the
+    # other way under its own label, and no gap leaves a header-only CSV
+    _assert_refused(tmp_path, capsys, ["closeness-sweep", "--trials", "2"],
+                    f"--gaps={gaps}", "non-negative exponent gaps")
+
+
+def test_config_key_n_is_unknown(tmp_path, capsys):
+    # iterations has no alias: n is refused like any other unknown key
+    _assert_refused(tmp_path, capsys, ["rsqrt-sweep", "--count", "2"],
+                    "n = 2", "unknown configuration key 'n'")
+
+
 def test_end2end_refuses_row_len(tmp_path, capsys):
     _assert_refused(tmp_path, capsys, ["comm-report", "--scenario", "end2end"],
                     "--row-len 3", "ToyEncoderConfig")
@@ -249,7 +276,7 @@ def test_end2end_refuses_row_len(tmp_path, capsys):
 
 def test_closeness_sweep_honours_config_iterations(tmp_path):
     cfg_path = tmp_path / "proto.cfg"
-    cfg_path.write_text("n = 2\n")
+    cfg_path.write_text("iterations = 2\n")
     argv = ["closeness-sweep", "--gaps", "0,6", "--trials", "10", "--out"]
     by_key, by_flag, default = (tmp_path / f"{name}.csv"
                                 for name in ("key", "flag", "default"))
@@ -261,7 +288,7 @@ def test_closeness_sweep_honours_config_iterations(tmp_path):
 
 def test_config_file_flows_into_run(tmp_path):
     cfg_path = tmp_path / "proto.cfg"
-    cfg_path.write_text("n = 2\n")
+    cfg_path.write_text("iterations = 2\n")
     out = tmp_path / "sweep.csv"
     code = cli.main(["rsqrt-sweep", "--count", "10", "--config",
                      str(cfg_path), "--out", str(out)])

@@ -74,8 +74,9 @@ def test_mapping_round_trip():
 
 
 def test_mapping_alias_and_types():
-    cfg = config_from_mapping({"n": 4})
-    assert cfg.newton.iterations == 4
+    # iterations has no alias any more: n is an unknown key
+    with pytest.raises(ConfigError, match="unknown configuration key 'n'"):
+        config_from_mapping({"n": 4})
     with pytest.raises(ConfigError):
         config_from_mapping({"iterations": "many"})
     with pytest.raises(ConfigError):
@@ -98,7 +99,7 @@ def test_file_loader(tmp_path):
         "\n"
         "l = 32\n"
         "f=12   # fractional bits\n"
-        "n = 4\n"
+        "iterations = 4\n"
     )
     cfg = load_config_file(str(path))
     assert cfg.codec == FixedPointCodec(l=32, f=12)
@@ -115,12 +116,10 @@ def test_file_loader_errors(tmp_path):
 
 
 @pytest.mark.parametrize("lines, line, names", [
-    ("E_m = 120\nE_m = 130\n", 2, "E_m repeats the E_m setting of line 1"),
-    ("iterations = 4\n# n below\nn = 6\n", 3,
-     "n repeats the iterations setting of line 1")],
-    ids=["E_m", "iterations-then-n"])
+    ("E_m = 120\nE_m = 130\n", 2, "E_m repeats the E_m setting of line 1")],
+    ids=["E_m"])
 def test_file_loader_refuses_a_repeated_key(tmp_path, lines, line, names):
-    # the last line used to win without a word; n and iterations are one key
+    # the last line used to win without a word
     path = tmp_path / "twice.cfg"
     path.write_text(lines)
     with pytest.raises(ConfigError, match=f"twice.cfg:{line}: {names}"):
@@ -128,5 +127,5 @@ def test_file_loader_refuses_a_repeated_key(tmp_path, lines, line, names):
 
 
 def test_mapping_refuses_n_with_iterations():
-    with pytest.raises(ConfigError, match="one setting"):
+    with pytest.raises(ConfigError, match="unknown configuration key 'n'"):
         config_from_mapping({"iterations": "4", "n": "6"})

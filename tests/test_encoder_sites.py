@@ -1,7 +1,7 @@
 """The encoder's per-site (E_m, iterations, slope) schedule, derived from its
 bands.
 
-`bench.ENCODER_SITE_BANDS` freezes the log2 band of each inverse-sqrt site's
+`encoder.ENCODER_SITE_BANDS` freezes the log2 band of each inverse-sqrt site's
 input. Each site's seed line must keep flooded inverse square roots within
 1e-2 over its band. One iteration fewer, lines of the site's slope must
 miss at every E_m near the site's, and a sloped line must need its slope:
@@ -14,8 +14,9 @@ import random
 
 import pytest
 
-from rootshare import bench, draw_flood_mask, flood_share, run_shared_rsqrt
-from rootshare.bench import ENCODER_SITE_BANDS, EncoderSites, \
+from rootshare import draw_flood_mask, encoder, flood_share, \
+    run_shared_rsqrt
+from rootshare.encoder import ENCODER_SITE_BANDS, EncoderSites, \
     ToyEncoderConfig, generate_weights, toy_encoder_infer
 from rootshare.config import DEFAULT_CONFIG
 from rootshare.nonlinear import LAYERNORM_EPS, S_FLOOR, SOFTMAX_EPS
@@ -109,8 +110,8 @@ def _record_site_inputs(weights, monkeypatch):
     """Collect the rsqrt input of every element at each site of the plain
     passes that follow, from the plain layers' own inputs."""
     seen = {name: [] for name in ENCODER_SITE_BANDS}
-    softmax, layernorm, smu = (bench.softmax_star_plain,
-                               bench.layernorm_plain, bench.smu_plain)
+    softmax, layernorm, smu = (encoder.softmax_star_plain,
+                               encoder.layernorm_plain, encoder.smu_plain)
 
     def softmax_rec(row):
         # the numerator is a smooth unit at RELU_PARAMS: s = x^2 + S_FLOOR
@@ -131,9 +132,9 @@ def _record_site_inputs(weights, monkeypatch):
                            + max(params.mu ** 2, S_FLOOR))
         return smu(v, params)
 
-    monkeypatch.setattr(bench, "softmax_star_plain", softmax_rec)
-    monkeypatch.setattr(bench, "layernorm_plain", layernorm_rec)
-    monkeypatch.setattr(bench, "smu_plain", smu_rec)
+    monkeypatch.setattr(encoder, "softmax_star_plain", softmax_rec)
+    monkeypatch.setattr(encoder, "layernorm_plain", layernorm_rec)
+    monkeypatch.setattr(encoder, "smu_plain", smu_rec)
     return seen
 
 

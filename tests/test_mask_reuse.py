@@ -161,8 +161,10 @@ def test_layernorm_opens_each_mask_once(openings):
     assert_each_mask_opened_once(*openings)
 
 
-def test_encoder_opens_each_mask_once(openings):
-    cfg = ToyEncoderConfig()
+@pytest.mark.parametrize("heads", [1, 2, 4])
+def test_encoder_opens_each_mask_once(openings, heads):
+    # at more than one head, one frame opens every head's operands
+    cfg = ToyEncoderConfig(heads=heads)
     rng = random.Random(10)
     rows = [[0.8 + 0.4 * rng.random() for _ in range(cfg.model_dim)]
             for _ in range(cfg.seq_len)]

@@ -927,9 +927,9 @@ def test_matmul_shared_matches_plain(codec):
     b_sh = [make_shares(v, codec, rng) for v in b]
 
     def party_fn(party, values, channel, triples):
-        return matmul_shared(party, values[:m * k], values[m * k:],
-                             triples.take_matrix(m, k, n), m, k, n, channel,
-                             codec)
+        return matmul_shared(party, [(values[:m * k], values[m * k:],
+                                      triples.take_matrix(m, k, n),
+                                      (m, k, n))], channel, codec)[0]
 
     got, st_c, st_s = run_session(party_fn, [p[0].value for p in a_sh + b_sh],
                                   [p[1].value for p in a_sh + b_sh],
@@ -957,8 +957,9 @@ def test_matmul_shared_frame(codec):
     def party_fn(party, values, channel, triples):
         ra, rb, rc = triples.take_matrix(m, k, n)
         channel.start_transcript()
-        out = matmul_shared(party, values[:m * k], values[m * k:],
-                            (ra, rb, rc), m, k, n, channel, codec)
+        (out,) = matmul_shared(party, [(values[:m * k], values[m * k:],
+                                        (ra, rb, rc), (m, k, n))],
+                               channel, codec)
         payload = b"".join(((v - r) % mod).to_bytes(width, "little")
                            for v, r in zip(values, list(ra) + list(rb)))
         frames[party] = (channel.transcript(),
@@ -975,10 +976,55 @@ def test_matmul_shared_frame(codec):
     assert got == pytest.approx(expect, abs=(k + 2) * 2.0 ** -codec.f)
 
 
+@pytest.mark.parametrize("codec", [FixedPointCodec(), FixedPointCodec(l=32, f=12),
+                                   FixedPointCodec(l=40, f=16)],
+                         ids=lambda c: f"l{c.l}")
+def test_matmul_shared_opens_every_product_in_one_frame(codec):
+    # two products in one call: one frame of every operand's opening, and
+    # the outputs of one call per product (test_matmul_shared_matches_plain
+    # checks those) given the same triples
+    shapes = [(2, 3, 4), (3, 2, 1)]
+    sizes = [m * k + k * n for m, k, n in shapes]
+    rng = random.Random(16)
+    plain = [quantize(rng.uniform(-4, 4), codec) for _ in range(sum(sizes))]
+    shares = [make_shares(v, codec, rng) for v in plain]
+
+    def products(values, triples):
+        out = []
+        for (m, k, n), triple in zip(shapes, triples):
+            out.append((values[:m * k], values[m * k:m * k + k * n], triple,
+                        (m, k, n)))
+            values = values[m * k + k * n:]
+        return out
+
+    def together(party, values, channel, stream):
+        triples = [stream.take_matrix(*shape) for shape in shapes]
+        return [v for out in matmul_shared(party, products(values, triples),
+                                           channel, codec) for v in out]
+
+    def apart(party, values, channel, stream):
+        triples = [stream.take_matrix(*shape) for shape in shapes]
+        return [v for product in products(values, triples)
+                for v in matmul_shared(party, [product], channel, codec)[0]]
+
+    runs = [run_session(fn, [p[0].value for p in shares],
+                        [p[1].value for p in shares],
+                        DealerState(codec, seed=17))
+            for fn in (together, apart)]
+    assert runs[0][0] == runs[1][0]
+    for stats in runs[0][1:]:
+        assert (stats.frames, stats.rounds) == (1, 1)
+        assert stats.payload_bytes == sum(sizes) * codec.element_bytes
+    assert [stats.rounds for stats in runs[1][1:]] == [2, 2]
+
+
 def test_matmul_shape_validation(codec):
     a, _ = open_inproc()
     dealer = DealerState(codec, seed=12)
     sc, _ = dealer.pair_streams()
     with pytest.raises(UsageError):
-        matmul_shared(CLIENT, [0] * 5, [0] * 4, sc.take_matrix(2, 2, 2),
-                      2, 2, 2, a, codec)
+        matmul_shared(CLIENT, [([0] * 5, [0] * 4, sc.take_matrix(2, 2, 2),
+                                (2, 2, 2))], a, codec)
+    # no products would send an empty frame for nothing
+    with pytest.raises(UsageError):
+        matmul_shared(CLIENT, [], a, codec)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rootshare import transport
-from rootshare.bench import ENCODER_SITE_BANDS, EncoderSites
+from rootshare.encoder import ENCODER_SITE_BANDS, EncoderSites
 from rootshare.config import DEFAULT_CONFIG
 from rootshare.errors import ConfigError, RangeError, TransportError, \
     UnsupportedValueError
@@ -596,3 +596,12 @@ def test_closeness_sweep_row_bookkeeping():
 def test_closeness_sweep_validation():
     with pytest.raises(ConfigError):
         closeness_sweep(gaps=(0,), trials=0)
+
+
+@pytest.mark.parametrize("gaps", [(-3, -1), (0, -1), ()],
+                         ids=["negative", "one-negative", "empty"])
+def test_closeness_sweep_refuses_gaps_it_cannot_build(gaps):
+    # a share pair cannot sit a negative number of octaves apart, and no
+    # gap gives no rows
+    with pytest.raises(ConfigError, match="non-negative exponent gaps"):
+        closeness_sweep(gaps=gaps, trials=2)
