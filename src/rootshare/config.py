@@ -29,8 +29,8 @@ class ProtocolConfig:
     sampler_log2_std: float = 0.45
 
     def __post_init__(self):
-        if self.sampler_log2_std < 0:
-            raise ConfigError("sampler spread must be non-negative")
+        if not self.sampler_log2_std > 0:
+            raise ConfigError("sampler_log2_std must be positive")
 
     def with_site(self, site: Site) -> "ProtocolConfig":
         """This configuration at one call site: same codec and flood

@@ -65,8 +65,9 @@ class EncoderSites:
     flooded inverse square roots stay within 1e-2 of 1/sqrt(x). A slope
     saves an iteration where a flat seed at any E_m within 3 misses at the
     same count. The softmax denominator's band moves with seq_len, and
-    layernorm 2 feeds the output, so both keep a flat seed. The slopes
-    were fitted under ring._truncate's rule.
+    layernorm 2 feeds the output, so both keep a flat seed. The slopes,
+    fitted when the client's truncation rounded, still cover their bands
+    under ring._truncate's floor-and-ceiling rule.
     """
 
     softmax_num: Site = (128.64, 3, 0.008)

@@ -7,16 +7,17 @@ correlated masks: each operand is opened once as a masked difference, and
 every product of opened operands is then local, given the dealer's share
 of the product of their masks. A fresh pair costs one round and two ring
 elements on the wire; a square, or a product with an operand opened
-before, costs less. A local probabilistic shift truncates the doubled
-scale away; _truncate is the one place that rule is written. run_session
-runs one protocol for both parties over a fresh channel and decodes its
-outputs. Every step but the elementwise products works on a whole batch
-at once, held as one integer (_Lanes); a matrix product takes one
-big-integer multiply-add per inner index and output row, on rows held in
-lanes wide enough for its sums. Every Beaver product, elementwise or
-matrix, opens its operands through one step (_open), and each Beaver call
-reduces its products as it forms them and truncates all of them as one
-lane form. The shares that pass between steps are reduced ring elements,
+before, costs less. A local probabilistic shift, a floor on the client
+and a ceiling on the server, truncates the doubled scale away; _truncate
+is the one place that rule is written. run_session runs one protocol for
+both parties over a fresh channel and decodes its outputs. Every step
+but the elementwise products works on a whole batch at once, held as one
+integer (_Lanes); a matrix product takes one big-integer multiply-add
+per inner index and output row, on rows held in lanes wide enough for
+its sums. Every Beaver product, elementwise or matrix, opens its
+operands through one step (_open), and each Beaver call reduces its
+products as it forms them and truncates all of them as one lane form.
+The shares that pass between steps are reduced ring elements,
 0 <= v < 2^l.
 """
 
@@ -258,42 +259,33 @@ _lanes = lru_cache(maxsize=32)(_Lanes)     # masks made once per (codec, count)
 
 def _truncate(party: str, x: int, lanes: _Lanes, t: int) -> int:
     """The truncation rule on the lane form x of reduced ring elements,
-    by 2^t, 1 <= t <= l: the client takes (v >> t) + bit_(t-1)(v), the
-    server shifts the negated complement, -((-v mod 2^l) >> t)."""
+    by 2^t, 1 <= t <= l: the client floors, v >> t, and the server takes
+    the ceiling, -((-v mod 2^l) >> t), so the pair is unbiased."""
     kept = lanes.one * ((1 << (lanes.codec.l - t)) - 1)
     if party == CLIENT:
-        return ((x >> t) & kept) + ((x >> (t - 1)) & lanes.one)
+        return (x >> t) & kept
     return lanes.neg((lanes.neg(x) >> t) & kept)
 
 
-def truncate_local(party: str, values, codec: FixedPointCodec,
-                   shift: int | None = None):
-    """Local probabilistic truncation of one party's shares by 2^shift
-    (default 2^f).
+def truncate_local(party: str, values, codec: FixedPointCodec):
+    """Local probabilistic truncation of one party's shares by 2^f.
 
     Correct within one unit of the truncated scale, except with probability
     about |value| / 2^(l-1) of a large wrap error, where value is the ring
-    magnitude being truncated. The client rounds: it takes
-    (v >> shift) + bit_(shift-1)(v). The server shifts the negated
-    complement. Inputs may be any integers; they are reduced mod 2^l first,
-    as v & (2^l - 1), then packed and truncated by _truncate, the one place
-    the rule is written; callers holding reduced lane forms call _truncate
-    directly. The client reduces before rounding: reducing after would
-    change the result wherever v mod 2^l >= 2^l - 2^(shift-1).
+    magnitude being truncated. The client floors, v >> f; the server takes
+    the ceiling. Inputs may be any integers; they are reduced mod 2^l
+    first, as v & (2^l - 1), then packed and truncated by _truncate, the
+    one place the rule is written; callers holding reduced lane forms, or
+    truncating by another power of two, call _truncate directly.
     Returns the shares as _Lanes.unpack gives them: an array of the element
     width, or a list where no array typecode has it.
     """
-    t = codec.f if shift is None else shift
-    if not 0 <= t <= codec.l:
-        raise UsageError(f"shift {t} outside 0..l = {codec.l}")
-    if t == 0:
-        return list(values)
     if party not in PARTIES:
         raise UsageError(f"unknown party {party!r}")
     ones = codec.modulus - 1
     lanes = _lanes(codec, len(values))
-    return lanes.unpack(
-        _truncate(party, lanes.pack([v & ones for v in values]), lanes, t))
+    return lanes.unpack(_truncate(
+        party, lanes.pack([v & ones for v in values]), lanes, codec.f))
 
 
 def _repeat(values, group: int):
@@ -351,8 +343,7 @@ class TripleStream:
     dealer, makes every batch in the dealer's draw order, and it keeps its
     own half: the client's draws, or on the server the full values minus
     them, so only the server forms products. kinds logs each request (one
-    batch) for run_session; issued counts items: one per product a batch
-    can form and per zero share, and one per matrix triple."""
+    batch) for run_session."""
 
     def __init__(self, dealer: DealerState, party: str):
         if party not in PARTIES:
@@ -361,7 +352,6 @@ class TripleStream:
         self.party = party
         self._rng = random.Random(dealer.seed)
         self.kinds = []
-        self.issued = 0
 
     def _draws(self, count: int):
         """count uniform l-bit draws. At l = 32 or 64 one wide getrandbits
@@ -417,12 +407,10 @@ class TripleStream:
             return [u * v & ones for u, v in zip(x, y)]
 
         if kind[0] == "scalar":
-            self.issued += kind[1]
             r = self._draws(5 * kind[1])
             return self._half((r[2::5], r[3::5], r[4::5]), lambda: (
                 r[0::5], r[1::5], products(r[0::5], r[1::5])))
         if kind[0] == "square":
-            self.issued += kind[1]
             r = self._draws(3 * kind[1])
             return self._half((r[1::3], r[2::3]), lambda: (
                 r[0::3], products(r[0::3], r[0::3])))
@@ -438,7 +426,6 @@ class TripleStream:
             if tail:
                 q, rho = self._masks(count), self._masks(count)
                 own += [self._draws(count) for _ in range(4)]
-            self.issued += size + count * squares + 2 * count * tail
 
             def fulls():
                 out = [b, a, products(a, _repeat(b, group))]
@@ -453,11 +440,9 @@ class TripleStream:
 
             return self._half(own, fulls)
         if kind[0] == "zero":
-            self.issued += kind[1]
             return self._half((self._draws(kind[1]),),
                               lambda: ([0] * kind[1],))[0]
         m, k, n = kind[1:]
-        self.issued += 1
         a, b = self._masks(m * k), self._masks(k * n)
         own = [self._draws(size) for size in (m * k, k * n, m * n)]
         return self._half(own, lambda: (

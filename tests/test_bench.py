@@ -264,6 +264,21 @@ def test_encoder_shared_matches_plain():
     assert info["rounds"] == 53
 
 
+def test_encoder_closes_over_a_pool_of_mask_draws():
+    # criterion 9's fixture, its weights and inputs fixed, under 30 draws
+    # of the input split, dealer and flood masks: every draw stays within
+    # 1e-2 of the plain pass, not only the one criterion 9 checks
+    cfg = ToyEncoderConfig()
+    weights, x = generate_weights(cfg), _fixture_rows(cfg)
+    want = toy_encoder_infer(cfg, x, mode="plain", weights=weights)
+    for seed in range(30):
+        got, _ = toy_encoder_infer(ToyEncoderConfig(seed=seed), x,
+                                   mode="shared", weights=weights)
+        worst = max(abs(g - w) for gr, wr in zip(got, want)
+                    for g, w in zip(gr, wr))
+        assert worst <= 1e-2, f"mask draw {seed}: {worst:.2e}"
+
+
 @pytest.mark.parametrize("shape", [
     {"heads": 1}, {"heads": 2}, {"heads": 4},
     {"seq_len": 16, "model_dim": 32, "ffn_dim": 64, "heads": 2}],

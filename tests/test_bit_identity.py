@@ -27,11 +27,11 @@ RSQRT_ELEMENTS = 2000
 RSQRT_INPUT_SEED = 7
 RSQRT_DEALER_SEED = 911
 RSQRT_DIGEST = (
-    "b8a4068c567b05e51fa8fa9e91fdeef7e3075a2ea46f79e574a8c033eb8c5a59")
+    "0bdcdc6af1ee873d08816865cf0bd55664aa1425f07b2fc81a0dc4579efcaf8d")
 RSQRT_STATS = (CommStats(208032, 208000, 8, 8),
                CommStats(208032, 208000, 8, 8))
 ENCODER_DIGEST = (
-    "407d7b2282e573b523911e8d412ebf1e23c12c787d86f92871df9e6130d2ee08")
+    "2c5737dc9bd3389c3925a55b09d673f7f1982eb7cd2b21e24b11af0849fe187a")
 ENCODER_STATS = (CommStats(52416, 52224, 48, 53),
                  CommStats(55188, 54976, 53, 53))
 
@@ -82,7 +82,7 @@ L32_ROW = 4
 L32_INPUT_SEED = 32
 L32_DEALER_SEED = 3212
 L32_DIGEST = (
-    "738ab137dc32491df6dd18678cd8a82ea14bdc076c8dcdd141fbe62096ccb09a")
+    "6b7aa44ead07e148e856a2bb82d0a3cad9bce0358c01324adff656346ab96a80")
 L32_STATS = (CommStats(10212, 10200, 3, 3),
              CommStats(10212, 10200, 3, 3))
 
@@ -127,8 +127,8 @@ MATRIX_SHAPES = ((1, 1, 1), (3, 5, 4), (8, 16, 32), (2, 64, 3))
 MATRIX_INPUT_SEED = 4096
 MATRIX_DEALER_SEED = 6464
 MATRIX_DIGESTS = {
-    32: "a1e62ce84ac5f51f0d63abccd5bf4a0136da1f57b5af95f997c7035d113a1b23",
-    40: "bcc3d043d28e7929964b7b20bf801bebbb3a8b65224af1f3d871d30ead81aac3"}
+    32: "428dbcf0df1fbbb465bd65984631242941f98e0b5d3506ac5c92fe7dc336b115",
+    40: "279c33e3ad7c375f51bccdd300d970e5f457bc80958139b2303332cba3755843"}
 MATRIX_STATS = {32: (CommStats(4004, 3988, 4, 4),) * 2,
                 40: (CommStats(5001, 4985, 4, 4),) * 2}
 

@@ -37,6 +37,14 @@ def test_constituents_must_agree():
         ProtocolConfig(sampler_log2_std=-0.1)
 
 
+@pytest.mark.parametrize("std", ["0", "-0.0", "nan"])
+def test_sampler_spread_is_refused_at_load_unless_positive(std):
+    # the sampler refuses a spread of 0 too, so a file that sets it fails
+    # when loaded, naming its key, and not later inside a command
+    with pytest.raises(ConfigError, match="sampler_log2_std"):
+        config_from_mapping({"sampler_log2_std": std})
+
+
 def test_with_site_overrides():
     # a site is one (E_m, iterations, slope) triple, applied whole
     cfg = DEFAULT_CONFIG.with_site((127.24, 2, 0.0358))

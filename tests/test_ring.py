@@ -280,14 +280,16 @@ def test_truncate_zero(codec):
         assert abs(got) <= 1
 
 
-def test_truncate_shift_zero_is_identity(codec):
-    assert truncate_local(CLIENT, [12345], codec, 0) == [12345]
-    with pytest.raises(UsageError):
-        truncate_local(CLIENT, [12345], codec, -1)
-    with pytest.raises(UsageError):
-        truncate_local(CLIENT, [12345], codec, codec.l + 1)
+def test_truncate_refuses_unknown_party(codec):
     with pytest.raises(UsageError):
         truncate_local("nobody", [12345], codec)
+
+
+def _lane_truncate(party, values, codec, shift):
+    """_truncate by 2^shift on the lane form of reduced values, as a list."""
+    lanes = _lanes(codec, len(values))
+    return list(lanes.unpack(
+        _truncate(party, lanes.pack(values), lanes, shift)))
 
 
 @PROPERTY
@@ -297,45 +299,64 @@ def test_truncate_local_error_bound(codec, data):
     # mask - (mask - v) = v, unless the mask lies in the documented wrap
     # region (below v for v >= 0, at or above 2^l + v for v < 0; probability
     # |v| / 2^l), where it opens to v -+ 2^l. Either way the truncated pair
-    # reconstructs to the rounded quotient of what it opens to, or one above.
+    # reconstructs to the floor of the quotient of what it opens to, or
+    # its ceiling: the client floors and the server takes the ceiling.
     mod = codec.modulus
     v = data.draw(st.integers(-(mod // 2), mod // 2 - 1))
     mask = data.draw(st.integers(0, mod - 1))
     if data.draw(st.booleans()):    # reach the top of the ring too
         mask = mod - 1 - mask
     shift = data.draw(st.integers(1, codec.f))
-    (tc,) = truncate_local(CLIENT, [mask], codec, shift)
-    (ts,) = truncate_local(SERVER, [(v - mask) % mod], codec, shift)
+    (tc,) = _lane_truncate(CLIENT, [mask], codec, shift)
+    (ts,) = _lane_truncate(SERVER, [(v - mask) % mod], codec, shift)
     opened = v
     if 0 <= v and mask < v:
         opened = v - mod
     elif v < 0 and mask >= mod + v:
         opened = v + mod
     unit = 1 << shift
-    nearest = (2 * opened + unit) // (2 * unit)
-    assert (tc + ts - nearest) % mod in (0, 1)
+    assert (tc + ts - opened // unit) % mod in (0, 1 if opened % unit else 0)
 
 
 @PROPERTY
 @given(RINGS, st.data())
 def test_truncate_local_matches_its_definition(codec, data):
-    # Both parties' rules, pinned as arithmetic on v mod 2^l, at the
-    # values where a reduction in the wrong place shows: v = 0 and -1,
-    # and the top 2^(shift-1) residues, where adding half carries out of
-    # the ring; inputs need not be reduced.
+    # Both parties' rules, pinned as arithmetic on reduced v at every
+    # shift from 1 to l, at v = 0 and -1, and in the ring's last unit, the
+    # top 2^shift residues.
     mod = codec.modulus
-    shift = data.draw(st.integers(1, codec.f))
-    top = st.integers(mod - (1 << (shift - 1)), mod - 1)
-    residue = st.one_of(st.integers(0, mod - 1), st.sampled_from([0, mod - 1]),
-                        top)
-    values = data.draw(st.lists(
-        st.builds(lambda r, k: r + k * mod, residue, st.integers(-2, 2)),
+    shift = data.draw(st.integers(1, codec.l))
+    top = st.integers(mod - (1 << shift), mod - 1)
+    values = data.draw(st.lists(st.one_of(
+        st.integers(0, mod - 1), st.sampled_from([0, mod - 1]), top),
         min_size=1, max_size=8))
     unit = 1 << shift
-    assert list(truncate_local(CLIENT, values, codec, shift)) == [
-        (v % mod + unit // 2) // unit for v in values]
-    assert list(truncate_local(SERVER, values, codec, shift)) == [
+    assert _lane_truncate(CLIENT, values, codec, shift) == [
+        v // unit for v in values]
+    assert _lane_truncate(SERVER, values, codec, shift) == [
         (mod - (-v % mod) // unit) % mod for v in values]
+
+
+def test_truncation_error_is_centred():
+    # The client's floor and the server's ceiling round v / 2^t up with
+    # probability its fraction, over a uniform mask, so the pair carries no
+    # bias; rounding on the client as well would add about half a unit.
+    # 20,000 seeded splits of signed values below 2^40 at l = 64
+    codec = FixedPointCodec()
+    mod = codec.modulus
+    rng = random.Random(29)
+    values = [rng.randrange(-(1 << 40), 1 << 40) for _ in range(20_000)]
+    masks = [rng.getrandbits(codec.l) for _ in values]
+    server = [(v - m) % mod for v, m in zip(values, masks)]
+    for shift in (1, codec.f):
+        errors = []
+        for v, c, s in zip(values, _lane_truncate(CLIENT, masks, codec, shift),
+                           _lane_truncate(SERVER, server, codec, shift)):
+            got = (c + s + mod // 2) % mod - mod // 2
+            errors.append(got - v / (1 << shift))
+        assert abs(sum(errors) / len(errors)) <= 0.05
+        if shift == 1:
+            assert max(map(abs, errors)) <= 0.5
 
 
 def test_truncate_wrap_rate_within_documented_bound():
@@ -382,9 +403,9 @@ def _check_lanes(codec, xs, ys, shift):
         (u - v) % mod for u, v in zip(xs, ys)]
     assert list(lanes.unpack(lanes.neg(x))) == [-u % mod for u in xs]
     assert lanes.decode(x) == [codec.decode(u) for u in xs]
-    assert list(truncate_local(CLIENT, xs, codec, shift)) == [
-        (u >> shift) + (u >> (shift - 1) & 1) for u in xs]
-    assert list(truncate_local(SERVER, xs, codec, shift)) == [
+    assert _lane_truncate(CLIENT, xs, codec, shift) == [
+        u >> shift for u in xs]
+    assert _lane_truncate(SERVER, xs, codec, shift) == [
         -(-u % mod // unit) % mod for u in xs]
 
 
@@ -570,8 +591,6 @@ def test_fixed_mask_squares_only_leading_slots(codec, count, group, data):
         assert (len(q), len(rho)) == (count, count)
         assert qa == [x * y % mod for x, y in zip(q, a[group - 1::group])]
         assert rho_q == [x * y % mod for x, y in zip(rho, q)]
-    assert sc.issued == ss.issued == (count * group + count * squares
-                                      + 2 * count * tail)
     with pytest.raises(UsageError):
         sc.take_fixed_mask(count, group, group + 1)
 
@@ -620,7 +639,7 @@ def _reference_product(party, kind, group, own, peer, codec):
              + (dx[t] * dy[t // group] if server else 0)
              for t in range(len(c))]
     out, unit = list(truncate_local(party, z, codec)), codec.scale
-    assert out == [(v % mod + unit // 2) // unit if not server
+    assert out == [v % mod // unit if not server
                    else (mod - (-v % mod) // unit) % mod for v in z]
     return out
 
@@ -689,16 +708,16 @@ def test_fused_products_match_per_kind_truncation(codec, data):
 @PROPERTY
 @given(st.sampled_from(LANE_CODECS), st.sampled_from(PARTIES), st.data())
 def test_truncate_local_is_the_lane_rule(codec, party, data):
-    # on reduced input, truncate_local is _truncate on the packed form, at
-    # every shift from 1 to l
+    # truncate_local reduces any integers mod 2^l, then is _truncate by
+    # 2^f on their packed form
     mod = codec.modulus
-    values = data.draw(st.lists(st.one_of(
-        st.integers(0, mod - 1), st.sampled_from([0, 1, mod // 2, mod - 1])),
+    residue = st.one_of(st.integers(0, mod - 1),
+                        st.sampled_from([0, 1, mod // 2, mod - 1]))
+    values = data.draw(st.lists(
+        st.builds(lambda r, k: r + k * mod, residue, st.integers(-2, 2)),
         max_size=24))
-    shift = data.draw(st.integers(1, codec.l))
-    lanes = _lanes(codec, len(values))
-    assert list(truncate_local(party, values, codec, shift)) == list(
-        lanes.unpack(_truncate(party, lanes.pack(values), lanes, shift)))
+    assert list(truncate_local(party, values, codec)) == _lane_truncate(
+        party, [v % mod for v in values], codec, codec.f)
 
 
 # ----------------------------------------------------------------- dealer
@@ -811,7 +830,7 @@ def test_dealer_makes_one_request_per_take(codec):
 
 
 def test_dealer_releases_every_batch_after_a_session(codec):
-    # each party counts its own items; the dealer keeps nothing but its
+    # each party logs its own batches; the dealer keeps nothing but its
     # codec, its seed and that it has paired
     dealer = DealerState(codec, seed=6)
     streams = []
@@ -826,7 +845,8 @@ def test_dealer_releases_every_batch_after_a_session(codec):
     xc, xs = split_values([1.5, -2.0, 3.0], codec, random.Random(6))
     got, _, _ = run_session(party_fn, xc, xs, dealer)
     assert got == pytest.approx([2.25, 4.0, 9.0], abs=2 ** -12)
-    assert [stream.issued for stream in streams] == [6, 6]
+    assert [stream.kinds for stream in streams] == [
+        [("zero", 3), ("scalar", 3)]] * 2
     assert vars(dealer) == {"codec": codec, "seed": 6, "_paired": True}
 
 

@@ -417,7 +417,7 @@ def test_pipeline_worked_example():
     results, st_c, st_s = run_shared_rsqrt(
         [(c.value, s.value)], codec, SeedParams(), NewtonConfig(iterations=4),
         dealer_seed=0)
-    assert results[0] == 0.5679473876953125
+    assert results[0] == 0.567962646484375
     assert abs(results[0] - 1.0 / math.sqrt(3.1)) <= 1e-4
     # the flooded conversion is free: 2 rounds per iteration, opening x/2
     # and y, then 2 elements in the first, and y, then 2 elements after it
