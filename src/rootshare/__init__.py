@@ -5,10 +5,10 @@ non-linear layers, and counted-communication benchmarks."""
 from .errors import ConfigError, ConstructionError, ProtocolError, \
     RangeError, RootshareError, TransportError, UnsupportedValueError, \
     UsageError
-from .ring import CLIENT, SERVER, PARTIES, DealerState, FixedPointCodec, \
-    Masked, RingShare, TripleStream, beaver_mul_batch, linear_combine, \
-    make_shares, matmul_shared, reconstruct, reconstruct_raw, run_session, \
-    split_values, truncate_local
+from .ring import CLIENT, SERVER, PARTIES, Channel, DealerState, \
+    FixedPointCodec, Masked, RingShare, TripleStream, beaver_mul_batch, \
+    linear_combine, make_shares, matmul_shared, reconstruct, reconstruct_raw, \
+    run_session, split_values, truncate_local
 from .floatbits import FloatBits, SignedBitsInteger, compose, decompose, \
     pack_integer, to_binary32, unpack_integer
 from .transport import CommStats, Endpoint, InprocEndpoint, SocketEndpoint, \

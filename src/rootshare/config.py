@@ -1,6 +1,7 @@
 """Protocol configuration: one object tying codec, seed, flooding and
 Newton settings together, plus a small key=value file loader for the CLI."""
 
+import math
 import os
 from dataclasses import dataclass, replace
 
@@ -29,6 +30,9 @@ class ProtocolConfig:
     sampler_log2_std: float = 0.45
 
     def __post_init__(self):
+        for key in ("sampler_log2_mean", "sampler_log2_std"):
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigError(f"{key} must be finite")
         if not self.sampler_log2_std > 0:
             raise ConfigError("sampler_log2_std must be positive")
 

@@ -19,7 +19,7 @@ from .config import DEFAULT_CONFIG, ProtocolConfig, Site
 from .nonlinear import GELU_PARAMS, add_public_values, layernorm_plain, \
     layernorm_shared, scalar_mul_values, smu_plain, smu_shared_batch, \
     softmax_star_plain, softmax_star_shared
-from .ring import CLIENT, SERVER, DealerState, matmul_shared, run_session, \
+from .ring import CLIENT, DealerState, matmul_shared, run_session, \
     split_values
 
 
@@ -240,19 +240,19 @@ def _encoder_shared(cfg: ToyEncoderConfig, x_rows, weights,
     matmul_bytes = {}
     rsqrt_elements = {}
 
-    def party_fn(party, w, ep, stream):
-        flood_rng = random.Random(cfg.seed + 303) if party == SERVER else None
+    def party_fn(party, w, channel):
         matmul_bytes[party] = 0
         mod = codec.modulus
 
         def mm(*products):
             """Every (A, B, (m, k, n)) product in one round, a triple
             each, in order; one output list per product."""
-            before = ep.stats().bytes_sent
-            out = matmul_shared(party, [(a, b, stream.take_matrix(*shape),
+            before = channel.stats().bytes_sent
+            out = matmul_shared(party, [(a, b,
+                                         channel.triples.take_matrix(*shape),
                                          shape) for a, b, shape in products],
-                                ep, codec)
-            matmul_bytes[party] += ep.stats().bytes_sent - before
+                                channel)
+            matmul_bytes[party] += channel.stats().bytes_sent - before
             return out
 
         (qkv,) = mm((w["x"], w["wqkv"], (s, d, 3 * d)))
@@ -262,36 +262,34 @@ def _encoder_shared(cfg: ToyEncoderConfig, x_rows, weights,
                       for qh, kh in zip(q, k)))
         scores = scalar_mul_values(party, [c for sc in scores for c in sc],
                                    1.0 / math.sqrt(dh), codec)
-        att = softmax_star_shared(party, scores, ep, protocol, stream,
-                                  flood_rng, sites.softmax_num,
-                                  sites.softmax_den, s)
+        att = softmax_star_shared(party, scores, channel, protocol,
+                                  sites.softmax_num, sites.softmax_den, s)
         ctx = mm(*((att[h * s * s:(h + 1) * s * s], vh, (s, s, dh))
                    for h, vh in enumerate(v)))
         (attn,) = mm((_merge_heads(ctx, s, d), w["wo"], (s, d, d)))
         h0 = [(a + b) % mod for a, b in zip(w["x"], attn)]
         h1 = layernorm_shared(party, h0, weights["ln1_gamma"],
-                              weights["ln1_beta"], ep,
-                              protocol.with_site(sites.ln1), stream, flood_rng)
+                              weights["ln1_beta"], channel,
+                              protocol.with_site(sites.ln1))
         (pre,) = mm((h1, w["w1"], (s, d, f)))
         pre = add_public_values(party, pre, weights["b1"] * s, codec)
-        act = smu_shared_batch(party, pre, GELU_PARAMS, ep,
-                               protocol.with_site(sites.ffn), stream,
-                               flood_rng)
+        act = smu_shared_batch(party, pre, GELU_PARAMS, channel,
+                               protocol.with_site(sites.ffn))
         (f2,) = mm((act, w["w2"], (s, f, d)))
         f2 = add_public_values(party, f2, weights["b2"] * s, codec)
         h2 = [(a + b) % mod for a, b in zip(h1, f2)]
         out = layernorm_shared(party, h2, weights["ln2_gamma"],
-                               weights["ln2_beta"], ep,
-                               protocol.with_site(sites.ln2), stream,
-                               flood_rng)
+                               weights["ln2_beta"], channel,
+                               protocol.with_site(sites.ln2))
         # one zero share per inverse-sqrt element, and none elsewhere
-        rsqrt_elements[party] = sum(kind[1] for kind in stream.kinds
+        rsqrt_elements[party] = sum(kind[1] for kind in channel.triples.kinds
                                     if kind[0] == "zero")
         return out
 
     flat, stats_c, stats_s = run_session(
         party_fn, {name: pair[0] for name, pair in halves.items()},
-        {name: pair[1] for name, pair in halves.items()}, dealer, transport)
+        {name: pair[1] for name, pair in halves.items()}, dealer, transport,
+        flood_seed=cfg.seed + 303)
     rows = [flat[i * d:(i + 1) * d] for i in range(s)]
     total = stats_c.bytes_sent + stats_s.bytes_sent
     matmul = sum(matmul_bytes.values())

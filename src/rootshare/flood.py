@@ -12,12 +12,13 @@ failures at chosen exponent gaps, and the synthetic activation sampler
 standing in for measured model activations.
 """
 
+import math
 import random
 from dataclasses import dataclass
 
 from .errors import ConfigError, ConstructionError, RangeError
 from .floatbits import decompose, to_binary32
-from .ring import CLIENT, SERVER, FixedPointCodec, RingShare, _lanes
+from .ring import CLIENT, SERVER, Channel, FixedPointCodec, RingShare, _lanes
 
 
 @dataclass(frozen=True)
@@ -31,8 +32,9 @@ class FloodConfig:
     mask_spread: float = 2048.0
 
     def __post_init__(self):
-        if self.F <= 0:
-            raise ConfigError("flood constant must be positive")
+        if not 0 < self.F < math.inf:
+            raise ConfigError(
+                f"flood constant F={self.F} must be positive and finite")
         if not 0 < self.mask_spread < self.F / 2:
             raise ConfigError("mask_spread must lie in (0, F/2)")
 
@@ -62,20 +64,21 @@ def shares_from_floats(fc: float, fs: float, codec: FixedPointCodec):
             RingShare(SERVER, codec.encode(fs)))
 
 
-def flood_reshare_batch(party: str, values, channel, codec: FixedPointCodec,
-                        cfg: FloodConfig, rng: random.Random | None = None):
+def flood_reshare_batch(party: str, values, channel: Channel,
+                        cfg: FloodConfig):
     """Refresh a batch of shares so the float views are flooded.
 
     Shares coming out of a multiplication are uniform, not flooded. The
-    server draws fresh flooded masks and sends the batch of differences
-    (its old shares minus the encoded masks) to the client: one frame of
-    len(values) ring elements, one round, server to client only. The
-    reconstructed values are unchanged.
+    server draws fresh flooded masks from channel.rng and sends the batch
+    of differences (its old shares minus the encoded masks) to the client:
+    one frame of len(values) ring elements, one round, server to client
+    only. The reconstructed values are unchanged.
     """
+    codec, rng = channel.codec, channel.rng
     lanes = _lanes(codec, len(values))
     if party == SERVER:
         if rng is None:
-            raise ConfigError("the server side of a reshare needs an rng")
+            raise ConfigError("server reshares need run_session's flood_seed")
         masks = [codec.encode(draw_flood_mask(cfg, rng)) for _ in values]
         deltas = lanes.sub(lanes.pack(values), lanes.pack(masks))
         channel.send_frame(deltas.to_bytes(lanes.size, "little"))
@@ -141,5 +144,9 @@ class ActivationSampler:
     def sample(self, count: int):
         if count < 0:
             raise RangeError("sample count must be non-negative")
-        return [2.0 ** self._rng.gauss(self.log2_mean, self.log2_std)
-                for _ in range(count)]
+        try:
+            return [2.0 ** self._rng.gauss(self.log2_mean, self.log2_std)
+                    for _ in range(count)]
+        except OverflowError:
+            raise RangeError("a sampled activation overflows; lower "
+                             "sampler_log2_mean or sampler_log2_std") from None

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .errors import ConfigError, UsageError
 from .config import ProtocolConfig, Site
 from .flood import flood_reshare_batch
-from .ring import SERVER, DealerState, FixedPointCodec, Masked, \
+from .ring import SERVER, Channel, DealerState, FixedPointCodec, Masked, \
     beaver_mul_batch, run_session, split_values, truncate_local
 from .rsqrt import rsqrt_shared_batch
 
@@ -26,7 +26,7 @@ S_FLOOR = 2.0 ** -12
 SOFTMAX_EPS = 2.0 ** -12
 LAYERNORM_EPS = 1e-5
 
-# The standalone layers' sites; the encoder's are bench.EncoderSites
+# The standalone layers' sites; the encoder's are encoder.EncoderSites
 SOFTMAX_NUM: Site = (130, 16, 0.0)
 SOFTMAX_DEN: Site = (131, 16, 0.0)
 LAYERNORM: Site = (127, 8, 0.0)
@@ -122,27 +122,26 @@ def add_public_values(party: str, values, const, codec: FixedPointCodec):
     return [(v + encoded[c]) & ones for v, c in zip(values, const)]
 
 
-def _square(party: str, values, triples, channel, codec: FixedPointCodec):
+def _square(party: str, values, channel: Channel):
     """Elementwise squares: each share opened once, against a square's
     mask a, and the product formed from (a, a^2)."""
-    a, aa = triples.take_squares(len(values))
+    a, aa = channel.triples.take_squares(len(values))
     x = Masked(values, a)
-    return beaver_mul_batch(party, (x,), (x,), (aa,), channel, codec)
+    return beaver_mul_batch(party, (x,), (x,), (aa,), channel)
 
 
-def _flooded_rsqrt(party: str, values, const, channel, cfg: ProtocolConfig,
-                   triples, rng, half_root: bool = False):
+def _flooded_rsqrt(party: str, values, const, channel: Channel,
+                   cfg: ProtocolConfig, half_root: bool = False):
     """Inverse square root (sqrt/2 with half_root) of values + const, the
     public const added server side and the sum re-flooded, at cfg's site."""
-    codec = cfg.codec
-    s = add_public_values(party, values, const, codec)
-    s = flood_reshare_batch(party, s, channel, codec, cfg.flood, rng)
-    return rsqrt_shared_batch(party, s, channel, codec, cfg.seed, cfg.newton,
-                              triples, flooded=True, half_root=half_root)
+    s = add_public_values(party, values, const, channel.codec)
+    s = flood_reshare_batch(party, s, channel, cfg.flood)
+    return rsqrt_shared_batch(party, s, channel, cfg.seed, cfg.newton,
+                              flooded=True, half_root=half_root)
 
 
-def smu_shared_batch(party: str, values, params: SmuParams, channel,
-                     cfg: ProtocolConfig, triples, rng=None):
+def smu_shared_batch(party: str, values, params: SmuParams, channel: Channel,
+                     cfg: ProtocolConfig):
     """Smooth maximum unit on a batch of shares.
 
     Chain: t = x^2 (one square), s = (1-alpha) t + max(mu^2, 2^-12)
@@ -157,13 +156,12 @@ def smu_shared_batch(party: str, values, params: SmuParams, channel,
     3 * iterations + 2 ring elements: 1 for the square, 3 * iterations + 1
     in Newton; the server adds one more for its reshare.
     """
-    codec = cfg.codec
-    sq = _square(party, values, triples, channel, codec)
+    codec = channel.codec
+    sq = _square(party, values, channel)
     if params.alpha != 0.0:
         sq = scalar_mul_values(party, sq, 1.0 - params.alpha, codec)
     floor = max(params.mu * params.mu, S_FLOOR)
-    half_root = _flooded_rsqrt(party, sq, floor, channel, cfg, triples, rng,
-                               half_root=True)
+    half_root = _flooded_rsqrt(party, sq, floor, channel, cfg, half_root=True)
     ax = scalar_mul_values(party, values, 0.5 * (1.0 + params.alpha), codec)
     mod = codec.modulus
     return [(a + b) % mod for a, b in zip(ax, half_root)]
@@ -182,10 +180,9 @@ def _row_sums(values, rows: int, row_len: int) -> list:
     return [sum(values[i * row_len:(i + 1) * row_len]) for i in range(rows)]
 
 
-def softmax_star_shared(party: str, row_values, channel,
-                        cfg: ProtocolConfig, triples, rng=None,
-                        num: Site = SOFTMAX_NUM, den: Site = SOFTMAX_DEN,
-                        row_len: int | None = None):
+def softmax_star_shared(party: str, row_values, channel: Channel,
+                        cfg: ProtocolConfig, num: Site = SOFTMAX_NUM,
+                        den: Site = SOFTMAX_DEN, row_len: int | None = None):
     """Attention-style normalization of rows of shares.
 
     row_values is a flat, row-major batch of rows of row_len shares each
@@ -200,21 +197,20 @@ def softmax_star_shared(party: str, row_values, channel,
     row keeps its own denominator, but all rows share each reshare, rsqrt
     batch and multiplication round, so r rows cost the rounds of one.
     """
-    codec = cfg.codec
     k = len(row_values) if row_len is None else row_len
     rows = _row_count(len(row_values), k)
     r = smu_shared_batch(party, row_values, RELU_PARAMS, channel,
-                         cfg.with_site(num), triples, rng)
+                         cfg.with_site(num))
     y = _flooded_rsqrt(party, _row_sums(r, rows, k), SOFTMAX_EPS, channel,
-                       cfg.with_site(den), triples, rng)
-    inv = _square(party, y, triples, channel, codec)
-    b, a, ab = triples.take_fixed_mask(rows, k)
+                       cfg.with_site(den))
+    inv = _square(party, y, channel)
+    b, a, ab = channel.triples.take_fixed_mask(rows, k)
     return beaver_mul_batch(party, (Masked(r, a),), (Masked(inv, b),), (ab,),
-                            channel, codec)
+                            channel)
 
 
-def layernorm_shared(party: str, row_values, gamma, beta, channel,
-                     cfg: ProtocolConfig, triples, rng=None):
+def layernorm_shared(party: str, row_values, gamma, beta, channel: Channel,
+                     cfg: ProtocolConfig):
     """Layer normalization of rows of shares with public gamma, beta.
 
     row_values is a flat, row-major batch of rows of len(gamma) shares.
@@ -227,7 +223,7 @@ def layernorm_shared(party: str, row_values, gamma, beta, channel,
     share each reshare, rsqrt batch and multiplication round, so r rows
     cost the rounds of one.
     """
-    codec = cfg.codec
+    codec = channel.codec
     k = len(gamma)
     if len(beta) != k:
         raise UsageError("gamma and beta must have the same length")
@@ -236,31 +232,29 @@ def layernorm_shared(party: str, row_values, gamma, beta, channel,
     means = scalar_mul_values(party, _row_sums(row_values, rows, k), 1.0 / k,
                               codec)
     centered = [(v - means[j // k]) % mod for j, v in enumerate(row_values)]
-    b, a, ab, aa = triples.take_fixed_mask(rows, k, squares=k)
+    b, a, ab, aa = channel.triples.take_fixed_mask(rows, k, squares=k)
     centered = Masked(centered, a)
-    sq = beaver_mul_batch(party, (centered,), (centered,), (aa,), channel,
-                          codec)
+    sq = beaver_mul_batch(party, (centered,), (centered,), (aa,), channel)
     var = scalar_mul_values(party, _row_sums(sq, rows, k), 1.0 / k, codec)
-    y = _flooded_rsqrt(party, var, LAYERNORM_EPS, channel, cfg, triples, rng)
+    y = _flooded_rsqrt(party, var, LAYERNORM_EPS, channel, cfg)
     normalized = beaver_mul_batch(party, (centered,), (Masked(y, b),), (ab,),
-                                  channel, codec)
+                                  channel)
     scaled = scalar_mul_values(party, normalized, list(gamma) * rows, codec)
     return add_public_values(party, scaled, list(beta) * rows, codec)
 
 
 def _run_layer(layer, inputs, cfg: ProtocolConfig, seed: int, **kwargs):
-    """layer(party, values, channel=, cfg=, triples=, rng=, **kwargs) over
-    a fresh session: inputs split with Random(seed), dealer at seed + 1,
-    the server's reshares at seed + 2. Returns (decoded outputs, client
+    """layer(party, values, channel=, cfg=, **kwargs) over a fresh session:
+    inputs split with Random(seed), dealer at seed + 1, the server's flood
+    masks at flood_seed = seed + 2. Returns (decoded outputs, client
     stats, server stats)."""
-    def party_fn(party, values, channel, triples):
-        rng = random.Random(seed + 2) if party == SERVER else None
-        return layer(party, values, channel=channel, cfg=cfg,
-                     triples=triples, rng=rng, **kwargs)
+    def party_fn(party, values, channel):
+        return layer(party, values, channel=channel, cfg=cfg, **kwargs)
 
     return run_session(party_fn, *split_values(inputs, cfg.codec,
                                                random.Random(seed)),
-                       DealerState(cfg.codec, seed=seed + 1))
+                       DealerState(cfg.codec, seed=seed + 1),
+                       flood_seed=seed + 2)
 
 
 def run_smu_shared(inputs, params: SmuParams, cfg: ProtocolConfig,

@@ -10,7 +10,7 @@ elements on the wire; a square, or a product with an operand opened
 before, costs less. A local probabilistic shift, a floor on the client
 and a ceiling on the server, truncates the doubled scale away; _truncate
 is the one place that rule is written. run_session runs one protocol for
-both parties over a fresh channel and decodes its outputs. Every step
+both parties, each over its Channel, and decodes its outputs. Every step
 but the elementwise products works on a whole batch at once, held as one
 integer (_Lanes); a matrix product takes one big-integer multiply-add
 per inner index and output row, on rows held in lanes wide enough for
@@ -30,7 +30,7 @@ from itertools import accumulate, chain, zip_longest
 from operator import mul
 
 from .errors import ConfigError, ProtocolError, RangeError, UsageError
-from .transport import run_pair
+from .transport import CommStats, Endpoint, run_pair
 
 CLIENT = "client"
 SERVER = "server"
@@ -498,13 +498,36 @@ class Masked:
         self.diff = None
 
 
-def _open(operands, channel, codec: FixedPointCodec):
+class Channel:
+    """One party's end of a session: its endpoint, the session's codec,
+    its replay of the dealer and, on the server, its flood generator.
+    Steps still take party as their own first argument, and the frame
+    methods look up the endpoint's at each call, because the benchmark's
+    tracer reads a step's party from its first argument and wraps
+    Endpoint's methods. Once it reads a trace instead, party can fold in."""
+
+    def __init__(self, endpoint: Endpoint, codec: FixedPointCodec,
+                 triples: "TripleStream", rng: random.Random | None = None):
+        self.endpoint, self.codec = endpoint, codec
+        self.triples, self.rng = triples, rng
+
+    def send_frame(self, payload: bytes) -> None:
+        self.endpoint.send_frame(payload)
+
+    def recv_frame(self) -> bytes:
+        return self.endpoint.recv_frame()
+
+    def stats(self) -> CommStats:
+        return self.endpoint.stats()
+
+
+def _open(operands, channel: Channel):
     """Open every Masked operand not opened yet, in one round: each party
     sends u - r for all of them in one frame, in order and once however
     often an operand appears, and keeps the public D = u - r in its diff.
     """
     fresh = {id(op): op for op in operands if op.diff is None}.values()
-    lanes = _lanes(codec, sum(len(op.values) for op in fresh))
+    lanes = _lanes(channel.codec, sum(len(op.values) for op in fresh))
     own = lanes.sub(lanes.pack(*(op.values for op in fresh)),
                     lanes.pack(*(op.mask for op in fresh)))
     channel.send_frame(own.to_bytes(lanes.size, "little"))
@@ -514,11 +537,11 @@ def _open(operands, channel, codec: FixedPointCodec):
 
 
 def beaver_mul_batch(party: str, x_values, y_values, triples,
-                     channel, codec: FixedPointCodec):
+                     channel: Channel):
     """Elementwise products of shared operands, one round total.
 
     Plain form: two batches of shares and this party's (a, b, c) from
-    TripleStream.take; x is opened against a, y against b.
+    channel.triples.take; x is opened against a, y against b.
 
     Correlated form: x_values and y_values are equal-length tuples of
     Masked operands, product i being x_values[i] * y_values[i], and
@@ -552,7 +575,8 @@ def beaver_mul_batch(party: str, x_values, y_values, triples,
             raise UsageError("batch inputs must have equal lengths, or y "
                              "one element per row of x")
         groups.append(group)
-    _open(chain.from_iterable(zip(x_values, y_values)), channel, codec)
+    _open(chain.from_iterable(zip(x_values, y_values)), channel)
+    codec = channel.codec
     ones = codec.modulus - 1
     z = []
     for x, y, c, group in zip(x_values, y_values, triples, groups):
@@ -574,12 +598,12 @@ def beaver_mul_batch(party: str, x_values, y_values, triples,
     return lanes.unpack(_truncate(party, lanes.pack(z), lanes, codec.f))
 
 
-def matmul_shared(party: str, products, channel, codec: FixedPointCodec):
+def matmul_shared(party: str, products, channel: Channel):
     """Shared matrix products, one round for all of them.
 
     products holds (a_values, b_values, triple, (m, k, n)) per product:
     this party's shares of A (m x k, row-major flat) and B (k x n), and
-    its (R_a, R_b, C) from TripleStream.take_matrix. _open opens every
+    its (R_a, R_b, C) from channel.triples.take_matrix. _open opens every
     Masked(A, R_a) and Masked(B, R_b) in a single frame, as D = A - R_a
     then E = B - R_b per product, in order. Each party forms its share of
     each product in one pass of wide lanes, C + [D | R_a] [R_b' ; E] mod
@@ -593,7 +617,8 @@ def matmul_shared(party: str, products, channel, codec: FixedPointCodec):
                          "with share sizes that match its shape")
     operands = [(Masked(a, ra), Masked(b, rb))
                 for a, b, (ra, rb, _), _ in products]
-    _open(chain.from_iterable(operands), channel, codec)
+    _open(chain.from_iterable(operands), channel)
+    codec = channel.codec
     outs = []
     for (a, b), (_, _, (ra, rb, rc), (m, k, n)) in zip(operands, products):
         if party == SERVER:
@@ -617,27 +642,30 @@ def _same_batches(pairs):
 
 
 def run_session(party_fn, client_values, server_values, dealer: DealerState,
-                transport: str = "inproc"):
-    """Run one two-party protocol over a fresh channel.
+                transport: str = "inproc", flood_seed: int | None = None):
+    """Run one two-party protocol over a fresh pair of endpoints.
 
-    party_fn(party, values, channel, triples) runs on each party's thread
-    with that party's inputs and its replay of the dealer, and returns its
-    output shares. The two replays must have requested the same batches,
-    or the session raises ProtocolError. Returns (decoded outputs, client
-    stats, server stats), the stats taken when each party returns.
-    """
+    party_fn(party, values, channel) runs on each party's thread with that
+    party's inputs and its Channel: dealer.codec, its replay of the dealer
+    and, on the server, Random(flood_seed) when flood_seed is given. It
+    returns its output shares. The two replays must have requested the
+    same batches, or the session raises ProtocolError. Returns (decoded
+    outputs, client stats, server stats), the stats taken when each party
+    returns."""
     stream_c, stream_s = dealer.pair_streams()
+    rng = None if flood_seed is None else random.Random(flood_seed)
 
-    def party(name, values, stream):
+    def party(name, values, stream, flood_rng):
         def fn(ep):
-            return party_fn(name, values, ep, stream), ep.stats()
+            channel = Channel(ep, dealer.codec, stream, flood_rng)
+            return party_fn(name, values, channel), ep.stats()
 
         return fn
 
     try:
         (out_c, stats_c), (out_s, stats_s) = run_pair(
-            party(CLIENT, client_values, stream_c),
-            party(SERVER, server_values, stream_s), transport=transport)
+            party(CLIENT, client_values, stream_c, None),
+            party(SERVER, server_values, stream_s, rng), transport=transport)
     finally:
         # even when a party failed: diverging requests size frames apart
         _same_batches(zip(stream_c.kinds, stream_s.kinds))

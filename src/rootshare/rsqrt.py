@@ -33,8 +33,8 @@ from dataclasses import dataclass
 from .errors import ConfigError, RangeError, UnsupportedValueError
 from .floatbits import BIAS, L, compose, decompose, pack_integer, \
     to_binary32, unpack_integer
-from .ring import CLIENT, SERVER, DealerState, FixedPointCodec, Masked, \
-    _lanes, _truncate, beaver_mul_batch, run_session, truncate_local
+from .ring import CLIENT, SERVER, Channel, DealerState, FixedPointCodec, \
+    Masked, _lanes, _truncate, beaver_mul_batch, run_session, truncate_local
 
 MAGIC_K1 = 0x5F3759DF
 MIN_MAGNITUDE = 2.0 ** -30
@@ -147,9 +147,8 @@ def seed_share_server(fs: float, params: SeedParams = SeedParams(),
     return _seed_integers([fs], _seed_offset(SERVER, params, flooded))[0]
 
 
-def bits_to_value_batch(party: str, o_values, channel,
-                        codec: FixedPointCodec, params: SeedParams,
-                        triples=None, flooded: bool = True):
+def bits_to_value_batch(party: str, o_values, channel: Channel,
+                        params: SeedParams, flooded: bool = True):
     """Carry seed integers into fixed-point value shares.
 
     Flooded shares: zero communication. Flooding pins the seed near a known
@@ -163,6 +162,7 @@ def bits_to_value_batch(party: str, o_values, channel,
     composed seed; the shortfall only deepens the Newton undershoot. Costs
     one round and two ring elements per party per element.
     """
+    codec = channel.codec
     if flooded:
         p0 = params.K2 + params.comp - round(
             (params.E_f + LINEARIZE_MANTISSA) * L / 2)
@@ -185,7 +185,7 @@ def bits_to_value_batch(party: str, o_values, channel,
         y_vals = [codec.encode(2.0 ** ((o - params.C0) / L - BIAS))
                   for o in o_values]
     return beaver_mul_batch(party, x_vals, y_vals,
-                            triples.take(len(o_values)), channel, codec)
+                            channel.triples.take(len(o_values)), channel)
 
 
 def newton_plain(x: float, y0: float, n: int) -> float:
@@ -202,9 +202,8 @@ def newton_plain(x: float, y0: float, n: int) -> float:
     return y
 
 
-def newton_shared_batch(party: str, x_values, y_values, n: int, triples,
-                        channel, codec: FixedPointCodec, *,
-                        half_root: bool = False):
+def newton_shared_batch(party: str, x_values, y_values, n: int,
+                        channel: Channel, *, half_root: bool = False):
     """n shared Newton iterations on batches, two rounds each.
 
     The step y' = y * (3/2 - x/2 * y^2) is taken as y + y/2 - (y*y) *
@@ -229,6 +228,7 @@ def newton_shared_batch(party: str, x_values, y_values, n: int, triples,
     y = list(y_values)
     if not (n or half_root):
         return y
+    codec, triples = channel.codec, channel.triples
     lanes = _lanes(codec, m)
     # with half_root the last iteration takes the tail; each other one is
     # a Newton step, with a square in its slot of the fixed mask
@@ -240,10 +240,9 @@ def newton_shared_batch(party: str, x_values, y_values, n: int, triples,
     for k in range(steps):
         y_k = Masked(y, a[k::group])
         pair = beaver_mul_batch(party, (y_k, half_x), (y_k, y_k),
-                                (rest[0][k::steps], ab[k::group]), channel,
-                                codec)
+                                (rest[0][k::steps], ab[k::group]), channel)
         product = beaver_mul_batch(party, pair[:m], pair[m:],
-                                   triples.take(m), channel, codec)
+                                   triples.take(m), channel)
         packed = lanes.pack(y)
         y = lanes.unpack(lanes.sub(lanes.add(
             packed, _truncate(party, packed, lanes, 1)), lanes.pack(product)))
@@ -251,22 +250,22 @@ def newton_shared_batch(party: str, x_values, y_values, n: int, triples,
         return y
     y_last = Masked(y, a[group - 1::group])
     root = beaver_mul_batch(party, (half_x,), (y_last,),
-                            (ab[group - 1::group],), channel, codec)
+                            (ab[group - 1::group],), channel)
     if not tail:
         return root
     q, rho, qa, rho_q = rest[-4:]
     root = Masked(root, q)
     t = lanes.pack(beaver_mul_batch(party, (root,), (y_last,), (qa,),
-                                    channel, codec))
+                                    channel))
     r = (lanes.sub(lanes.one * (codec.scale >> 1), t) if party == SERVER
          else lanes.neg(t))
     step = beaver_mul_batch(party, (root,), (Masked(lanes.unpack(r), rho),),
-                            (rho_q,), channel, codec)
+                            (rho_q,), channel)
     return lanes.unpack(lanes.add(lanes.pack(root.values), lanes.pack(step)))
 
 
-def rsqrt_shared_batch(party: str, values, channel, codec: FixedPointCodec,
-                       params: SeedParams, newton: NewtonConfig, triples,
+def rsqrt_shared_batch(party: str, values, channel: Channel,
+                       params: SeedParams, newton: NewtonConfig,
                        flooded: bool = True, *, half_root: bool = False):
     """Full per-party pipeline on a batch of shares of positive values:
     local seed bits, value-domain conversion, shared Newton refinement.
@@ -280,33 +279,33 @@ def rsqrt_shared_batch(party: str, values, channel, codec: FixedPointCodec,
     params.slope times that refreshed share of x, truncated, from each
     party's seed share: a public-by-shared product, so no bytes.
     """
+    codec = channel.codec
     lanes = _lanes(codec, len(values))
     x = lanes.pack(values)
     o_values = _seed_integers(lanes.decode(x),
                               _seed_offset(party, params, flooded))
-    seeds = bits_to_value_batch(party, o_values, channel, codec, params,
-                                triples, flooded)
-    zeros = lanes.pack(triples.take_zeros(len(values)))
+    seeds = bits_to_value_batch(party, o_values, channel, params, flooded)
+    zeros = lanes.pack(channel.triples.take_zeros(len(values)))
     arith = lanes.unpack(lanes.add(x, zeros))
     if params.slope:
         beta = codec.encode(params.slope)
         tilt = truncate_local(party, [v * beta for v in arith], codec)
         seeds = lanes.unpack(lanes.sub(lanes.pack(seeds), lanes.pack(tilt)))
     return newton_shared_batch(party, arith, seeds, newton.iterations,
-                               triples, channel, codec, half_root=half_root)
+                               channel, half_root=half_root)
 
 
 def run_shared_rsqrt(share_pairs, codec: FixedPointCodec, params: SeedParams,
                      newton: NewtonConfig, dealer_seed: int = 0,
                      flooded: bool = True, transport: str = "inproc"):
-    """Drive both parties over a fresh channel for a batch of share pairs.
+    """Drive both parties over a fresh session for a batch of share pairs.
 
     share_pairs is a list of (client value, server value) ring integers.
     Returns (decoded outputs, client stats, server stats).
     """
-    def party_fn(party, values, channel, triples):
-        return rsqrt_shared_batch(party, values, channel, codec, params,
-                                  newton, triples, flooded)
+    def party_fn(party, values, channel):
+        return rsqrt_shared_batch(party, values, channel, params, newton,
+                                  flooded)
 
     return run_session(party_fn, [pair[0] for pair in share_pairs],
                        [pair[1] for pair in share_pairs],

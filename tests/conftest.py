@@ -33,9 +33,9 @@ def mul_pairs(codec, xs, ys, seed):
     xsh = [make_shares(x, codec, rng) for x in xs]
     ysh = [make_shares(y, codec, rng) for y in ys]
 
-    def party_fn(party, values, channel, triples):
+    def party_fn(party, values, channel):
         return beaver_mul_batch(party, values[:count], values[count:],
-                                triples.take(count), channel, codec)
+                                channel.triples.take(count), channel)
 
     out, _, _ = run_session(party_fn, [p[0].value for p in xsh + ysh],
                             [p[1].value for p in xsh + ysh],

@@ -98,16 +98,16 @@ def test_l32_products_and_truncation_are_pinned():
     raw = edges + [rng.getrandbits(codec.l) for _ in range(n)]
     shares = {}
 
-    def party_fn(party, values, channel, triples):
+    def party_fn(party, values, channel):
+        triples = channel.triples
         x, y, r = values[:n], values[n:2 * n], values[2 * n:]
-        out = list(beaver_mul_batch(party, x, y, triples.take(n), channel,
-                                    codec))
+        out = list(beaver_mul_batch(party, x, y, triples.take(n), channel))
         a, aa = triples.take_squares(n)
         sq = Masked(x, a)
-        out += beaver_mul_batch(party, (sq,), (sq,), (aa,), channel, codec)
+        out += beaver_mul_batch(party, (sq,), (sq,), (aa,), channel)
         b, a, ab = triples.take_fixed_mask(rows, L32_ROW)
         out += beaver_mul_batch(party, (Masked(y, a),), (Masked(r, b),),
-                                (ab,), channel, codec)
+                                (ab,), channel)
         out += truncate_local(party, raw, codec)
         shares[party] = out
         return out
@@ -153,15 +153,15 @@ def test_matrix_products_and_triples_are_pinned(codec):
     server = [rng.getrandbits(codec.l) for _ in range(sum(sizes))]
     record = {}
 
-    def party_fn(party, values, channel, triples):
+    def party_fn(party, values, channel):
         out, seen = [], []
         for m, k, n in MATRIX_SHAPES:
             a, b = values[:m * k], values[m * k:m * k + k * n]
             values = values[m * k + k * n:]
-            triple = triples.take_matrix(m, k, n)
+            triple = channel.triples.take_matrix(m, k, n)
             seen += [list(part) for part in triple]
             out += matmul_shared(party, [(a, b, triple, (m, k, n))],
-                                 channel, codec)[0]
+                                 channel)[0]
         record[party] = seen + [list(out)]
         return out
 

@@ -263,6 +263,27 @@ def test_closeness_sweep_refuses_gaps_it_cannot_build(tmp_path, capsys,
                     f"--gaps={gaps}", "non-negative exponent gaps")
 
 
+@pytest.mark.parametrize("setting, place", [
+    ("sampler_log2_mean = nan", "sampler_log2_mean"),
+    ("sampler_log2_mean = inf", "sampler_log2_mean"),
+    ("sampler_log2_std = inf", "sampler_log2_std"),
+    ("F = inf", "F"),
+    ("sampler_log2_mean = 2000", "sampler_log2_mean")],
+    ids=["mean-nan", "mean-inf", "std-inf", "F-inf", "mean-overflows"])
+def test_non_finite_and_overflowing_settings_are_refused(tmp_path, capsys,
+                                                         setting, place):
+    # each ends in one error line naming the setting, not a traceback from
+    # the float arithmetic it would feed
+    cfg_path = tmp_path / "proto.cfg"
+    cfg_path.write_text(setting + "\n")
+    out = tmp_path / "never.csv"
+    assert cli.main(["rsqrt-sweep", "--count", "20", "--config",
+                     str(cfg_path), "--out", str(out)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error:") and place in line
+    assert not out.exists()
+
+
 def test_config_key_n_is_unknown(tmp_path, capsys):
     # iterations has no alias: n is refused like any other unknown key
     _assert_refused(tmp_path, capsys, ["rsqrt-sweep", "--count", "2"],

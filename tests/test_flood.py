@@ -14,7 +14,8 @@ from rootshare.flood import (ActivationSampler, FloodConfig,
                              flood_reshare_batch, flood_share,
                              shares_from_floats)
 from rootshare.floatbits import decompose
-from rootshare.ring import CLIENT, SERVER, FixedPointCodec, RingShare, reconstruct
+from rootshare.ring import CLIENT, SERVER, Channel, FixedPointCodec, \
+    RingShare, reconstruct
 from rootshare.transport import open_inproc, run_pair
 
 
@@ -192,12 +193,12 @@ def test_flood_reshare_preserves_value_and_floods_server():
 
     def client_fn(ep):
         vals = [p[0].value for p in pairs]
-        return flood_reshare_batch(CLIENT, vals, ep, codec, cfg, None)
+        return flood_reshare_batch(CLIENT, vals, Channel(ep, codec, None), cfg)
 
     def server_fn(ep):
         vals = [p[1].value for p in pairs]
-        return flood_reshare_batch(SERVER, vals, ep, codec, cfg,
-                                   random.Random(28))
+        channel = Channel(ep, codec, None, random.Random(28))
+        return flood_reshare_batch(SERVER, vals, channel, cfg)
 
     out_c, out_s = run_pair(client_fn, server_fn)
     for x, c, s in zip(xs, out_c, out_s):
@@ -208,11 +209,10 @@ def test_flood_reshare_preserves_value_and_floods_server():
 
 
 def test_flood_reshare_requires_server_rng():
-    # the rng check fires before the channel is touched
+    # the rng check fires before the endpoint is touched
     codec = FixedPointCodec()
     cfg = FloodConfig()
     endpoint, _peer = open_inproc()
-    with pytest.raises(ConfigError):
-        flood_reshare_batch(SERVER, [1], endpoint, cfg=cfg, codec=codec,
-                            rng=None)
+    with pytest.raises(ConfigError, match="flood_seed"):
+        flood_reshare_batch(SERVER, [1], Channel(endpoint, codec, None), cfg)
 

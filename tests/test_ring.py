@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import FixedBits, chi2_uniform_stat, mul_pairs, quantize
 from rootshare.errors import ConfigError, ProtocolError, RangeError, UsageError
 from rootshare import ring
-from rootshare.ring import (CLIENT, PARTIES, SERVER, DealerState,
+from rootshare.ring import (CLIENT, PARTIES, SERVER, Channel, DealerState,
                             FixedPointCodec, Masked, RingShare,
                             _lanes, _mat_mul_mod, _truncate,
                             beaver_mul_batch,
@@ -448,9 +448,9 @@ def test_beaver_scalar_comm_cost(codec):
     xc, xs = make_shares(2.0, codec, rng)
     yc, ys = make_shares(3.0, codec, rng)
 
-    def party_fn(party, values, channel, triples):
+    def party_fn(party, values, channel):
         return beaver_mul_batch(party, values[:1], values[1:],
-                                triples.take(1), channel, codec)
+                                channel.triples.take(1), channel)
 
     (got,), st_c, st_s = run_session(party_fn, [xc.value, yc.value],
                                      [xs.value, ys.value],
@@ -508,15 +508,15 @@ def test_compact_beaver_product_and_frame(ring, data):
     shares = [make_shares(v, codec, rng) for v in xs + ys]
     frames = {}
 
-    def party_fn(party, values, channel, triples):
-        a, b, c = triples.take(count)
-        channel.start_transcript()
+    def party_fn(party, values, channel):
+        a, b, c = channel.triples.take(count)
+        channel.endpoint.start_transcript()
         out = beaver_mul_batch(party, values[:count], values[count:],
-                               (a, b, c), channel, codec)
+                               (a, b, c), channel)
         masks = list(a) + list(b)
         payload = b"".join(((v - t) % mod).to_bytes(width, "little")
                            for v, t in zip(values, masks))
-        frames[party] = (channel.transcript(),
+        frames[party] = (channel.endpoint.transcript(),
                          struct.pack("<I", len(payload)) + payload)
         return out
 
@@ -531,11 +531,12 @@ def test_compact_beaver_product_and_frame(ring, data):
 
 def test_beaver_rejects_mismatched_batches(codec):
     a, b = open_inproc()
+    channel = Channel(a, codec, None)
     with pytest.raises(UsageError):
-        beaver_mul_batch(CLIENT, [1, 2], [3], ([], [], []), a, codec)
+        beaver_mul_batch(CLIENT, [1, 2], [3], ([], [], []), channel)
     with pytest.raises(UsageError):
-        beaver_mul_batch(CLIENT, [1, 2], [3, 4], ([0, 0], [0, 0], [0]), a,
-                         codec)
+        beaver_mul_batch(CLIENT, [1, 2], [3, 4], ([0, 0], [0, 0], [0]),
+                         channel)
 
 
 def _both_halves(dealer, count):
@@ -602,12 +603,12 @@ def test_correlated_products_open_each_operand_once(codec):
     ys = [quantize(v, codec) for v in (2.0, -1.25)]
     halves = split_values(xs + ys, codec, random.Random(12))
 
-    def party_fn(party, values, channel, triples):
-        b, a, ab, aa = triples.take_fixed_mask(2, 3, squares=3)
+    def party_fn(party, values, channel):
+        b, a, ab, aa = channel.triples.take_fixed_mask(2, 3, squares=3)
         x = Masked(values[:6], a)
-        squares = beaver_mul_batch(party, (x,), (x,), (aa,), channel, codec)
+        squares = beaver_mul_batch(party, (x,), (x,), (aa,), channel)
         return squares + beaver_mul_batch(
-            party, (x,), (Masked(values[6:], b),), (ab,), channel, codec)
+            party, (x,), (Masked(values[6:], b),), (ab,), channel)
 
     got, st_c, st_s = run_session(party_fn, *halves,
                                   DealerState(codec, seed=13))
@@ -669,7 +670,8 @@ def test_fused_products_match_per_kind_truncation(codec, data):
               for _ in PARTIES]
     seen, got = {}, {}
 
-    def party_fn(party, values, channel, triples):
+    def party_fn(party, values, channel):
+        triples = channel.triples
         ops = []
         for kind, nx, ny, group in layout:
             xv, yv = values[:nx], values[nx:nx + ny]
@@ -690,9 +692,9 @@ def test_fused_products_match_per_kind_truncation(codec, data):
         if listed:
             ((x, y, c),) = ops
             out = beaver_mul_batch(party, x.values, y.values,
-                                   (x.mask, y.mask, c), channel, codec)
+                                   (x.mask, y.mask, c), channel)
         else:
-            out = beaver_mul_batch(party, *zip(*ops), channel, codec)
+            out = beaver_mul_batch(party, *zip(*ops), channel)
         got[party] = list(out)
         return out
 
@@ -788,8 +790,8 @@ def _diverging_session(codec, client_takes, server_takes):
     """A session whose parties request client_takes(stream) and
     server_takes(stream) from their replays of one dealer, and send
     nothing."""
-    def party_fn(party, values, channel, triples):
-        (client_takes if party == CLIENT else server_takes)(triples)
+    def party_fn(party, values, channel):
+        (client_takes if party == CLIENT else server_takes)(channel.triples)
         return values
 
     return run_session(party_fn, [0], [0], DealerState(codec, seed=2))
@@ -798,10 +800,10 @@ def _diverging_session(codec, client_takes, server_takes):
 def test_stream_count_mismatch_is_protocol_error(codec):
     # the replays diverge without a word; the session compares their logs,
     # and names the divergence, not the frame of the wrong size it causes
-    def party_fn(party, values, channel, triples):
+    def party_fn(party, values, channel):
         values = values + [0] * (party == SERVER)
         return beaver_mul_batch(party, values, values,
-                                triples.take(len(values)), channel, codec)
+                                channel.triples.take(len(values)), channel)
 
     with pytest.raises(ProtocolError, match="disagree on dealer batch 0"):
         _diverging_session(codec, lambda t: t.take(3), lambda t: t.take(4))
@@ -829,18 +831,46 @@ def test_dealer_makes_one_request_per_take(codec):
                                 ("zero", 500), ("matrix", 2, 3, 4)]
 
 
+@pytest.mark.parametrize("flood_seed", [None, 22])
+def test_session_gives_each_party_its_channel(codec, flood_seed):
+    # both channels carry the dealer's codec and their own party's replay;
+    # only the server's carries a flood generator, Random(flood_seed), and
+    # frames pass through to the endpoint
+    dealer = DealerState(codec, seed=21)
+    seen = {}
+
+    def party_fn(party, values, channel):
+        rng = channel.rng
+        seen[party] = (channel.codec, channel.triples.party,
+                       None if rng is None else rng.random())
+        if party == CLIENT:
+            channel.send_frame(b"ping")
+        else:
+            assert channel.recv_frame() == b"ping"
+        assert channel.stats() == channel.endpoint.stats()
+        return values
+
+    _, st_c, _ = run_session(party_fn, [0], [0], dealer,
+                             flood_seed=flood_seed)
+    drawn = None if flood_seed is None else random.Random(22).random()
+    assert seen == {CLIENT: (codec, CLIENT, None),
+                    SERVER: (codec, SERVER, drawn)}
+    assert (st_c.frames, st_c.payload_bytes) == (1, 4)
+
+
 def test_dealer_releases_every_batch_after_a_session(codec):
     # each party logs its own batches; the dealer keeps nothing but its
     # codec, its seed and that it has paired
     dealer = DealerState(codec, seed=6)
     streams = []
 
-    def party_fn(party, values, channel, triples):
+    def party_fn(party, values, channel):
+        triples = channel.triples
         streams.append(triples)
         zeros = triples.take_zeros(len(values))
         values = [(v + z) % codec.modulus for v, z in zip(values, zeros)]
         return beaver_mul_batch(party, values, values,
-                                triples.take(len(values)), channel, codec)
+                                triples.take(len(values)), channel)
 
     xc, xs = split_values([1.5, -2.0, 3.0], codec, random.Random(6))
     got, _, _ = run_session(party_fn, xc, xs, dealer)
@@ -946,10 +976,10 @@ def test_matmul_shared_matches_plain(codec):
     a_sh = [make_shares(v, codec, rng) for v in a]
     b_sh = [make_shares(v, codec, rng) for v in b]
 
-    def party_fn(party, values, channel, triples):
+    def party_fn(party, values, channel):
         return matmul_shared(party, [(values[:m * k], values[m * k:],
-                                      triples.take_matrix(m, k, n),
-                                      (m, k, n))], channel, codec)[0]
+                                      channel.triples.take_matrix(m, k, n),
+                                      (m, k, n))], channel)[0]
 
     got, st_c, st_s = run_session(party_fn, [p[0].value for p in a_sh + b_sh],
                                   [p[1].value for p in a_sh + b_sh],
@@ -974,15 +1004,14 @@ def test_matmul_shared_frame(codec):
     shares = [make_shares(v, codec, rng) for v in a + b]
     frames = {}
 
-    def party_fn(party, values, channel, triples):
-        ra, rb, rc = triples.take_matrix(m, k, n)
-        channel.start_transcript()
+    def party_fn(party, values, channel):
+        ra, rb, rc = channel.triples.take_matrix(m, k, n)
+        channel.endpoint.start_transcript()
         (out,) = matmul_shared(party, [(values[:m * k], values[m * k:],
-                                        (ra, rb, rc), (m, k, n))],
-                               channel, codec)
+                                        (ra, rb, rc), (m, k, n))], channel)
         payload = b"".join(((v - r) % mod).to_bytes(width, "little")
                            for v, r in zip(values, list(ra) + list(rb)))
-        frames[party] = (channel.transcript(),
+        frames[party] = (channel.endpoint.transcript(),
                          struct.pack("<I", len(payload)) + payload)
         return out
 
@@ -1017,15 +1046,15 @@ def test_matmul_shared_opens_every_product_in_one_frame(codec):
             values = values[m * k + k * n:]
         return out
 
-    def together(party, values, channel, stream):
-        triples = [stream.take_matrix(*shape) for shape in shapes]
+    def together(party, values, channel):
+        triples = [channel.triples.take_matrix(*shape) for shape in shapes]
         return [v for out in matmul_shared(party, products(values, triples),
-                                           channel, codec) for v in out]
+                                           channel) for v in out]
 
-    def apart(party, values, channel, stream):
-        triples = [stream.take_matrix(*shape) for shape in shapes]
+    def apart(party, values, channel):
+        triples = [channel.triples.take_matrix(*shape) for shape in shapes]
         return [v for product in products(values, triples)
-                for v in matmul_shared(party, [product], channel, codec)[0]]
+                for v in matmul_shared(party, [product], channel)[0]]
 
     runs = [run_session(fn, [p[0].value for p in shares],
                         [p[1].value for p in shares],
@@ -1042,9 +1071,10 @@ def test_matmul_shape_validation(codec):
     a, _ = open_inproc()
     dealer = DealerState(codec, seed=12)
     sc, _ = dealer.pair_streams()
+    channel = Channel(a, codec, sc)
     with pytest.raises(UsageError):
         matmul_shared(CLIENT, [([0] * 5, [0] * 4, sc.take_matrix(2, 2, 2),
-                                (2, 2, 2))], a, codec)
+                                (2, 2, 2))], channel)
     # no products would send an empty frame for nothing
     with pytest.raises(UsageError):
-        matmul_shared(CLIENT, [], a, codec)
+        matmul_shared(CLIENT, [], channel)

@@ -18,8 +18,8 @@ from rootshare.errors import ConfigError, RangeError, TransportError, \
 from rootshare.floatbits import BIAS, L, decompose, pack_integer, to_binary32
 from rootshare.flood import (ActivationSampler, FloodConfig, draw_flood_mask,
                              flood_share)
-from rootshare.ring import (CLIENT, SERVER, DealerState, FixedPointCodec,
-                            make_shares, run_session)
+from rootshare.ring import (CLIENT, SERVER, Channel, DealerState,
+                            FixedPointCodec, make_shares, run_session)
 from rootshare.rsqrt import (MAGIC_K1, MIN_MAGNITUDE, NewtonConfig,
                              SeedParams, _seed_integers, _seed_offset,
                              bits_to_value_batch, closeness_sweep,
@@ -186,9 +186,8 @@ def test_seed_rejects_magnitudes_outside_binary32(value):
 def _bits_to_value(o_c, o_s, codec, params, dealer_seed, flooded=True):
     """bits_to_value_batch on one seed pair over a fresh session:
     (decoded value, client stats, server stats)."""
-    def party_fn(party, values, channel, triples):
-        return bits_to_value_batch(party, values, channel, codec, params,
-                                   triples, flooded)
+    def party_fn(party, values, channel):
+        return bits_to_value_batch(party, values, channel, params, flooded)
 
     (got,), st_c, st_s = run_session(party_fn, [o_c], [o_s],
                                      DealerState(codec, seed=dealer_seed))
@@ -201,11 +200,12 @@ def test_flooded_conversion_rejects_values_outside_the_ring():
     codec = FixedPointCodec(l=32, f=12)
     p = SeedParams()
     o = seed_share_server(8195.098, p)
+    channel = Channel(None, codec, None)
     for party in (CLIENT, SERVER):
-        assert len(bits_to_value_batch(party, [o], None, codec, p)) == 1
+        assert len(bits_to_value_batch(party, [o], channel, p)) == 1
         for batch in ([o, 10 ** 30], [-10 ** 30, o, o]):
             with pytest.raises(RangeError):
-                bits_to_value_batch(party, batch, None, codec, p)
+                bits_to_value_batch(party, batch, channel, p)
 
 
 def test_masked_open_matches_exponential_form():
@@ -310,9 +310,8 @@ def test_newton_plain_input_validation():
 
 def _newton(x_pair, y_pair, n, codec, dealer_seed):
     """newton_shared_batch on one (x, y) share pair over a fresh session."""
-    def party_fn(party, values, channel, triples):
-        return newton_shared_batch(party, values[:1], values[1:], n, triples,
-                                   channel, codec)
+    def party_fn(party, values, channel):
+        return newton_shared_batch(party, values[:1], values[1:], n, channel)
 
     (got,), st_c, st_s = run_session(
         party_fn, [x_pair[0].value, y_pair[0].value],
@@ -359,9 +358,9 @@ def _flooded_pairs(xs, cfg, rng):
 def _half_root(pairs, cfg, dealer_seed):
     """rsqrt_shared_batch(..., half_root=True) on flooded share pairs over a
     fresh session."""
-    def party_fn(party, values, channel, triples):
-        return rsqrt_shared_batch(party, values, channel, cfg.codec, cfg.seed,
-                                  cfg.newton, triples, half_root=True)
+    def party_fn(party, values, channel):
+        return rsqrt_shared_batch(party, values, channel, cfg.seed,
+                                  cfg.newton, half_root=True)
 
     return run_session(party_fn, [p[0] for p in pairs], [p[1] for p in pairs],
                        DealerState(cfg.codec, seed=dealer_seed))
@@ -518,9 +517,9 @@ def test_batch_over_the_frame_cap_fails_at_once_on_both_parties(
     run_shared_rsqrt(pairs[:m], *args, dealer_seed=57)
     failed = {}
 
-    def party_fn(party, values, channel, triples):
+    def party_fn(party, values, channel):
         try:
-            return rsqrt_shared_batch(party, values, channel, *args, triples)
+            return rsqrt_shared_batch(party, values, channel, *args[1:])
         except TransportError as exc:
             failed[party] = exc
             raise
